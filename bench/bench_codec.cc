@@ -88,11 +88,6 @@ void checkKernelEquivalence() {
               simd::matchLengthScalar(a.data(), b.data(), len),
           "matchLength disagrees with scalar reference");
   }
-  Bytes outSimd(a.size());
-  Bytes outScalar(a.size());
-  simd::byteSubtractFrom(0x5A, a.data(), outSimd.data(), a.size());
-  simd::byteSubtractFromScalar(0x5A, a.data(), outScalar.data(), a.size());
-  check(outSimd == outScalar, "byteSubtractFrom disagrees with scalar reference");
   check(crc32(a) == crc32Reference(a), "crc32 disagrees with scalar reference");
 }
 
@@ -124,15 +119,6 @@ std::vector<KernelRow> benchKernels(double minSeconds) {
         return simd::matchLength(x, y, len);
       });
     });
-    rows.push_back(r);
-  }
-  {
-    KernelRow r{"byteSubtractFrom", 0, 0};
-    Bytes out(n);
-    r.scalarMBps = throughputMBps(
-        n, minSeconds, [&] { simd::byteSubtractFromScalar(0x33, a.data(), out.data(), n); });
-    r.simdMBps = throughputMBps(
-        n, minSeconds, [&] { simd::byteSubtractFrom(0x33, a.data(), out.data(), n); });
     rows.push_back(r);
   }
   {

@@ -104,37 +104,4 @@ inline std::size_t matchLength(const u8* a, const u8* b, std::size_t maxLen) {
 }
 SCISHUFFLE_SIMD_KERNEL(matchLength, matchLengthScalar);
 
-// ------------------------------------------------------- byteSubtractFrom
-
-/// Reference: dst[i] = u8(x - src[i]) for i in [0, n). src and dst must not
-/// overlap unless dst <= src (in-place-forward is allowed).
-inline void byteSubtractFromScalar(u8 x, const u8* src, u8* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<u8>(x - src[i]);
-}
-
-/// Broadcast-subtract sweep: one value minus a whole byte vector. The stride
-/// model uses this to difference the current byte against every candidate
-/// history byte in a single pass (the §III subtract-and-compare scan).
-inline void byteSubtractFrom(u8 x, const u8* src, u8* dst, std::size_t n) {
-#if defined(SCISHUFFLE_SIMD_BACKEND_SSE2)
-  const __m128i vx = _mm_set1_epi8(static_cast<char>(x));
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_sub_epi8(vx, s));
-  }
-  byteSubtractFromScalar(x, src + i, dst + i, n - i);
-#elif defined(SCISHUFFLE_SIMD_BACKEND_NEON)
-  const uint8x16_t vx = vdupq_n_u8(x);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, vsubq_u8(vx, vld1q_u8(src + i)));
-  }
-  byteSubtractFromScalar(x, src + i, dst + i, n - i);
-#else
-  byteSubtractFromScalar(x, src, dst, n);
-#endif
-}
-SCISHUFFLE_SIMD_KERNEL(byteSubtractFrom, byteSubtractFromScalar);
-
 }  // namespace scishuffle::simd

@@ -458,6 +458,7 @@ bool Coordinator::findAssignmentLocked(u32& taskOut, u32& workerOut,
       tasks_[m].phase = TaskPhase::kAssigned;
       tasks_[m].owner = id;
       w.busy = true;
+      ++result_.tasks_assigned[id];
       taskOut = m;
       workerOut = id;
       connOut = w.control;
@@ -656,6 +657,7 @@ DistributedResult Coordinator::run() {
   {
     MutexLock lock(mu_);
     tasks_.resize(numTasks);
+    result_.tasks_assigned.assign(static_cast<std::size_t>(config_.num_workers), 0);
   }
 
   std::unique_ptr<obs::MetricsStream> metrics;

@@ -77,6 +77,11 @@ struct DistributedResult {
   int worker_deaths = 0;
   /// Map tasks requeued to a survivor (== MAP_TASKS_REEXECUTED counter).
   int tasks_reexecuted = 0;
+  /// Assign frames sent to each worker, indexed by worker id. Every task is
+  /// assigned once plus once per requeue, so the sum is map tasks +
+  /// tasks_reexecuted. Tests use it to tell whether a --exit-after-tasks N
+  /// worker got the (N+1)-th assignment it dies on.
+  std::vector<int> tasks_assigned;
   /// Worst-case time from declaring a worker dead to the last of its
   /// requeued tasks being re-published by a survivor; 0 when nothing died.
   u64 recovery_latency_us = 0;

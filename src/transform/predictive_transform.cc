@@ -8,49 +8,55 @@ namespace {
 constexpr std::size_t kChunk = 64 * 1024;
 }
 
-void PredictiveTransform::forward(ByteSource& in, ByteSink& out) const {
+u64 PredictiveTransform::forward(ByteSource& in, ByteSink& out) const {
   StrideModel model(config_);
   auto inBuf = sharedBytePool().lease(kChunk);
   auto outBuf = sharedBytePool().lease(kChunk);
   inBuf->resize(kChunk);
+  u64 predicted = 0;
   for (;;) {
     const std::size_t n = in.read(MutableByteSpan(inBuf->data(), inBuf->size()));
     if (n == 0) break;
     outBuf->resize(n);
-    model.forwardBatch(inBuf->data(), outBuf->data(), n);
+    predicted += model.forwardBatch(inBuf->data(), outBuf->data(), n);
     out.write(ByteSpan(outBuf->data(), n));
   }
+  return predicted;
 }
 
-void PredictiveTransform::inverse(ByteSource& in, ByteSink& out) const {
+u64 PredictiveTransform::inverse(ByteSource& in, ByteSink& out) const {
   StrideModel model(config_);
   auto inBuf = sharedBytePool().lease(kChunk);
   auto outBuf = sharedBytePool().lease(kChunk);
   inBuf->resize(kChunk);
+  u64 predicted = 0;
   for (;;) {
     const std::size_t n = in.read(MutableByteSpan(inBuf->data(), inBuf->size()));
     if (n == 0) break;
     outBuf->resize(n);
-    model.inverseBatch(inBuf->data(), outBuf->data(), n);
+    predicted += model.inverseBatch(inBuf->data(), outBuf->data(), n);
     out.write(ByteSpan(outBuf->data(), n));
   }
+  return predicted;
 }
 
-Bytes PredictiveTransform::forward(ByteSpan data) const {
+Bytes PredictiveTransform::forward(ByteSpan data, u64* predictedBytes) const {
   MemorySource in(data);
   Bytes out;
   out.reserve(data.size());
   MemorySink sink(out);
-  forward(in, sink);
+  const u64 predicted = forward(in, sink);
+  if (predictedBytes != nullptr) *predictedBytes = predicted;
   return out;
 }
 
-Bytes PredictiveTransform::inverse(ByteSpan data) const {
+Bytes PredictiveTransform::inverse(ByteSpan data, u64* predictedBytes) const {
   MemorySource in(data);
   Bytes out;
   out.reserve(data.size());
   MemorySink sink(out);
-  inverse(in, sink);
+  const u64 predicted = inverse(in, sink);
+  if (predictedBytes != nullptr) *predictedBytes = predicted;
   return out;
 }
 

@@ -19,15 +19,17 @@ class PredictiveTransform {
  public:
   explicit PredictiveTransform(TransformConfig config = {}) : config_(std::move(config)) {}
 
-  /// Streaming forward transform; output size == input size.
-  void forward(ByteSource& in, ByteSink& out) const;
+  /// Streaming forward transform; output size == input size. Returns how
+  /// many bytes the model predicted.
+  u64 forward(ByteSource& in, ByteSink& out) const;
 
-  /// Streaming inverse transform.
-  void inverse(ByteSource& in, ByteSink& out) const;
+  /// Streaming inverse transform. Returns how many bytes were predicted.
+  u64 inverse(ByteSource& in, ByteSink& out) const;
 
-  /// Buffer conveniences.
-  Bytes forward(ByteSpan data) const;
-  Bytes inverse(ByteSpan data) const;
+  /// Buffer conveniences; `predictedBytes`, when non-null, receives the
+  /// predicted-byte count.
+  Bytes forward(ByteSpan data, u64* predictedBytes = nullptr) const;
+  Bytes inverse(ByteSpan data, u64* predictedBytes = nullptr) const;
 
   const TransformConfig& config() const { return config_; }
 

@@ -9,17 +9,27 @@
 // transforms: both drive it with the *original* bytes, which is what makes
 // the transform invertible (§III-C).
 //
-// Two representation tricks keep the per-byte scan division-free and
-// SIMD-friendly (docs/PERFORMANCE.md):
-//   * the history ring is stored twice back-to-back (hist2_), so the byte at
-//     offset - s is hist2_[head_ + H - s] — for all strides at once these are
-//     one contiguous, reverse-indexed slice, which is what the
-//     simd::byteSubtractFrom sweep differences against the current byte;
-//   * each active stride carries its current phase (phase_[i], incremented
-//     and wrapped) instead of recomputing offset % s per byte.
-// predict()/consume() remain the byte-at-a-time reference;
-// forwardBatch()/inverseBatch() must be observably identical to stepping
-// them (asserted by tests/transform_test.cc's equivalence property).
+// predict()/consume() are the byte-at-a-time reference: one list walk to
+// select, one to update, the full eviction test on every stride every byte.
+// forwardBatch()/inverseBatch() share one batch kernel that must be
+// observably identical to stepping them (tests/transform_test.cc pins both
+// the equivalence and golden residual digests). The kernel's per-byte work
+// is division-free and allocation-free (docs/PERFORMANCE.md):
+//   * each active stride carries its phase, and the model carries the
+//     selection-cycle position, instead of recomputing offset % s and
+//     offset % selection_cycle_bytes;
+//   * one walk of the active list per byte updates byte i and, once each
+//     stride's phase has advanced, offers its next sequence as byte i+1's
+//     candidate. Survivors are visited in their post-update list order and a
+//     re-admitted stride starts unseeded, so "first strictly longest run in
+//     list order" picks the same sequence predict() would;
+//   * with eviction_hit_rate <= 1 a hit can never lower a stride's hit rate
+//     below the threshold, so the eviction test runs only on a miss or on
+//     the byte the warm-up span completes;
+//   * a stride counts only its misses: the first s updates after activation
+//     seed its s sequences and every later update is a prediction, so the
+//     prediction count follows from the offset and a hit writes no
+//     per-stride state at all.
 #pragma once
 
 #include <optional>
@@ -76,13 +86,14 @@ class StrideModel {
 
   /// Batch forward transform: out[i] = in[i] - prediction (or in[i] when no
   /// sequence qualifies), advancing the model over all n bytes. Equivalent
-  /// to predict()+consume() per byte, with the candidate-stride scan
-  /// vectorized.
-  void forwardBatch(const u8* in, u8* out, std::size_t n);
+  /// to predict()+consume() per byte. Returns how many of the n bytes had a
+  /// prediction.
+  std::size_t forwardBatch(const u8* in, u8* out, std::size_t n);
 
   /// Batch inverse transform: out[i] = in[i] + prediction; the model is
-  /// driven with the reconstructed original bytes.
-  void inverseBatch(const u8* in, u8* out, std::size_t n);
+  /// driven with the reconstructed original bytes. Returns how many of the
+  /// n bytes had a prediction.
+  std::size_t inverseBatch(const u8* in, u8* out, std::size_t n);
 
   u64 offset() const { return offset_; }
 
@@ -90,20 +101,16 @@ class StrideModel {
   /// and the ablation benches).
   int activeCount() const { return static_cast<int>(activeList_.size()); }
 
-  /// Snapshot of the active strides (unordered).
+  /// The active strides in list order (eviction swap-removes, re-admission
+  /// appends; the predictor's tie-break follows this order).
   const std::vector<int>& activeStrides() const { return activeList_; }
 
  private:
-  struct Sequence {
-    u8 delta = 0;
-    bool seeded = false;  // becomes true once x[i-s] existed
-    u32 run = 0;
-  };
-
   struct Stride {
-    u64 hits = 0;
-    u64 predictions = 0;
+    u64 misses = 0;            // updates of a seeded sequence that missed
     u64 activatedAt = 0;       // byte offset when (re)admitted
+    u64 countedFrom = 0;       // first byte whose update is a prediction
+    u64 warmAt = 0;            // activatedAt + eviction_warmup_strides * s
     u64 deactivatedCycle = 0;  // selection cycle when evicted
     u64 lastEligibleCycle = 0;
   };
@@ -111,33 +118,38 @@ class StrideModel {
   /// Byte at offset_ - s (requires offset_ >= s), via the doubled ring.
   u8 prevByte(int s) const { return hist2_[head_ + histLen_ - static_cast<std::size_t>(s)]; }
 
-  /// Sequence-update + eviction pass for one original byte. `diffs`, when
-  /// non-null, holds diffs[H - s] = u8(original - x[offset - s]) for every
-  /// stride (the byteSubtractFrom sweep output); when null the per-stride
-  /// difference is computed inline.
-  void updateActive(u8 original, const u8* diffs);
+  /// The §III-A eviction test for a stride whose sequence was just updated
+  /// at byte `offset`.
+  bool evictionDue(const Stride& stride, int s, u64 offset) const;
 
-  /// True when the SIMD sweep pays for itself this byte.
-  bool sweepWorthwhile() const {
-    return offset_ >= static_cast<u64>(histLen_) && activeList_.size() >= 16 &&
-           histLen_ <= activeList_.size() * 16;
-  }
+  /// Swap-removes activeList_[idx] (and its phase) at selection cycle `cycle`.
+  void evict(std::size_t idx, u64 cycle);
+
+  /// Smallest warmAt >= from over the active strides (~0 when none).
+  u64 nextWarmAt(u64 from) const;
+
+  template <bool kInverse>
+  std::size_t runBatch(const u8* in, u8* out, std::size_t n);
 
   void pushHistory(u8 original);
   void maybeRotateActiveSet();
 
   TransformConfig config_;
   std::vector<int> fullSet_;          // all strides the detector may consider
-  std::vector<Sequence> sequences_;   // sequences_[seqBase_[s] + phase]
-  std::vector<std::size_t> seqBase_;  // per-stride base into sequences_
+  // Sequence table, structure-of-arrays, indexed seqBase_[s] + phase:
+  std::vector<u64> run_;              // run length + 1; 0 = unseeded
+  std::vector<u8> delta_;             // latest difference x[i] - x[i-s]
+  std::vector<std::size_t> seqBase_;  // per-stride base into run_/delta_
   std::vector<Stride> strides_;       // index 1..max_stride
-  std::vector<int> activeList_;       // current active set (unordered)
+  std::vector<u8> isActive_;          // membership marks, index 1..max_stride
+  std::vector<int> activeList_;       // current active set, in list order
   std::vector<u32> phase_;            // phase_[i] = offset_ % activeList_[i]
   std::vector<u8> hist2_;             // doubled ring of the last H bytes
   std::size_t histLen_ = 0;           // H = max stride
   std::size_t head_ = 0;              // offset_ % H
-  std::vector<u8> diff_;              // sweep scratch, diff_[H - s]
   u64 offset_ = 0;
+  u64 cycle_ = 0;                     // offset_ / selection_cycle_bytes
+  u32 cyclePos_ = 0;                  // offset_ % selection_cycle_bytes
 };
 
 }  // namespace scishuffle::transform

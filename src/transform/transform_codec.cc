@@ -11,7 +11,9 @@ Bytes TransformCodec::compress(ByteSpan data) const {
   {
     obs::ScopedSpan span("stride_forward", "transform");
     span.arg("raw_bytes", data.size());
-    residuals = transform_.forward(data);
+    u64 predicted = 0;
+    residuals = transform_.forward(data, &predicted);
+    span.arg("predicted_bytes", predicted);
   }
   return inner_->compress(residuals);
 }
@@ -20,7 +22,10 @@ Bytes TransformCodec::decompress(ByteSpan data) const {
   const Bytes residuals = inner_->decompress(data);
   obs::ScopedSpan span("stride_inverse", "transform");
   span.arg("raw_bytes", residuals.size());
-  return transform_.inverse(residuals);
+  u64 predicted = 0;
+  Bytes original = transform_.inverse(residuals, &predicted);
+  span.arg("predicted_bytes", predicted);
+  return original;
 }
 
 void registerTransformCodecs() {

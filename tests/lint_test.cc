@@ -105,6 +105,14 @@ TEST(LintSimdKernels, MissingScalarReferenceIsReported) {
   EXPECT_TRUE(hasDiagnostic(diags, "simd.h", "does not appear elsewhere in this file"));
 }
 
+TEST(LintSimdKernels, StaleKernelTableRowIsReported) {
+  const auto diags = lint::checkSimdKernels(fixture("stale_kernel_row"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/PERFORMANCE.md", "byteSubtractFrom"));
+  EXPECT_TRUE(hasDiagnostic(diags, "PERFORMANCE.md", "has no SCISHUFFLE_SIMD_KERNEL registration"));
+  EXPECT_EQ(diags[0].line, 6);  // the `byteSubtractFrom` table row
+}
+
 TEST(LintGauges, UndocumentedGaugeIsReportedWithFileAndLine) {
   const auto diags = lint::checkGauges(fixture("undocumented_gauge"));
   ASSERT_EQ(diags.size(), 1u);

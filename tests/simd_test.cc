@@ -56,31 +56,6 @@ TEST(SimdMatchLength, EquivalentToScalarOnAdversarialPairs) {
       });
 }
 
-TEST(SimdByteSubtract, KnownValues) {
-  const Bytes src = {0, 1, 2, 0xFF, 0x80};
-  Bytes dst(src.size());
-  simd::byteSubtractFrom(1, src.data(), dst.data(), src.size());
-  EXPECT_EQ(dst, (Bytes{1, 0, 0xFF, 2, 0x81}));
-}
-
-TEST(SimdByteSubtract, EquivalentToScalarOnAdversarialInputs) {
-  forAll(
-      "byteSubtractFrom == byteSubtractFromScalar", propertySeed(), 300,
-      [](std::mt19937_64& rng) { return adversarialBytes(rng, 4096); },
-      [](const Bytes& src) {
-        // Odd lengths exercise the scalar tail after the 16-wide loop; try a
-        // few x values including the wraparound-heavy ones.
-        Bytes fast(src.size());
-        Bytes ref(src.size());
-        for (const u8 x : {u8{0}, u8{1}, u8{0x7F}, u8{0xFF}}) {
-          simd::byteSubtractFrom(x, src.data(), fast.data(), src.size());
-          simd::byteSubtractFromScalar(x, src.data(), ref.data(), src.size());
-          if (fast != ref) return false;
-        }
-        return true;
-      });
-}
-
 TEST(SimdCrc32, SliceBy8MatchesBytewiseReference) {
   forAll(
       "crc32 (slice-by-8) == crc32Reference", propertySeed(), 300,

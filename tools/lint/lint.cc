@@ -284,15 +284,19 @@ std::vector<Diagnostic> checkFaultSites(const fs::path& root) {
 
 std::vector<Diagnostic> checkSimdKernels(const fs::path& root) {
   std::vector<Diagnostic> diags;
-  const std::string docs = readAll(root, "docs/PERFORMANCE.md", diags);
-  if (docs.empty()) return diags;
+  const std::string docPath = "docs/PERFORMANCE.md";
+  std::vector<std::string> docLines;
+  if (!readLines(root, docPath, docLines, diags)) return diags;
+  std::ostringstream joined;
+  for (const auto& l : docLines) joined << l << '\n';
+  const std::string docs = joined.str();
   const std::vector<SourceFile> sources = loadSources(root, diags);
 
   // Registration sites: SCISHUFFLE_SIMD_KERNEL(kernel, scalarRef). The macro
   // definition itself and comments mentioning the macro are not
   // registrations.
   static const std::regex kernelRe(R"(SCISHUFFLE_SIMD_KERNEL\(\s*(\w+)\s*,\s*(\w+)\s*\))");
-  int registrations = 0;
+  std::map<std::string, bool> registered;
   for (const auto& f : sources) {
     for (std::size_t i = 0; i < f.lines.size(); ++i) {
       const std::string& line = f.lines[i];
@@ -302,8 +306,8 @@ std::vector<Diagnostic> checkSimdKernels(const fs::path& root) {
       if (line.find("#define") != std::string::npos) continue;
       std::smatch m;
       if (!std::regex_search(line, m, kernelRe)) continue;
-      ++registrations;
       const std::string kernel = m[1].str();
+      registered[kernel] = true;
       const std::string scalar = m[2].str();
 
       // The scalar reference must live in the same file as the kernel it
@@ -328,10 +332,35 @@ std::vector<Diagnostic> checkSimdKernels(const fs::path& root) {
       }
     }
   }
-  if (registrations == 0) {
+  if (registered.empty()) {
     diags.push_back({"src/io/simd.h", 0,
                      "no SCISHUFFLE_SIMD_KERNEL registrations found; the kernel layer must "
                      "register every dispatched kernel with its scalar reference"});
+  }
+
+  // The reverse direction: every row of the doc's kernel table (the table
+  // whose header starts `| kernel |`) must name a registered kernel, so a
+  // deleted kernel cannot leave its row behind.
+  static const std::regex rowRe(R"(^\|\s*`(\w+)`\s*\|)");
+  bool inTable = false;
+  for (std::size_t i = 0; i < docLines.size(); ++i) {
+    const std::string& line = docLines[i];
+    if (line.rfind("| kernel |", 0) == 0) {
+      inTable = true;
+      continue;
+    }
+    if (!inTable) continue;
+    if (line.empty() || line[0] != '|') {
+      inTable = false;
+      continue;
+    }
+    std::smatch m;
+    if (std::regex_search(line, m, rowRe) && !registered.count(m[1].str())) {
+      diags.push_back({docPath, static_cast<int>(i + 1),
+                       "kernel table row `" + m[1].str() +
+                           "` has no SCISHUFFLE_SIMD_KERNEL registration under src/ (remove "
+                           "the row together with its kernel)"});
+    }
   }
   return diags;
 }

@@ -20,7 +20,9 @@
 //                  docs/FAULTS.md.
 //   * kernels    — every SCISHUFFLE_SIMD_KERNEL(kernel, scalarRef)
 //                  registration names a scalar reference defined in the same
-//                  file and a kernel documented in docs/PERFORMANCE.md.
+//                  file and a kernel documented in docs/PERFORMANCE.md, and
+//                  every row of that doc's kernel table names a registered
+//                  kernel.
 //   * gauges     — every gauge/event name constant in src/obs/sampler.h maps
 //                  to exactly one wire name, is referenced outside the
 //                  sampler subsystem (dead telemetry rots silently), and is
