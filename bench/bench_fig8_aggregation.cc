@@ -33,7 +33,7 @@ struct Breakdown {
 
 Breakdown simpleBreakdown(const grid::Variable& v) {
   Breakdown b;
-  hadoop::IFileWriter writer(nullptr);
+  hadoop::IFileWriter writer;
   const grid::Box domain(grid::Coord(4, 0), {1, 1, kSide, kSide});
   domain.forEachCell([&](const grid::Coord& c) {
     const Bytes key = serializeSimpleKey(scikey::SimpleKey{0, "", c}, scikey::VariableTag::kIndex);
@@ -53,7 +53,7 @@ Breakdown aggregateBreakdown(const grid::Variable& v, int numSplits) {
   // Aggregate keys name curve ranges over the variable's real 2-D domain.
   const grid::Box domain(grid::Coord(2, 0), {kSide, kSide});
   const scikey::CurveSpace space(sfc::CurveKind::kZOrder, domain);
-  hadoop::IFileWriter writer(nullptr);
+  hadoop::IFileWriter writer;
 
   scikey::AggregatorConfig config;
   config.value_size = 4;

@@ -35,7 +35,7 @@ struct Sizes {
 };
 
 Sizes simpleKeyFile(const grid::Variable& wind, scikey::VariableTag tag) {
-  hadoop::IFileWriter writer(nullptr);
+  hadoop::IFileWriter writer;
   Sizes sizes;
   const grid::Box domain(grid::Coord(4, 0), {1, 1, kSide, kSide});
   domain.forEachCell([&](const grid::Coord& c) {
@@ -57,7 +57,7 @@ Sizes aggregateFile(const grid::Variable& wind) {
   const grid::Box domain(grid::Coord(2, 0), {kSide, kSide});
   const scikey::CurveSpace space(sfc::CurveKind::kZOrder, domain);
 
-  hadoop::IFileWriter writer(nullptr);
+  hadoop::IFileWriter writer;
   Sizes sizes;
   scikey::AggregatorConfig config;
   config.value_size = 4;

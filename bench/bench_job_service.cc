@@ -2,7 +2,7 @@
 // word-count jobs runs through one JobService at 1, 4 and 8 concurrent
 // slots. For each level the bench reports jobs/min, the p95 admission-queue
 // wait, and the governor's sampled peak RSS — and asserts two invariants:
-// every job's output is bit-identical to its serial no-fault baseline, and
+// every job's output is bit-identical to the reference evaluation, and
 // the governed peak stays under the budget (~1.5x the single-job pipelined
 // peak, floored with fixed headroom so allocator noise on small machines
 // cannot flake the run). Results land in BENCH_job_service.json.
@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #endif
 
 #include "bench_util/bench_util.h"
+#include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
@@ -35,10 +35,9 @@ using hadoop::MapTask;
 
 namespace {
 
-// Peak RSS, resettable between runs (same procfs dance as
-// bench_shuffle_pipeline.cc): malloc_trim drops the allocator's retained
-// floor, clear_refs resets VmHWM so each configuration measures its own
-// high-water mark.
+// Peak RSS, resettable between runs: malloc_trim drops the allocator's
+// retained floor, clear_refs resets VmHWM so each configuration measures its
+// own high-water mark.
 void resetPeakRss() {
 #if defined(__GLIBC__)
   malloc_trim(0);
@@ -137,14 +136,11 @@ int main(int argc, char** argv) {
   const int fleetJobs = quick ? 4 : 8;
   const std::vector<int> levels = quick ? std::vector<int>{1, 2} : std::vector<int>{1, 4, 8};
 
-  // Serial no-fault baselines, one per codec: the correctness reference
-  // every service run must reproduce bit for bit.
-  std::map<std::string, JobResult> baselines;
-  for (const std::string& codec : codecs) {
-    service::JobSpec spec = wordcountSpec("baseline", codec, maps, words);
-    spec.config.shuffle_pipeline = false;
-    baselines.emplace(codec, hadoop::runJob(spec.config, spec.map_tasks, spec.reduce));
-  }
+  // The reference evaluation every service run must reproduce bit for bit
+  // (the same for every codec).
+  const service::JobSpec referenceSpec = wordcountSpec("reference", "null", maps, words);
+  const auto expected = hadoop::referenceOutputs(referenceSpec.config, referenceSpec.map_tasks,
+                                                 referenceSpec.reduce);
 
   // Single-job pipelined peak: the yardstick the budget derives from.
   resetPeakRss();
@@ -153,7 +149,7 @@ int main(int argc, char** argv) {
     one.max_concurrent_jobs = 1;
     const JobResult r =
         service::runOneJob(wordcountSpec("sizing", "transform+gzipish", maps, words), one);
-    check(r.outputs == baselines.at("transform+gzipish").outputs, "sizing run diverged");
+    check(r.outputs == expected, "sizing run diverged");
   }
   const u64 singlePeak = peakRssBytes();
   // ~1.5x the single-job peak; the fixed floor keeps allocator jitter on
@@ -178,21 +174,20 @@ int main(int argc, char** argv) {
     service::JobService svc(config);
 
     bench::Timer timer;
-    std::vector<std::pair<u64, std::string>> submitted;
+    std::vector<u64> submitted;
     for (int j = 0; j < fleetJobs; ++j) {
       const std::string& codec = codecs[static_cast<std::size_t>(j) % codecs.size()];
       const service::SubmitResult r =
           svc.submit(wordcountSpec("fleet" + std::to_string(j), codec, maps, words));
       check(r.accepted, "fleet job rejected");
-      submitted.emplace_back(r.id, codec);
+      submitted.push_back(r.id);
     }
 
     LevelStats stats;
     std::vector<u64> waits;
-    for (const auto& [id, codec] : submitted) {
+    for (const u64 id : submitted) {
       const JobResult result = svc.takeResult(id);
-      check(result.outputs == baselines.at(codec).outputs,
-            "service job diverged from its serial baseline");
+      check(result.outputs == expected, "service job diverged from the reference evaluation");
       stats.segments_overflowed +=
           result.counters.get(hadoop::counter::kShuffleSegmentsOverflowed);
       waits.push_back(svc.wait(id).queueWaitUs());
@@ -226,7 +221,7 @@ int main(int argc, char** argv) {
                   std::to_string(s.throttle_events), std::to_string(s.segments_overflowed)});
   }
   table.print();
-  std::cout << "\nevery fleet job bit-identical to its serial baseline; governed peak under "
+  std::cout << "\nevery fleet job bit-identical to the reference evaluation; governed peak under "
             << bench::humanBytes(static_cast<double>(budget)) << " at every level\n";
 
   {

@@ -49,8 +49,8 @@
 //
 // faultdemo runs the canonical fault-injection scenario from docs/FAULTS.md:
 // a word-count job with one corrupted segment and one dropped fetch, healed
-// by the shuffle retry layer. It exits non-zero unless the output matches a
-// fault-free baseline AND the recovery counters are non-zero; --out writes
+// by the shuffle retry layer. It exits non-zero unless the output matches the
+// reference evaluation AND the recovery counters are non-zero; --out writes
 // the faulted run's JSON report (CI uploads it as an artifact).
 #include <cstring>
 #include <filesystem>
@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "grid/ncfile.h"
+#include "hadoop/reference.h"
 #include "hadoop/report.h"
 #include "hadoop/runtime.h"
 #include "hadoop/sequence_file.h"
@@ -362,9 +363,9 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
     }
   }
 
-  // The canonical word-count job, run twice: clean serial baseline, then
-  // pipelined under a fault plan that corrupts one shuffled segment and
-  // drops one fetch (docs/FAULTS.md).
+  // The canonical word-count job under a fault plan that corrupts one
+  // shuffled segment and drops one fetch (docs/FAULTS.md), checked against
+  // the in-memory reference evaluation.
   const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
                                           "map", "reduce",    "sci", "curve"};
   std::vector<hadoop::MapTask> tasks;
@@ -392,11 +393,10 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
     emit(key, std::move(out));
   };
 
-  hadoop::JobConfig clean;
-  clean.num_reducers = 3;
-  clean.intermediate_codec = "gzipish";
-  clean.shuffle_pipeline = false;
-  const auto baseline = hadoop::runJob(clean, tasks, reduce);
+  hadoop::JobConfig faulted;
+  faulted.num_reducers = 3;
+  faulted.intermediate_codec = "gzipish";
+  const auto expected = hadoop::referenceOutputs(faulted, tasks, reduce);
 
   testing::FaultPlan plan;
   plan.seed = 20260806;
@@ -404,8 +404,6 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
   plan.rules.push_back({testing::site::kShuffleFetch, testing::FaultKind::kThrowIo});
   testing::FaultInjector faults(plan);
 
-  hadoop::JobConfig faulted = clean;
-  faulted.shuffle_pipeline = true;
   faulted.fault_injector = &faults;
   faulted.shuffle_retry.enabled = true;
   faulted.collect_histograms = true;
@@ -442,12 +440,11 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
               << eventLines << " events)\n";
   }
 
-  check(result.outputs == baseline.outputs,
-        "faulted run diverged from the fault-free baseline");
+  check(result.outputs == expected, "faulted run diverged from the reference evaluation");
   check(fetchRetries >= 1, "expected at least one shuffle fetch retry");
   check(corruptBlocks >= 1, "expected at least one corrupt block detection");
   check(refetched >= 1, "expected at least one segment re-fetch");
-  std::cout << "faultdemo OK: output bit-identical to the fault-free baseline\n";
+  std::cout << "faultdemo OK: output bit-identical to the reference evaluation\n";
   return 0;
 }
 

@@ -8,10 +8,10 @@
 // CI job (docs/STATIC_ANALYSIS.md §coverage).
 #include "compress/block_format.h"
 
-#include <chrono>
 #include <string>
 
 #include "io/buffer_pool.h"
+#include "io/clock.h"
 #include "io/thread.h"
 #include "io/crc32.h"
 #include "io/primitives.h"
@@ -22,12 +22,6 @@
 namespace scishuffle {
 
 namespace {
-
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
 
 [[noreturn]] void frameError(std::size_t index, std::size_t offset, const char* what) {
   throw FormatError("block frame " + std::to_string(index) + " at offset " +
@@ -49,7 +43,7 @@ BlockCompressedWriter::Sealed BlockCompressedWriter::compressBlock(Bytes raw) co
   s.rawLen = raw.size();
   s.crc = crc32(raw);
   obs::ScopedSpan span("block_compress", "codec");
-  const u64 start = nowUs();
+  const u64 start = steadyNowUs();
   if (codec_ != nullptr) {
     s.compressed = codec_->compress(raw);
     // The raw block's storage goes back to the shared pool for the next
@@ -60,7 +54,7 @@ BlockCompressedWriter::Sealed BlockCompressedWriter::compressBlock(Bytes raw) co
     // Sealed is consumed (close() or the destructor releases it).
     s.compressed = std::move(raw);
   }
-  cpuUs_.fetch_add(nowUs() - start, std::memory_order_relaxed);
+  cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
   span.arg("raw_bytes", s.rawLen);
   span.arg("compressed_bytes", s.compressed.size());
   return s;
@@ -221,7 +215,7 @@ Bytes BlockCompressedReader::decodeFrame(const Frame& frame) const {
     payload = mutated;
   }
   Bytes raw;
-  const u64 start = nowUs();
+  const u64 start = steadyNowUs();
   if (codec_ != nullptr) {
     try {
       raw = codec_->decompress(payload);
@@ -235,7 +229,7 @@ Bytes BlockCompressedReader::decodeFrame(const Frame& frame) const {
   } else {
     raw.assign(payload.begin(), payload.end());
   }
-  cpuUs_.fetch_add(nowUs() - start, std::memory_order_relaxed);
+  cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
   if (raw.size() != frame.rawLen) frameError(frame.index, frame.offset, "raw length mismatch");
   if (crc32(raw) != frame.crc) frameError(frame.index, frame.offset, "crc mismatch");
   return raw;

@@ -27,12 +27,12 @@ inline constexpr const char* kReduceShuffleBytes = "REDUCE_SHUFFLE_BYTES";
 inline constexpr const char* kReduceMergePasses = "REDUCE_MERGE_PASSES";
 inline constexpr const char* kReduceMergeMaterializedBytes = "REDUCE_MERGE_MATERIALIZED_BYTES";
 // Upper bound on decoded bytes resident during the streaming merge: the sum,
-// over segment readers, of each reader's decoded-block high-water mark. With
-// the pipelined shuffle this is O(segments x block size) instead of the
-// legacy whole-segment materialization. At the job level this is the MAX
-// over reduce tasks (the largest single merge), not the sum — summing
-// per-task peaks would overstate concurrent residency whenever
-// reduce_slots < reduce tasks; per-task values are in ReduceTaskStats.
+// over segment readers, of each reader's decoded-block high-water mark:
+// O(segments x block size), not whole-segment materialization. At the job
+// level this is the MAX over reduce tasks (the largest single merge), not
+// the sum — summing per-task peaks would overstate concurrent residency
+// whenever reduce_slots < reduce tasks; per-task values are in
+// ReduceTaskStats.
 inline constexpr const char* kReduceMergeResidentPeakBytes = "REDUCE_MERGE_RESIDENT_PEAK_BYTES";
 inline constexpr const char* kReduceInputRecords = "REDUCE_INPUT_RECORDS";
 inline constexpr const char* kReduceInputGroups = "REDUCE_INPUT_GROUPS";

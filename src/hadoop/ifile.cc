@@ -1,20 +1,19 @@
 #include "hadoop/ifile.h"
 
-#include <chrono>
-
 #include "io/crc32.h"
 #include "io/primitives.h"
-#include "io/streams.h"
 #include "io/varint.h"
 
 namespace scishuffle::hadoop {
 
 namespace {
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
+
+/// The record stream of a plain IFile: everything before the CRC trailer.
+ByteSpan ifileBody(ByteSpan file) {
+  checkFormat(file.size() >= kIFileTrailerSize, "IFile too short");
+  return file.first(file.size() - 4);
 }
+
 }  // namespace
 
 std::size_t ifileRecordOverhead(std::size_t keyLen, std::size_t valueLen) {
@@ -37,35 +36,14 @@ Bytes IFileWriter::close() {
   MemorySink sink(payload_);
   writeVInt(sink, -1);
   writeVInt(sink, -1);
-
-  Bytes file;
-  if (codec_ != nullptr) {
-    const u64 start = nowUs();
-    file = codec_->compress(payload_);
-    compressCpuUs_ = nowUs() - start;
-  } else {
-    file = payload_;
-  }
-  MemorySink out(file);
-  writeU32(out, crc32(payload_));
-  return file;
+  const u32 crc = crc32(payload_);
+  writeU32(sink, crc);
+  return std::move(payload_);
 }
 
-IFileReader::IFileReader(ByteSpan file, const Codec* codec) {
-  checkFormat(file.size() >= kIFileTrailerSize - 2, "IFile too short");
-  const ByteSpan body = file.subspan(0, file.size() - 4);
-  const ByteSpan crcBytes = file.subspan(file.size() - 4);
-  MemorySource crcSource(crcBytes);
-  const u32 expected = readU32(crcSource);
-
-  if (codec != nullptr) {
-    const u64 start = nowUs();
-    payload_ = codec->decompress(body);
-    decompressCpuUs_ = nowUs() - start;
-  } else {
-    payload_.assign(body.begin(), body.end());
-  }
-  checkFormat(crc32(payload_) == expected, "IFile checksum mismatch");
+IFileReader::IFileReader(ByteSpan file) : source_(ifileBody(file)) {
+  MemorySource trailer(file.last(4));
+  checkFormat(crc32(file.first(file.size() - 4)) == readU32(trailer), "IFile checksum mismatch");
 }
 
 void IFileBlockWriter::append(ByteSpan key, ByteSpan value) {
@@ -105,26 +83,6 @@ std::optional<KeyValue> IFileStreamReader::next() {
   source_->readExact(MutableByteSpan(kv.key.data(), kv.key.size()));
   kv.value.resize(static_cast<std::size_t>(valueLen));
   source_->readExact(MutableByteSpan(kv.value.data(), kv.value.size()));
-  return kv;
-}
-
-std::optional<KeyValue> IFileReader::next() {
-  if (done_) return std::nullopt;
-  MemorySource source(ByteSpan(payload_).subspan(pos_));
-  const i32 keyLen = readVInt(source);
-  const i32 valueLen = readVInt(source);
-  if (keyLen == -1 && valueLen == -1) {
-    done_ = true;
-    pos_ += source.position();
-    return std::nullopt;
-  }
-  checkFormat(keyLen >= 0 && valueLen >= 0, "negative record length");
-  KeyValue kv;
-  kv.key.resize(static_cast<std::size_t>(keyLen));
-  source.readExact(MutableByteSpan(kv.key.data(), kv.key.size()));
-  kv.value.resize(static_cast<std::size_t>(valueLen));
-  source.readExact(MutableByteSpan(kv.value.data(), kv.value.size()));
-  pos_ += source.position();
   return kv;
 }
 

@@ -5,20 +5,16 @@
 // This per-record framing is exactly the "file overhead" bar of Fig. 8 and
 // part of the 26-bytes-per-record arithmetic of §I (see DESIGN.md §3).
 //
-// The record stream (marker included) is passed through the job's
-// intermediate codec as a whole, as Hadoop does when
-// mapreduce.map.output.compress is set — that is the legacy IFileWriter /
-// IFileReader pair. The pipelined shuffle instead wraps the same record
-// stream in the block-framed container (compress/block_format.h): records
-// stream through IFileBlockWriter into independently decompressible blocks,
-// and IFileStreamReader parses records back out of any ByteSource one block
-// at a time.
+// IFileWriter / IFileReader hold the plain framing: the record stream plus a
+// CRC-32 trailer, uncompressed (the byte counts §I and Fig. 8 reason about).
+// Shuffle segments wrap the same record stream in the block-framed codec
+// container (compress/block_format.h): records stream through
+// IFileBlockWriter into independently decompressible blocks, and
+// IFileStreamReader parses records back out of any ByteSource one block at a
+// time.
 #pragma once
 
-#include <memory>
-
 #include "compress/block_format.h"
-#include "compress/codec.h"
 #include "hadoop/types.h"
 
 namespace scishuffle::hadoop {
@@ -29,51 +25,57 @@ std::size_t ifileRecordOverhead(std::size_t keyLen, std::size_t valueLen);
 /// Size of the end-of-file marker plus checksum.
 constexpr std::size_t kIFileTrailerSize = 2 + 4;
 
-class IFileWriter {
+/// Parses IFile records from any ByteSource (typically a BlockDecodeSource,
+/// so only the current block is resident). Throws FormatError on truncation.
+class IFileStreamReader {
  public:
-  /// codec may be nullptr for an uncompressed stream.
-  explicit IFileWriter(const Codec* codec) : codec_(codec) {}
+  explicit IFileStreamReader(ByteSource& source) : source_(&source) {}
 
-  void append(ByteSpan key, ByteSpan value);
-
-  /// Finalizes the stream; no appends afterwards. Returns the materialized
-  /// file bytes (compressed payload + CRC trailer).
-  Bytes close();
-
-  u64 rawBytes() const { return static_cast<u64>(payload_.size()); }
-  u64 records() const { return records_; }
-
-  /// CPU time spent inside the codec during close(), for the cost model.
-  u64 compressCpuUs() const { return compressCpuUs_; }
+  /// Next record, or nullopt at the (-1, -1) end marker.
+  std::optional<KeyValue> next();
 
  private:
-  const Codec* codec_;
+  ByteSource* source_;
+  bool done_ = false;
+};
+
+/// Plain IFile: the uncompressed record stream plus its CRC-32 trailer.
+class IFileWriter {
+ public:
+  void append(ByteSpan key, ByteSpan value);
+
+  /// Finalizes the stream; no appends afterwards. Returns the file bytes
+  /// (record stream + end marker + CRC trailer).
+  Bytes close();
+
+  u64 records() const { return records_; }
+
+ private:
   Bytes payload_;
   u64 records_ = 0;
-  u64 compressCpuUs_ = 0;
   bool closed_ = false;
 };
 
 class IFileReader {
  public:
-  /// Decompresses and validates the file eagerly; throws FormatError on a
-  /// bad checksum or malformed framing.
-  IFileReader(ByteSpan file, const Codec* codec);
+  /// Validates the CRC trailer eagerly (FormatError on a mismatch or a file
+  /// too short to hold one). Borrows `file`, which must outlive the reader.
+  explicit IFileReader(ByteSpan file);
+  // records_ points at source_, so a copy would read through the original.
+  IFileReader(const IFileReader&) = delete;
+  IFileReader& operator=(const IFileReader&) = delete;
 
-  /// Next record, or nullopt at the end marker.
-  std::optional<KeyValue> next();
-
-  u64 decompressCpuUs() const { return decompressCpuUs_; }
+  /// Next record, or nullopt at the end marker; throws FormatError on
+  /// malformed framing.
+  std::optional<KeyValue> next() { return records_.next(); }
 
  private:
-  Bytes payload_;
-  std::size_t pos_ = 0;
-  bool done_ = false;
-  u64 decompressCpuUs_ = 0;
+  MemorySource source_;
+  IFileStreamReader records_{source_};
 };
 
-/// IFile record stream materialized as a block-framed codec container
-/// (pipelined-shuffle segment format). Block boundaries fall every
+/// IFile record stream materialized as a block-framed codec container (the
+/// shuffle segment format). Block boundaries fall every
 /// `blockBytes` of raw record stream regardless of record boundaries; with a
 /// pool, sealed blocks compress concurrently while records keep streaming in.
 class IFileBlockWriter {
@@ -95,20 +97,6 @@ class IFileBlockWriter {
   Bytes scratch_;
   u64 records_ = 0;
   bool closed_ = false;
-};
-
-/// Parses IFile records from any ByteSource (typically a BlockDecodeSource,
-/// so only the current block is resident). Throws FormatError on truncation.
-class IFileStreamReader {
- public:
-  explicit IFileStreamReader(ByteSource& source) : source_(&source) {}
-
-  /// Next record, or nullopt at the (-1, -1) end marker.
-  std::optional<KeyValue> next();
-
- private:
-  ByteSource* source_;
-  bool done_ = false;
 };
 
 }  // namespace scishuffle::hadoop

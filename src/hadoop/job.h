@@ -28,17 +28,7 @@ struct JobConfig {
   /// "gzipish", "bzip2ish", "transform+gzipish", "transform+bzip2ish".
   std::string intermediate_codec = "null";
 
-  /// Pipelined shuffle: map outputs are materialized as block-framed codec
-  /// containers (per-block compression fanned across a shared pool), handed
-  /// to reducers the moment each map task finishes, and merged through
-  /// streaming block-at-a-time readers. Off = the legacy serial path
-  /// (whole-segment codec calls behind a map barrier), kept for one release
-  /// as the A/B baseline. Reduce outputs and record-level counters are
-  /// identical on both paths; only timings, peak memory, and segment framing
-  /// bytes differ.
-  bool shuffle_pipeline = true;
-
-  /// Raw bytes per block in the block-framed container (pipelined path).
+  /// Raw bytes per block in the block-framed segment container.
   std::size_t shuffle_block_bytes = 256u << 10;
 
   /// Threads in the shared codec pool used for per-block compression and

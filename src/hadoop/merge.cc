@@ -6,18 +6,12 @@
 
 namespace scishuffle::hadoop {
 
-std::optional<KeyValue> MergedSegmentStream::Head::advance() {
-  if (records != nullptr) return records->next();
-  return reader->next();
-}
-
 MergedSegmentStream::MergedSegmentStream(std::vector<Bytes> segments, const Codec* codec,
                                          const JobConfig& config, Counters& counters,
                                          ThreadPool* codecPool)
     : config_(&config),
       counters_(&counters),
       codecPool_(codecPool),
-      streaming_(config.shuffle_pipeline),
       residentGauge_(obs::processGauges().add(obs::gauge::kMergeResidentBytes, [this] {
         return residentSegmentBytes_.load(std::memory_order_relaxed);
       })) {
@@ -27,45 +21,19 @@ MergedSegmentStream::MergedSegmentStream(std::vector<Bytes> segments, const Code
   // merge_factor of them into one re-materialized segment.
   while (static_cast<int>(segments.size()) > config.merge_factor) {
     counters.add(counter::kReduceMergePasses, 1);
-    reduceSegmentCount(segments, codec, counters);
+    reduceSegmentCount(segments, codec);
   }
 
-  if (streaming_) {
-    // Heads borrow spans of segments_; keep the bytes alive for the stream's
-    // lifetime and hold only the current decoded block per segment.
-    segments_ = std::move(segments);
-    u64 pinned = 0;
-    for (const Bytes& segment : segments_) pinned += segment.size();
-    residentSegmentBytes_.store(pinned, std::memory_order_relaxed);
-    for (Bytes& segment : segments_) {
-      Head head;
-      head.source = std::make_unique<BlockDecodeSource>(segment, codec, codecPool_,
-                                                        config_->fault_injector);
-      head.records = std::make_unique<IFileStreamReader>(*head.source);
-      if (auto kv = head.advance()) {
-        head.kv = std::move(*kv);
-        heads_.push_back(std::move(head));
-      } else {
-        counters.add(counter::kCodecDecompressCpuUs, head.source->decompressCpuUs());
-        residentPeakBytes_ += head.source->residentPeakBytes();
-      }
-    }
-    return;
-  }
-
-  for (Bytes& segment : segments) {
-    Head head;
-    head.reader = std::make_unique<IFileReader>(segment, codec);
-    counters.add(counter::kCodecDecompressCpuUs, head.reader->decompressCpuUs());
-    if (auto kv = head.advance()) {
-      head.kv = std::move(*kv);
-      heads_.push_back(std::move(head));
-    }
-  }
+  // Heads borrow spans of segments_; keep the bytes alive for the stream's
+  // lifetime and hold only the current decoded block per segment.
+  segments_ = std::move(segments);
+  u64 pinned = 0;
+  for (const Bytes& segment : segments_) pinned += segment.size();
+  residentSegmentBytes_.store(pinned, std::memory_order_relaxed);
+  heads_ = openHeads(segments_, segments_.size(), codec);
 }
 
-void MergedSegmentStream::reduceSegmentCount(std::vector<Bytes>& segments, const Codec* codec,
-                                             Counters& counters) {
+void MergedSegmentStream::reduceSegmentCount(std::vector<Bytes>& segments, const Codec* codec) {
   // Pick the merge_factor smallest segments (Hadoop merges small ones first).
   std::stable_sort(segments.begin(), segments.end(),
                    [](const Bytes& a, const Bytes& b) { return a.size() < b.size(); });
@@ -74,103 +42,67 @@ void MergedSegmentStream::reduceSegmentCount(std::vector<Bytes>& segments, const
   obs::ScopedSpan span("merge_pass", "merge");
   span.arg("segments_in", take);
 
-  Bytes merged;
-  if (streaming_) {
-    // Stream the pass: k-way merge through block-at-a-time readers into a
-    // block-framed writer, never materializing the decoded records wholesale.
-    // Picking the lowest-index head on key ties reproduces the stable
-    // concatenate-then-sort order of the legacy pass.
-    struct PassHead {
-      std::unique_ptr<BlockDecodeSource> source;
-      std::unique_ptr<IFileStreamReader> records;
-      KeyValue kv;
-    };
-    std::vector<PassHead> passHeads;
-    u64 decompressUs = 0;
-    for (std::size_t i = 0; i < take; ++i) {
-      PassHead head;
-      head.source = std::make_unique<BlockDecodeSource>(segments[i], codec, codecPool_,
-                                                        config_->fault_injector);
-      head.records = std::make_unique<IFileStreamReader>(*head.source);
-      if (auto kv = head.records->next()) {
-        head.kv = std::move(*kv);
-        passHeads.push_back(std::move(head));
-      } else {
-        decompressUs += head.source->decompressCpuUs();
-        residentPeakBytes_ += head.source->residentPeakBytes();
-      }
-    }
-    IFileBlockWriter writer(codec, config_->shuffle_block_bytes, codecPool_);
-    while (!passHeads.empty()) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < passHeads.size(); ++i) {
-        if (config_->key_less(passHeads[i].kv.key, passHeads[best].kv.key)) best = i;
-      }
-      writer.append(passHeads[best].kv.key, passHeads[best].kv.value);
-      if (auto kv = passHeads[best].records->next()) {
-        passHeads[best].kv = std::move(*kv);
-      } else {
-        decompressUs += passHeads[best].source->decompressCpuUs();
-        residentPeakBytes_ += passHeads[best].source->residentPeakBytes();
-        passHeads.erase(passHeads.begin() + static_cast<std::ptrdiff_t>(best));
-      }
-    }
-    merged = writer.close();
-    counters.add(counter::kCodecDecompressCpuUs, decompressUs);
-    counters.add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
-  } else {
-    std::vector<KeyValue> all;
-    for (std::size_t i = 0; i < take; ++i) {
-      IFileReader reader(segments[i], codec);
-      counters.add(counter::kCodecDecompressCpuUs, reader.decompressCpuUs());
-      while (auto kv = reader.next()) all.push_back(std::move(*kv));
-    }
-    std::stable_sort(all.begin(), all.end(), [&](const KeyValue& a, const KeyValue& b) {
-      return config_->key_less(a.key, b.key);
-    });
-
-    IFileWriter writer(codec);
-    for (const KeyValue& kv : all) writer.append(kv.key, kv.value);
-    merged = writer.close();
-    counters.add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
+  // Stream the pass: k-way merge through block-at-a-time readers into a
+  // block-framed writer, never materializing the decoded records wholesale.
+  std::vector<Head> heads = openHeads(segments, take, codec);
+  IFileBlockWriter writer(codec, config_->shuffle_block_bytes, codecPool_);
+  while (!heads.empty()) {
+    const KeyValue kv = popSmallest(heads);
+    writer.append(kv.key, kv.value);
   }
-  counters.add(counter::kReduceMergeMaterializedBytes, merged.size());
+  Bytes merged = writer.close();
+  counters_->add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
+  counters_->add(counter::kReduceMergeMaterializedBytes, merged.size());
   span.arg("materialized_bytes", merged.size());
 
   segments.erase(segments.begin(), segments.begin() + static_cast<std::ptrdiff_t>(take));
   segments.push_back(std::move(merged));
 }
 
-void MergedSegmentStream::retireHead(std::size_t index) {
-  Head& head = heads_[index];
-  if (head.source != nullptr) {
-    counters_->add(counter::kCodecDecompressCpuUs, head.source->decompressCpuUs());
-    residentPeakBytes_ += head.source->residentPeakBytes();
+std::vector<MergedSegmentStream::Head> MergedSegmentStream::openHeads(
+    const std::vector<Bytes>& segments, std::size_t count, const Codec* codec) {
+  std::vector<Head> heads;
+  for (std::size_t i = 0; i < count; ++i) {
+    Head head;
+    head.source = std::make_unique<BlockDecodeSource>(segments[i], codec, codecPool_,
+                                                      config_->fault_injector);
+    head.records = std::make_unique<IFileStreamReader>(*head.source);
+    if (auto kv = head.records->next()) {
+      head.kv = std::move(*kv);
+      heads.push_back(std::move(head));
+    } else {
+      foldStats(head);
+    }
   }
-  heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(index));
-  if (heads_.empty() && streaming_ && !peakReported_) {
-    peakReported_ = true;
-    counters_->add(counter::kReduceMergeResidentPeakBytes, residentPeakBytes_);
+  return heads;
+}
+
+KeyValue MergedSegmentStream::popSmallest(std::vector<Head>& heads) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < heads.size(); ++i) {
+    if (config_->key_less(heads[i].kv.key, heads[best].kv.key)) best = i;
   }
+  KeyValue out = std::move(heads[best].kv);
+  if (auto kv = heads[best].records->next()) {
+    heads[best].kv = std::move(*kv);
+  } else {
+    foldStats(heads[best]);
+    heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best));
+  }
+  return out;
+}
+
+void MergedSegmentStream::foldStats(const Head& head) {
+  counters_->add(counter::kCodecDecompressCpuUs, head.source->decompressCpuUs());
+  residentPeakBytes_ += head.source->residentPeakBytes();
 }
 
 std::optional<KeyValue> MergedSegmentStream::next() {
-  if (heads_.empty()) {
-    if (streaming_ && !peakReported_) {
-      peakReported_ = true;
-      counters_->add(counter::kReduceMergeResidentPeakBytes, residentPeakBytes_);
-    }
-    return std::nullopt;
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < heads_.size(); ++i) {
-    if (config_->key_less(heads_[i].kv.key, heads_[best].kv.key)) best = i;
-  }
-  KeyValue out = std::move(heads_[best].kv);
-  if (auto kv = heads_[best].advance()) {
-    heads_[best].kv = std::move(*kv);
-  } else {
-    retireHead(best);
+  std::optional<KeyValue> out;
+  if (!heads_.empty()) out = popSmallest(heads_);
+  if (heads_.empty() && !peakReported_) {
+    peakReported_ = true;
+    counters_->add(counter::kReduceMergeResidentPeakBytes, residentPeakBytes_);
   }
   return out;
 }

@@ -1,14 +1,14 @@
 // Reduce-side merge: k-way merge of the IFile segments fetched from every
 // mapper, with multi-pass "on-disk" merging when the segment count exceeds
 // the merge factor (step 5 of Fig. 1: "possibly requiring multiple on-disk
-// sort phases"). Intermediate passes re-materialize IFiles through the codec
-// so their byte and CPU costs are accounted.
+// sort phases"). Intermediate passes re-materialize segments through the
+// codec so their byte and CPU costs are accounted.
 //
-// With JobConfig::shuffle_pipeline on, segments are block-framed containers
-// read through BlockDecodeSources that hold only the current block per
-// segment (plus a one-block decode-ahead filled by the codec pool): peak
-// decoded-bytes residency drops from O(total shuffled bytes) to
-// O(num_segments x block size), reported via REDUCE_MERGE_RESIDENT_PEAK_BYTES.
+// Segments are block-framed containers read through BlockDecodeSources that
+// hold only the current block per segment (plus a one-block decode-ahead
+// filled by the codec pool): peak decoded-bytes residency is
+// O(num_segments x block size), not O(total shuffled bytes), reported via
+// REDUCE_MERGE_RESIDENT_PEAK_BYTES.
 #pragma once
 
 #include <atomic>
@@ -28,40 +28,42 @@ namespace scishuffle::hadoop {
 /// KVStream over a merged set of sorted IFile segments.
 class MergedSegmentStream final : public KVStream {
  public:
-  /// `codecPool` (may be null) feeds block decode-ahead on the pipelined
-  /// path; ignored on the legacy path.
+  /// `codecPool` (may be null) feeds block decode-ahead.
   MergedSegmentStream(std::vector<Bytes> segments, const Codec* codec, const JobConfig& config,
                       Counters& counters, ThreadPool* codecPool = nullptr);
 
   std::optional<KeyValue> next() override;
 
  private:
+  /// Block-at-a-time record stream over one segment, holding its next record.
   struct Head {
-    // Legacy path: eager whole-segment reader.
-    std::unique_ptr<IFileReader> reader;
-    // Pipelined path: streaming block-at-a-time pipeline over segments_[i].
     std::unique_ptr<BlockDecodeSource> source;
     std::unique_ptr<IFileStreamReader> records;
     KeyValue kv;
-
-    std::optional<KeyValue> advance();
   };
 
   /// Merges the `merge_factor` smallest segments into one (an extra pass).
-  void reduceSegmentCount(std::vector<Bytes>& segments, const Codec* codec, Counters& counters);
-  void retireHead(std::size_t index);
+  void reduceSegmentCount(std::vector<Bytes>& segments, const Codec* codec);
+  /// Heads over segments[0, count) that hold at least one record; the heads
+  /// borrow the segments' bytes.
+  std::vector<Head> openHeads(const std::vector<Bytes>& segments, std::size_t count,
+                              const Codec* codec);
+  /// Removes and returns the smallest record across `heads` (the lowest
+  /// index wins key ties, which keeps every merge stable); an exhausted head
+  /// folds its decode stats and is erased.
+  KeyValue popSmallest(std::vector<Head>& heads);
+  void foldStats(const Head& head);
 
   const JobConfig* config_;
   Counters* counters_;
   ThreadPool* codecPool_;
-  bool streaming_ = false;
-  std::vector<Bytes> segments_;  // owns the bytes the streaming heads borrow
+  std::vector<Bytes> segments_;  // owns the bytes the heads borrow
   std::vector<Head> heads_;
-  u64 residentPeakBytes_ = 0;  // accumulated from retired heads
+  u64 residentPeakBytes_ = 0;  // accumulated from exhausted heads
   bool peakReported_ = false;
-  // Compressed segment bytes this live stream pins (streaming path; the
-  // decoded-block residency is the separate REDUCE_MERGE_RESIDENT_PEAK_BYTES
-  // counter). Atomic (relaxed): read by the telemetry sampler's thread.
+  // Compressed segment bytes this live stream pins (the decoded-block
+  // residency is the separate REDUCE_MERGE_RESIDENT_PEAK_BYTES counter).
+  // Atomic (relaxed): read by the telemetry sampler's thread.
   std::atomic<u64> residentSegmentBytes_{0};
   // Declared last: unregisters first, before any state the callback reads.
   obs::GaugeRegistration residentGauge_;

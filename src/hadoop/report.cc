@@ -164,10 +164,7 @@ std::string jobSummaryLine(const JobResult& result) {
   os << result.counters.get(c::kMapOutputRecords) << " map records -> "
      << result.counters.get(c::kMapOutputMaterializedBytes) << " materialized bytes -> "
      << result.counters.get(c::kReduceOutputRecords) << " outputs in "
-     << (result.timings.map_phase_us + result.timings.shuffle_us +
-         result.timings.reduce_phase_us - result.timings.shuffle_overlap_us) /
-            1000
-     << " ms";
+     << (result.timings.map_phase_us + result.timings.reduce_phase_us) / 1000 << " ms";
   return os.str();
 }
 

@@ -1,7 +1,6 @@
 #include "hadoop/runtime.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <fstream>
 #include <iterator>
@@ -15,6 +14,7 @@
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
 #include "io/buffer_pool.h"
+#include "io/clock.h"
 #include "io/task_tag.h"
 #include "io/thread_pool.h"
 #include "obs/metrics_stream.h"
@@ -26,17 +26,6 @@
 namespace scishuffle::hadoop {
 
 namespace {
-
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-int codecPoolThreads(const JobConfig& config) {
-  if (config.codec_threads > 0) return config.codec_threads;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
 
 bool cancelRequested(const JobContext* ctx) {
   return ctx != nullptr && ctx->cancelled != nullptr &&
@@ -82,39 +71,6 @@ struct PoolGauges {
         })) {}
   obs::GaugeRegistration depth;
   obs::GaugeRegistration active;
-};
-
-/// Shared scaffolding for per-task error collection.
-class ErrorSlot {
- public:
-  void record() {
-    MutexLock lock(mutex_);
-    if (!first_) first_ = std::current_exception();
-  }
-  void record(std::exception_ptr e) {
-    MutexLock lock(mutex_);
-    if (!first_) first_ = std::move(e);
-  }
-  bool any() const {
-    MutexLock lock(mutex_);
-    return first_ != nullptr;
-  }
-  // Reads under the lock like every other accessor: callers invoke this after
-  // the pools quiesce, but the lock keeps the accessor safe on its own terms
-  // instead of leaning on each call site's happens-before (the unlocked read
-  // here was flushed out by -Wthread-safety once `first_` became GUARDED_BY).
-  void rethrowIfSet() {
-    std::exception_ptr e;
-    {
-      MutexLock lock(mutex_);
-      e = first_;
-    }
-    if (e) std::rethrow_exception(e);
-  }
-
- private:
-  mutable Mutex mutex_{lock_rank::kErrorSlot};
-  std::exception_ptr first_ GUARDED_BY(mutex_);
 };
 
 /// Full decode scan of a block-framed segment; false on any frame/CRC error.
@@ -178,113 +134,13 @@ std::optional<MapOutput> runMapTaskWithRetries(const JobConfig& config, const Co
   }
 }
 
-/// Adapter from the public executeReduceTask: folds the execution into the
-/// JobResult (preserving shuffled_bytes, which the caller accounted during
-/// the fetch loop) and records errors into the slot.
-void runReduceTaskWithRetries(const JobConfig& config, const Codec* codec, ThreadPool* codecPool,
-                              const ReduceFn& reduce, const std::vector<Bytes>& segments,
-                              JobResult& result, Mutex& outputsMutex, int r,
-                              ErrorSlot& errors) {
-  try {
-    ReduceTaskExecution exec =
-        executeReduceTask(config, codec, codecPool, reduce, segments, r, &result.counters);
-    ReduceTaskStats& stats = result.reduce_tasks[static_cast<std::size_t>(r)];
-    stats.cpu_us = exec.stats.cpu_us;
-    stats.merge_materialized_bytes = exec.stats.merge_materialized_bytes;
-    stats.merge_resident_peak_bytes = exec.stats.merge_resident_peak_bytes;
-    stats.output_bytes = exec.stats.output_bytes;
-    {
-      MutexLock lock(outputsMutex);
-      result.outputs[static_cast<std::size_t>(r)] = std::move(exec.output);
-    }
-    result.counters.merge(exec.counters);
-  } catch (...) {
-    errors.record();
-  }
-}
-
-/// Legacy serial data path: map barrier, then a single-threaded copy loop,
-/// then the reduce phase. Kept for one release as the A/B baseline for the
-/// pipelined shuffle.
-JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                       const ReduceFn& reduce, const Codec* codec, const JobContext* ctx) {
-  JobResult result;
-  result.map_tasks.resize(mapTasks.size());
-  result.reduce_tasks.resize(static_cast<std::size_t>(config.num_reducers));
-  Mutex outputsMutex{lock_rank::kJobOutputs};
-  std::vector<std::optional<MapOutput>> mapOutputs(mapTasks.size());
-  ErrorSlot errors;
-
-  // ---- Map phase (steps 1-3): map, combine, sort, spill, merge spills.
-  const u64 mapStart = nowUs();
-  {
-    obs::ScopedSpan phase("map_phase", "map");
-    ThreadPool pool(config.map_slots);
-    PoolGauges poolGauges(pool);
-    for (std::size_t m = 0; m < mapTasks.size(); ++m) {
-      pool.submit([&, m] {
-        if (cancelRequested(ctx)) return;  // cancelled: stop scheduling work
-        mapOutputs[m] = runMapTaskWithRetries(config, codec, nullptr, mapTasks[m], m,
-                                              result.map_tasks[m], result.counters, errors);
-      });
-    }
-    pool.wait();
-  }
-  if (cancelRequested(ctx)) throw JobCancelledError();
-  errors.rethrowIfSet();
-  result.timings.map_phase_us = nowUs() - mapStart;
-
-  // ---- Shuffle (step 4): every reducer fetches its segment from every map.
-  const u64 shuffleStart = nowUs();
-  std::vector<std::vector<Bytes>> reducerSegments(static_cast<std::size_t>(config.num_reducers));
-  {
-    obs::ScopedSpan span("shuffle_copy", "shuffle");
-    u64 copied = 0;
-    for (auto& mo : mapOutputs) {
-      for (int r = 0; r < config.num_reducers; ++r) {
-        Bytes& segment = mo->segments[static_cast<std::size_t>(r)];
-        copied += segment.size();
-        result.counters.add(counter::kReduceShuffleBytes, segment.size());
-        result.reduce_tasks[static_cast<std::size_t>(r)].shuffled_bytes += segment.size();
-        reducerSegments[static_cast<std::size_t>(r)].push_back(std::move(segment));
-      }
-    }
-    span.arg("bytes", copied);
-  }
-  result.timings.shuffle_us = nowUs() - shuffleStart;
-
-  // ---- Reduce phase (steps 5-7): merge sort, group, reduce.
-  result.outputs.resize(static_cast<std::size_t>(config.num_reducers));
-  const u64 reduceStart = nowUs();
-  {
-    obs::ScopedSpan phase("reduce_phase", "reduce");
-    ThreadPool pool(config.reduce_slots);
-    PoolGauges poolGauges(pool);
-    for (int r = 0; r < config.num_reducers; ++r) {
-      pool.submit([&, r] {
-        if (cancelRequested(ctx)) return;
-        const std::vector<Bytes> segments =
-            std::move(reducerSegments[static_cast<std::size_t>(r)]);
-        runReduceTaskWithRetries(config, codec, nullptr, reduce, segments, result, outputsMutex,
-                                 r, errors);
-      });
-    }
-    pool.wait();
-  }
-  if (cancelRequested(ctx)) throw JobCancelledError();
-  errors.rethrowIfSet();
-  result.timings.reduce_phase_us = nowUs() - reduceStart;
-
-  return result;
-}
-
-/// Pipelined data path: an event-driven hand-off replaces the map barrier —
-/// as each map task's output materializes, its per-reducer segments are
-/// published to the ShuffleServer and fetching reducers pick them up while
-/// late map tasks are still running. Per-block codec work (spill-side
+/// The Fig. 1 data path with an event-driven hand-off instead of a map
+/// barrier: as each map task's output materializes, its per-reducer segments
+/// are published to the ShuffleServer and fetching reducers pick them up
+/// while late map tasks are still running. Per-block codec work (spill-side
 /// compression, reduce-side decode-ahead) fans out across a shared pool.
-JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                          const ReduceFn& reduce, const Codec* codec, const JobContext* ctx) {
+JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapTasks,
+                       const ReduceFn& reduce, const Codec* codec, const JobContext* ctx) {
   JobResult result;
   result.map_tasks.resize(mapTasks.size());
   result.reduce_tasks.resize(static_cast<std::size_t>(config.num_reducers));
@@ -321,66 +177,16 @@ JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& m
       obs::gauge::kShufflePendingBytes, [&server] { return server.pendingBytes(); });
   obs::GaugeRegistration shuffleOverflow = obs::processGauges().add(
       obs::gauge::kShuffleOverflowBytes, [&server] { return server.overflowBytes(); });
-  const bool verifySegments = config.verify_fetched_segments || config.shuffle_retry.enabled;
 
-  const u64 jobStart = nowUs();
+  const u64 jobStart = steadyNowUs();
 
-  // Reducers start first and block on the shuffle server; segments are slotted
-  // by map index so the merge sees the same deterministic order as the serial
-  // path regardless of arrival order.
+  // Reducers start first and block on the shuffle server.
   ThreadPool reducePool(config.reduce_slots);
   PoolGauges reducePoolGauges(reducePool);
   for (int r = 0; r < config.num_reducers; ++r) {
     reducePool.submit([&, r] {
-      try {
-        std::vector<Bytes> segments(mapTasks.size());
-        // Overflowed segments stay on disk through the shuffle window and
-        // materialize right before the merge (which needs them resident).
-        std::vector<std::pair<std::size_t, std::filesystem::path>> deferred;
-        u64 shuffled = 0;
-        for (;;) {
-          // The span covers the blocking wait too: fetch-wait time is the
-          // "reducer idle behind stragglers" signal a trace should show.
-          obs::ScopedSpan span("segment_fetch", "shuffle");
-          auto fetched = retryWithPolicy(
-              config.shuffle_retry, testing::site::kShuffleFetch,
-              [&] { return server.fetch(r); },
-              [&](int attempt, const std::string&) {
-                result.counters.add(counter::kShuffleFetchRetries, 1);
-                obs::emitEvent(obs::event::kShuffleFetchRetry, testing::site::kShuffleFetch,
-                               static_cast<u64>(attempt));
-              });
-          if (!fetched) break;
-          span.arg("reducer", static_cast<u64>(r));
-          span.arg("map", fetched->map_index);
-          if (!fetched->overflow_file.empty()) {
-            span.arg("bytes", fetched->overflow_bytes);
-            shuffled += fetched->overflow_bytes;
-            deferred.emplace_back(fetched->map_index, std::move(fetched->overflow_file));
-            continue;
-          }
-          span.arg("bytes", fetched->segment.size());
-          if (verifySegments) {
-            verifyAndRecoverSegment(config, server, codec, *fetched, r, result.counters);
-          }
-          shuffled += fetched->segment.size();
-          segments[fetched->map_index] = std::move(fetched->segment);
-        }
-        for (auto& [mapIndex, file] : deferred) {
-          ShuffleServer::Fetched loaded{mapIndex, readOverflowFile(file), {}, 0};
-          if (verifySegments) {
-            verifyAndRecoverSegment(config, server, codec, loaded, r, result.counters);
-          }
-          segments[mapIndex] = std::move(loaded.segment);
-        }
-        result.counters.add(counter::kReduceShuffleBytes, shuffled);
-        result.reduce_tasks[static_cast<std::size_t>(r)].shuffled_bytes = shuffled;
-        if (cancelRequested(ctx)) return;  // cancelled: skip the merge/reduce
-        runReduceTaskWithRetries(config, codec, &codecPool, reduce, segments, result,
-                                 outputsMutex, r, errors);
-      } catch (...) {
-        errors.record();  // shuffle aborted (the map error is already recorded)
-      }
+      fetchAndReduce(config, codec, &codecPool, reduce, server, mapTasks.size(), r, ctx, result,
+                     outputsMutex, errors);
     });
   }
 
@@ -422,8 +228,7 @@ JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& m
     }
     mapPool.wait();
   }
-  const u64 mapEnd = nowUs();
-  result.timings.map_phase_us = mapEnd - jobStart;
+  const u64 mapEnd = steadyNowUs();
   if (errors.any() || cancelRequested(ctx)) {
     // A map never published (failure or cancellation); unblock fetchers.
     server.abort();
@@ -431,19 +236,7 @@ JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& m
   }
 
   reducePool.wait();
-  const u64 jobEnd = nowUs();
-  result.timings.reduce_phase_us = jobEnd - mapEnd;
-
-  const u64 firstPublish = server.firstPublishUs();
-  const u64 lastFetch = server.lastFetchUs();
-  if (firstPublish != 0 && lastFetch > firstPublish) {
-    result.timings.shuffle_us = lastFetch - firstPublish;
-    result.timings.shuffle_overlap_us = std::min(lastFetch, mapEnd) - std::min(firstPublish, mapEnd);
-  }
-
-  if (const u64 overflowed = server.overflowSegments(); overflowed != 0) {
-    result.counters.add(counter::kShuffleSegmentsOverflowed, overflowed);
-  }
+  foldJobEnd(server, jobStart, mapEnd, steadyNowUs(), result);
 
   // Cancellation outranks whatever secondary error the teardown produced
   // (aborted fetchers record runtime_errors into the slot).
@@ -521,14 +314,14 @@ MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
       MapTaskExecution exec;
       Counters& taskCounters = exec.counters;
       MapOutputBuffer buffer(config, codec, taskCounters, codecPool);
-      const u64 taskStart = nowUs();
+      const u64 taskStart = steadyNowUs();
       const EmitFn emit = [&](Bytes key, Bytes value) {
         auto routed =
             config.router(KeyValue{std::move(key), std::move(value)}, config.num_reducers);
         for (auto& [partition, kv] : routed) buffer.collect(partition, std::move(kv));
       };
       task.run(emit);
-      taskCounters.add(counter::kMapCpuUs, nowUs() - taskStart);
+      taskCounters.add(counter::kMapCpuUs, steadyNowUs() - taskStart);
       exec.output = buffer.finish();
       exec.stats.cpu_us = taskCounters.get(counter::kMapCpuUs) +
                           taskCounters.get(counter::kSortCpuUs) +
@@ -572,9 +365,9 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
         taskCounters.add(counter::kReduceOutputRecords, 1);
         exec.output.push_back(KeyValue{std::move(key), std::move(value)});
       };
-      const u64 taskStart = nowUs();
+      const u64 taskStart = steadyNowUs();
       config.grouper->run(stream, reduce, emit, taskCounters);
-      taskCounters.add(counter::kReduceCpuUs, nowUs() - taskStart);
+      taskCounters.add(counter::kReduceCpuUs, steadyNowUs() - taskStart);
       span.arg("output_records", taskCounters.get(counter::kReduceOutputRecords));
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);
@@ -602,6 +395,103 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
       if (attempt >= config.max_task_attempts) throw;
       obs::emitEvent(obs::event::kTaskRetry, "reduce_task", static_cast<u64>(attempt));
     }
+  }
+}
+
+int codecPoolThreads(const JobConfig& config) {
+  if (config.codec_threads > 0) return config.codec_threads;
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* codecPool,
+                    const ReduceFn& reduce, ShuffleServer& server, std::size_t numMaps,
+                    int reducer, const JobContext* ctx, JobResult& result, Mutex& outputsMutex,
+                    ErrorSlot& errors) {
+  const bool verifySegments = config.verify_fetched_segments || config.shuffle_retry.enabled;
+  try {
+    // Slotted by map index, so the merge sees one deterministic order
+    // whatever the arrival order.
+    std::vector<Bytes> segments(numMaps);
+    // Overflowed segments stay on disk through the shuffle window and
+    // materialize right before the merge (which needs them resident).
+    std::vector<std::pair<std::size_t, std::filesystem::path>> deferred;
+    u64 shuffled = 0;
+    for (;;) {
+      // The span covers the blocking wait too: fetch-wait time is the
+      // "reducer idle behind stragglers" signal a trace should show.
+      obs::ScopedSpan span("segment_fetch", "shuffle");
+      auto fetched = retryWithPolicy(
+          config.shuffle_retry, testing::site::kShuffleFetch,
+          [&] { return server.fetch(reducer); },
+          [&](int attempt, const std::string&) {
+            result.counters.add(counter::kShuffleFetchRetries, 1);
+            obs::emitEvent(obs::event::kShuffleFetchRetry, testing::site::kShuffleFetch,
+                           static_cast<u64>(attempt));
+          });
+      if (!fetched) break;
+      span.arg("reducer", static_cast<u64>(reducer));
+      span.arg("map", fetched->map_index);
+      if (!fetched->overflow_file.empty()) {
+        span.arg("bytes", fetched->overflow_bytes);
+        shuffled += fetched->overflow_bytes;
+        deferred.emplace_back(fetched->map_index, std::move(fetched->overflow_file));
+        continue;
+      }
+      span.arg("bytes", fetched->segment.size());
+      if (verifySegments) {
+        verifyAndRecoverSegment(config, server, codec, *fetched, reducer, result.counters);
+      }
+      shuffled += fetched->segment.size();
+      segments[fetched->map_index] = std::move(fetched->segment);
+    }
+    for (auto& [mapIndex, file] : deferred) {
+      ShuffleServer::Fetched loaded{mapIndex, readOverflowFile(file), {}, 0};
+      if (verifySegments) {
+        verifyAndRecoverSegment(config, server, codec, loaded, reducer, result.counters);
+      }
+      segments[mapIndex] = std::move(loaded.segment);
+    }
+    ReduceTaskStats& stats = result.reduce_tasks[static_cast<std::size_t>(reducer)];
+    result.counters.add(counter::kReduceShuffleBytes, shuffled);
+    stats.shuffled_bytes = shuffled;
+    if (cancelRequested(ctx)) return;  // cancelled: skip the merge/reduce
+
+    ReduceTaskExecution exec = executeReduceTask(config, codec, codecPool, reduce, segments,
+                                                 reducer, &result.counters);
+    stats.cpu_us = exec.stats.cpu_us;
+    stats.merge_materialized_bytes = exec.stats.merge_materialized_bytes;
+    stats.merge_resident_peak_bytes = exec.stats.merge_resident_peak_bytes;
+    stats.output_bytes = exec.stats.output_bytes;
+    {
+      MutexLock lock(outputsMutex);
+      result.outputs[static_cast<std::size_t>(reducer)] = std::move(exec.output);
+    }
+    result.counters.merge(exec.counters);
+  } catch (...) {
+    errors.record();  // shuffle aborted (the map error is already recorded) or reduce failed
+  }
+}
+
+void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 jobEndUs,
+                JobResult& result) {
+  result.timings.map_phase_us = mapEndUs - jobStartUs;
+  result.timings.reduce_phase_us = jobEndUs - mapEndUs;
+  const u64 firstPublish = server.firstPublishUs();
+  const u64 lastFetch = server.lastFetchUs();
+  if (firstPublish != 0 && lastFetch > firstPublish) {
+    result.timings.shuffle_us = lastFetch - firstPublish;
+    result.timings.shuffle_overlap_us =
+        std::min(lastFetch, mapEndUs) - std::min(firstPublish, mapEndUs);
+  }
+  if (const u64 overflowed = server.overflowSegments(); overflowed != 0) {
+    result.counters.add(counter::kShuffleSegmentsOverflowed, overflowed);
+  }
+  u64 maxResidentPeak = 0;
+  for (const ReduceTaskStats& t : result.reduce_tasks) {
+    maxResidentPeak = std::max(maxResidentPeak, t.merge_resident_peak_bytes);
+  }
+  if (result.counters.get(counter::kReduceMergeResidentPeakBytes) > 0) {
+    result.counters.set(counter::kReduceMergeResidentPeakBytes, maxResidentPeak);
   }
 }
 
@@ -659,23 +549,11 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
       obs::ScopedSpan jobSpan("job", "job");
       jobSpan.arg("map_tasks", mapTasks.size());
       jobSpan.arg("reducers", static_cast<u64>(config.num_reducers));
-      result = config.shuffle_pipeline
-                   ? runJobPipelined(config, mapTasks, reduce, codecPtr.get(), ctx)
-                   : runJobSerial(config, mapTasks, reduce, codecPtr.get(), ctx);
+      result = runPipelined(config, mapTasks, reduce, codecPtr.get(), ctx);
     }
     sampler.stop();  // takes the final sample before the gauges unregister
     rollups = sampler.rollups();
     if (metrics != nullptr) metrics->writeSummary(rollups);
-  }
-
-  // Job-level resident peak is the max over reduce tasks, not the sum the
-  // per-task counters accumulated into (see counters.h).
-  u64 maxResidentPeak = 0;
-  for (const ReduceTaskStats& t : result.reduce_tasks) {
-    maxResidentPeak = std::max(maxResidentPeak, t.merge_resident_peak_bytes);
-  }
-  if (result.counters.get(counter::kReduceMergeResidentPeakBytes) > 0) {
-    result.counters.set(counter::kReduceMergeResidentPeakBytes, maxResidentPeak);
   }
 
   if (recorder != nullptr) {

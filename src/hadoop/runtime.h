@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "hadoop/counters.h"
 #include "hadoop/job.h"
 #include "hadoop/spill.h"
+#include "io/annotations.h"
 #include "obs/metrics.h"
 
 namespace scishuffle {
@@ -33,12 +35,11 @@ struct MapTask {
 /// These are *local machine* timings; the cluster cost model combines them
 /// with byte counters to project the paper's 5-node setup.
 ///
-/// Legacy (shuffle_pipeline = false): the three phases are disjoint and sum
-/// to the job wall clock. Pipelined: reducers fetch while maps still run, so
-/// shuffle_us is the first-publish..last-fetch window, shuffle_overlap_us is
-/// the part of that window hidden under the map phase, and
-/// map_phase_us + reduce_phase_us ~= job wall clock (reduce_phase_us is the
-/// tail after the last map finished).
+/// Reducers fetch while maps still run, so shuffle_us is the
+/// first-publish..last-fetch window, shuffle_overlap_us is the part of that
+/// window hidden under the map phase, and map_phase_us + reduce_phase_us is
+/// the job wall clock (reduce_phase_us is the tail after the last map
+/// finished).
 struct PhaseTimings {
   u64 map_phase_us = 0;        // all map tasks, wall time of the phase
   u64 shuffle_us = 0;          // segment hand-off window
@@ -59,8 +60,8 @@ struct ReduceTaskStats {
   u64 shuffled_bytes = 0;
   u64 merge_materialized_bytes = 0;
   u64 output_bytes = 0;
-  /// Streaming-merge decoded-bytes high-water mark (pipelined path only):
-  /// bounded by O(segments x block size) instead of total shuffled bytes.
+  /// Streaming-merge decoded-bytes high-water mark: bounded by
+  /// O(segments x block size) instead of total shuffled bytes.
   u64 merge_resident_peak_bytes = 0;
 };
 
@@ -155,6 +156,63 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
                                       ThreadPool* codecPool, const ReduceFn& reduce,
                                       const std::vector<Bytes>& segments, int reducer,
                                       Counters* retryCounters = nullptr);
+
+/// Threads in a job's private codec pool: JobConfig::codec_threads, or the
+/// hardware concurrency when that is 0.
+int codecPoolThreads(const JobConfig& config);
+
+/// First-error collection for pool tasks, which must not throw.
+class ErrorSlot {
+ public:
+  /// Records the in-flight exception (call from a catch block).
+  void record() {
+    MutexLock lock(mutex_);
+    if (!first_) first_ = std::current_exception();
+  }
+  void record(std::exception_ptr e) {
+    MutexLock lock(mutex_);
+    if (!first_) first_ = std::move(e);
+  }
+  bool any() const {
+    MutexLock lock(mutex_);
+    return first_ != nullptr;
+  }
+  void rethrowIfSet() {
+    std::exception_ptr e;
+    {
+      MutexLock lock(mutex_);
+      e = first_;
+    }
+    if (e) std::rethrow_exception(e);
+  }
+
+ private:
+  mutable Mutex mutex_{lock_rank::kErrorSlot};
+  std::exception_ptr first_ GUARDED_BY(mutex_);
+};
+
+/// The reduce side of Fig. 1 for one reducer (steps 4-7), shared by runJob
+/// and the distributed coordinator: block-fetches the reducer's segment from
+/// each of `numMaps` maps as `server` receives it (under
+/// config.shuffle_retry; decode-scanned and re-fetched when
+/// verify_fetched_segments or shuffle_retry asks; overflowed segments read
+/// back from disk after the shuffle window), then runs executeReduceTask
+/// over them slotted by map index and folds its stats, counters and output
+/// into `result`. Writes to result.outputs hold `outputsMutex`. A cancel
+/// request in `ctx` (may be nullptr) skips the reduce. Never throws: errors,
+/// including a shuffle aborted by a failed map, land in `errors`.
+void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* codecPool,
+                    const ReduceFn& reduce, ShuffleServer& server, std::size_t numMaps,
+                    int reducer, const JobContext* ctx, JobResult& result, Mutex& outputsMutex,
+                    ErrorSlot& errors);
+
+/// End-of-job fold shared by runJob and the distributed coordinator: phase
+/// timings from the job's start, last-map-end and end clock readings plus
+/// the server's first-publish..last-fetch window, the overflow counter, and
+/// REDUCE_MERGE_RESIDENT_PEAK_BYTES as the max over reduce tasks instead of
+/// the sum the per-task counters accumulated (see counters.h).
+void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 jobEndUs,
+                JobResult& result);
 
 /// Runs a complete MapReduce job. Thread-safe hooks required: key_less,
 /// router and combiner run concurrently across tasks.

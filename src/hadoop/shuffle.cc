@@ -1,13 +1,13 @@
 #include "hadoop/shuffle.h"
 
 #include <atomic>
-#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "io/buffer_pool.h"
+#include "io/clock.h"
 #include "obs/metrics_stream.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
@@ -16,11 +16,6 @@
 namespace scishuffle::hadoop {
 
 namespace {
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
 
 std::atomic<u64> g_serverSeq{0};
 
@@ -118,7 +113,7 @@ void ShuffleServer::publish(std::size_t mapIndex, std::vector<Bytes> segments) {
     MutexLock lock(mutex_);
     check(published_ < numMaps_, "more publishes than map tasks");
     ++published_;
-    if (firstPublishUs_ == 0) firstPublishUs_ = nowUs();
+    if (firstPublishUs_ == 0) firstPublishUs_ = steadyNowUs();
     if (overflow) {
       overflowSegments_ += segments.size();
       overflowBytes_ += segBytes;
@@ -160,10 +155,10 @@ std::optional<ShuffleServer::Fetched> ShuffleServer::fetch(int reducer) {
       // A reducer about to block here is stalled behind map stragglers; the
       // wait is reported as one backpressure event (outside the lock below).
       if (stallStartUs == 0 && !aborted_ && queues_[r].empty() && published_ != numMaps_) {
-        stallStartUs = nowUs();
+        stallStartUs = steadyNowUs();
       }
       while (!aborted_ && queues_[r].empty() && published_ != numMaps_) arrived_.wait(lock);
-      if (stallStartUs != 0 && stallEndUs == 0) stallEndUs = nowUs();
+      if (stallStartUs != 0 && stallEndUs == 0) stallEndUs = steadyNowUs();
       if (aborted_) throw std::runtime_error("shuffle aborted: a map task failed permanently");
       if (injected) break;
       injected = true;
@@ -176,7 +171,7 @@ std::optional<ShuffleServer::Fetched> ShuffleServer::fetch(int reducer) {
     queues_[r].pop_front();
     --pendingSegments_;
     pendingBytes_ -= std::min<u64>(pendingBytes_, out.segment.size());
-    lastFetchUs_ = nowUs();
+    lastFetchUs_ = steadyNowUs();
   }
   if (stallStartUs != 0) {
     obs::emitEvent(obs::event::kShuffleBackpressureWait, testing::site::kShuffleFetch,

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 
+#include "io/clock.h"
 #include "io/streams.h"
 #include "obs/trace.h"
 
 namespace scishuffle::hadoop {
 
 namespace {
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
 
 std::filesystem::path uniqueSpillPath(const std::filesystem::path& dir, std::size_t partition) {
   static std::atomic<u64> counter{0};
@@ -36,14 +31,7 @@ MapOutputBuffer::MapOutputBuffer(const JobConfig& config, const Codec* codec, Co
 }
 
 Bytes MapOutputBuffer::writeSegment(const std::vector<KeyValue>& records) {
-  if (config_->shuffle_pipeline) {
-    IFileBlockWriter writer(codec_, config_->shuffle_block_bytes, codecPool_);
-    for (const KeyValue& kv : records) writer.append(kv.key, kv.value);
-    Bytes segment = writer.close();
-    counters_->add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
-    return segment;
-  }
-  IFileWriter writer(codec_);
+  IFileBlockWriter writer(codec_, config_->shuffle_block_bytes, codecPool_);
   for (const KeyValue& kv : records) writer.append(kv.key, kv.value);
   Bytes segment = writer.close();
   counters_->add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
@@ -52,16 +40,10 @@ Bytes MapOutputBuffer::writeSegment(const std::vector<KeyValue>& records) {
 
 std::vector<KeyValue> MapOutputBuffer::readSegmentRecords(const Bytes& segment) {
   std::vector<KeyValue> records;
-  if (config_->shuffle_pipeline) {
-    BlockDecodeSource source(segment, codec_, codecPool_);
-    IFileStreamReader reader(source);
-    while (auto kv = reader.next()) records.push_back(std::move(*kv));
-    counters_->add(counter::kCodecDecompressCpuUs, source.decompressCpuUs());
-  } else {
-    IFileReader reader(segment, codec_);
-    counters_->add(counter::kCodecDecompressCpuUs, reader.decompressCpuUs());
-    while (auto kv = reader.next()) records.push_back(std::move(*kv));
-  }
+  BlockDecodeSource source(segment, codec_, codecPool_);
+  IFileStreamReader reader(source);
+  while (auto kv = reader.next()) records.push_back(std::move(*kv));
+  counters_->add(counter::kCodecDecompressCpuUs, source.decompressCpuUs());
   return records;
 }
 
@@ -78,11 +60,11 @@ std::vector<KeyValue> MapOutputBuffer::sortAndCombine(std::vector<KeyValue>&& re
                                                       bool useCombiner) {
   obs::ScopedSpan span("sort", "spill");
   span.arg("records", records.size());
-  const u64 sortStart = nowUs();
+  const u64 sortStart = steadyNowUs();
   std::stable_sort(records.begin(), records.end(), [&](const KeyValue& a, const KeyValue& b) {
     return config_->key_less(a.key, b.key);
   });
-  counters_->add(counter::kSortCpuUs, nowUs() - sortStart);
+  counters_->add(counter::kSortCpuUs, steadyNowUs() - sortStart);
   if (!useCombiner || !config_->combiner) return std::move(records);
 
   std::vector<KeyValue> combined;

@@ -1,11 +1,10 @@
 // Map-side output collection: buffer, sort, (combine), spill to IFile
 // segments, and final merge of spills — steps 2-3 of the paper's Fig. 1.
 //
-// With JobConfig::shuffle_pipeline on, segments are materialized as
-// block-framed codec containers and per-block compression fans out across
-// the shared codec pool instead of one monolithic codec->compress() call per
-// segment; CODEC_COMPRESS_CPU_US still sums per-block CPU so the cluster
-// cost model stays honest.
+// Segments are materialized as block-framed codec containers, and per-block
+// compression fans out across the shared codec pool;
+// CODEC_COMPRESS_CPU_US sums per-block CPU so the cluster cost model stays
+// honest.
 #pragma once
 
 #include <atomic>
@@ -28,8 +27,8 @@ struct MapOutput {
 
 class MapOutputBuffer {
  public:
-  /// `codecPool` (may be null) parallelizes per-block compression on the
-  /// pipelined path; it is shared across concurrent map tasks.
+  /// `codecPool` (may be null) parallelizes per-block compression; it is
+  /// shared across concurrent map tasks.
   MapOutputBuffer(const JobConfig& config, const Codec* codec, Counters& counters,
                   ThreadPool* codecPool = nullptr);
 
@@ -48,9 +47,9 @@ class MapOutputBuffer {
   void spill();
   /// Segment bytes for (spill, partition), reading back from disk if needed.
   Bytes segmentBytes(const Spill& s, std::size_t partition) const;
-  /// Serializes sorted records into a segment (block-framed or legacy).
+  /// Serializes sorted records into a block-framed segment.
   Bytes writeSegment(const std::vector<KeyValue>& records);
-  /// Parses every record back out of a segment (streaming on the block path).
+  /// Parses every record back out of a segment.
   std::vector<KeyValue> readSegmentRecords(const Bytes& segment);
   /// Sorts records of one partition and runs the combiner over equal keys.
   std::vector<KeyValue> sortAndCombine(std::vector<KeyValue>&& records, bool useCombiner);

@@ -32,7 +32,8 @@ Bytes ByteSource::readAll() {
 
 std::size_t MemorySource::readSome(MutableByteSpan out) {
   const std::size_t n = std::min(out.size(), data_.size() - pos_);
-  std::memcpy(out.data(), data_.data() + pos_, n);
+  // An empty span's data() may be null, and memcpy from null is UB even for n == 0.
+  if (n != 0) std::memcpy(out.data(), data_.data() + pos_, n);
   pos_ += n;
   return n;
 }

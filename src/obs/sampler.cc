@@ -4,6 +4,7 @@
 #include <fstream>
 #include <utility>
 
+#include "io/clock.h"
 #include "obs/metrics_stream.h"
 #include "obs/trace.h"
 
@@ -13,16 +14,6 @@
 #endif
 
 namespace scishuffle::obs {
-
-namespace {
-
-u64 steadyNowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-}  // namespace
 
 u64 currentRssBytes() {
 #if defined(__linux__)

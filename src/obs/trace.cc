@@ -2,21 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <fstream>
 
+#include "io/clock.h"
 #include "io/task_tag.h"
 #include "obs/json.h"
 
 namespace scishuffle::obs {
 
 namespace {
-
-u64 steadyNowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
 
 std::atomic<TraceRecorder*> g_active{nullptr};
 

@@ -24,6 +24,7 @@
 #include "compress/codec.h"
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
+#include "io/clock.h"
 #include "io/thread_pool.h"
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -41,38 +42,6 @@ namespace {
 
 using hadoop::Counters;
 namespace counter = hadoop::counter;
-
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-int codecPoolThreads(const hadoop::JobConfig& config) {
-  if (config.codec_threads > 0) return config.codec_threads;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-/// First-error collection for the reduce pool (pool tasks must not throw).
-class ErrorSlot {
- public:
-  void record() {
-    MutexLock lock(mu_);
-    if (!first_) first_ = std::current_exception();
-  }
-  void rethrowIfSet() {
-    std::exception_ptr e;
-    {
-      MutexLock lock(mu_);
-      e = first_;
-    }
-    if (e) std::rethrow_exception(e);
-  }
-
- private:
-  mutable Mutex mu_{lock_rank::kErrorSlot};
-  std::exception_ptr first_ GUARDED_BY(mu_);
-};
 
 /// Map-task lifecycle on the coordinator. kWorkerDone means the owner
 /// reported success but the segments are still only in its process; only
@@ -138,7 +107,6 @@ class Coordinator {
   bool findAssignmentLocked(u32& taskOut, u32& workerOut,
                             std::shared_ptr<net::Connection>& connOut) REQUIRES(mu_);
   void monitorLoop();
-  void reducerLoop(int r, const Codec* codec, ErrorSlot& errors);
   void teardown();
   void reapChildren();
 
@@ -209,7 +177,7 @@ void Coordinator::spawnWorker(u32 id) {
     w.pid = pid;
     // Never-hello'd workers (exec failure, crash at startup) fall to the
     // heartbeat timeout from their spawn time.
-    w.last_heartbeat_us = nowUs();
+    w.last_heartbeat_us = steadyNowUs();
   }
   ++result_.workers_spawned;
   obs::emitEvent(obs::event::kWorkerSpawned, "coordinator", id);
@@ -241,7 +209,7 @@ void Coordinator::serveControl(std::shared_ptr<net::Connection> conn) {
       it->second.control = conn;
       it->second.data_socket = hello.data_socket;
       it->second.hello_seen = true;
-      it->second.last_heartbeat_us = nowUs();
+      it->second.last_heartbeat_us = steadyNowUs();
       registered = true;
     }
     schedWake_.notify_all();
@@ -251,7 +219,7 @@ void Coordinator::serveControl(std::shared_ptr<net::Connection> conn) {
         net::HeartbeatMsg::decode(frame);  // validate before trusting liveness
         MutexLock lock(mu_);
         const auto it = workers_.find(wid);
-        if (it != workers_.end()) it->second.last_heartbeat_us = nowUs();
+        if (it != workers_.end()) it->second.last_heartbeat_us = steadyNowUs();
         continue;
       }
       if (frame.type == net::FrameType::kTaskDone) {
@@ -371,7 +339,7 @@ void Coordinator::publishFetched(u32 m, u64 gen, std::vector<Bytes> segments) {
     ++published_;
     done = std::move(t.done);
     if (t.requeue_us != 0) {
-      recoveryLatencyUs_ = std::max(recoveryLatencyUs_, nowUs() - t.requeue_us);
+      recoveryLatencyUs_ = std::max(recoveryLatencyUs_, steadyNowUs() - t.requeue_us);
     }
   }
   // Fold the owner's stats and counter deltas exactly once, here: a task
@@ -406,7 +374,7 @@ void Coordinator::markWorkerDead(u32 wid, const char* reason, bool kill) {
       counted = true;
       ++result_.worker_deaths;
       result_.job.counters.add(counter::kWorkerDeathsDetected, 1);
-      const u64 now = nowUs();
+      const u64 now = steadyNowUs();
       for (u32 m = 0; m < tasks_.size(); ++m) {
         TaskState& t = tasks_[m];
         if (t.phase != TaskPhase::kAssigned && t.phase != TaskPhase::kWorkerDone) continue;
@@ -502,7 +470,7 @@ void Coordinator::monitorLoop() {
       if (!monStop_) monWake_.wait_for(lock, std::chrono::milliseconds(intervalMs));
       if (monStop_) return;
     }
-    const u64 now = nowUs();
+    const u64 now = steadyNowUs();
     std::vector<u32> timedOut;
     {
       MutexLock lock(mu_);
@@ -530,41 +498,6 @@ void Coordinator::monitorLoop() {
     // A hung worker never EOFs its control socket — this timeout is the only
     // way it gets caught.
     for (const u32 id : timedOut) markWorkerDead(id, "heartbeat_timeout", /*kill=*/true);
-  }
-}
-
-void Coordinator::reducerLoop(int r, const Codec* codec, ErrorSlot& errors) {
-  try {
-    std::vector<Bytes> segments;
-    {
-      MutexLock lock(mu_);
-      segments.resize(tasks_.size());
-    }
-    u64 shuffled = 0;
-    for (;;) {
-      obs::ScopedSpan span("segment_fetch", "shuffle");
-      auto fetched = server_->fetch(r);
-      if (!fetched) break;
-      span.arg("reducer", static_cast<u64>(r));
-      span.arg("map", fetched->map_index);
-      span.arg("bytes", fetched->segment.size());
-      shuffled += fetched->segment.size();
-      segments[fetched->map_index] = std::move(fetched->segment);
-    }
-    result_.job.counters.add(counter::kReduceShuffleBytes, shuffled);
-    result_.job.reduce_tasks[static_cast<std::size_t>(r)].shuffled_bytes = shuffled;
-    hadoop::ReduceTaskExecution exec =
-        hadoop::executeReduceTask(workload_.config, codec, &*codecPool_, workload_.reduce,
-                                  segments, r, &result_.job.counters);
-    hadoop::ReduceTaskStats& stats = result_.job.reduce_tasks[static_cast<std::size_t>(r)];
-    stats.cpu_us = exec.stats.cpu_us;
-    stats.merge_materialized_bytes = exec.stats.merge_materialized_bytes;
-    stats.merge_resident_peak_bytes = exec.stats.merge_resident_peak_bytes;
-    stats.output_bytes = exec.stats.output_bytes;
-    result_.job.outputs[static_cast<std::size_t>(r)] = std::move(exec.output);
-    result_.job.counters.merge(exec.counters);
-  } catch (...) {
-    errors.record();  // shuffle aborted or the reduce itself failed
   }
 }
 
@@ -694,15 +627,16 @@ DistributedResult Coordinator::run() {
   const auto codec = workload_.config.intermediate_codec == "null"
                          ? nullptr
                          : CodecRegistry::instance().create(workload_.config.intermediate_codec);
-  codecPool_.emplace(codecPoolThreads(workload_.config));
+  codecPool_.emplace(hadoop::codecPoolThreads(workload_.config));
   server_.emplace(numTasks, numReducers);
   fetchPool_.emplace(std::max(2, config_.num_workers));
   control_.emplace(controlSocketPath_);
 
   for (int i = 0; i < config_.num_workers; ++i) spawnWorker(static_cast<u32>(i));
 
-  const u64 jobStart = nowUs();
-  ErrorSlot reduceErrors;
+  const u64 jobStart = steadyNowUs();
+  hadoop::ErrorSlot reduceErrors;
+  Mutex outputsMutex{lock_rank::kJobOutputs};
   u64 mapEnd = 0;
   u64 jobEnd = 0;
   try {
@@ -711,16 +645,18 @@ DistributedResult Coordinator::run() {
     schedulerThread_ = std::thread([this] { schedulerLoop(); });
 
     // Reduce side runs in-process against the local ShuffleServer the fetch
-    // pump fills — reducers block-fetch exactly like the pipelined runtime.
+    // pump fills — the same routine the in-process runtime's reducers run.
     ThreadPool reducePool(workload_.config.reduce_slots);
     for (int r = 0; r < numReducers; ++r) {
-      reducePool.submit([this, r, &codec, &reduceErrors] {
-        reducerLoop(r, codec.get(), reduceErrors);
+      reducePool.submit([&, r] {
+        hadoop::fetchAndReduce(workload_.config, codec.get(), &*codecPool_, workload_.reduce,
+                               *server_, numTasks, r, /*ctx=*/nullptr, result_.job, outputsMutex,
+                               reduceErrors);
       });
     }
 
     schedulerThread_.join();
-    mapEnd = nowUs();
+    mapEnd = steadyNowUs();
     bool fatalNow = false;
     {
       MutexLock lock(mu_);
@@ -729,7 +665,7 @@ DistributedResult Coordinator::run() {
     if (fatalNow) server_->abort();  // unblock reducers waiting on lost publishes
     fetchPool_->wait();
     reducePool.wait();
-    jobEnd = nowUs();
+    jobEnd = steadyNowUs();
   } catch (...) {
     teardown();
     throw;
@@ -741,26 +677,7 @@ DistributedResult Coordinator::run() {
     if (fatal_) std::rethrow_exception(fatal_);
   }
   reduceErrors.rethrowIfSet();
-
-  result_.job.timings.map_phase_us = mapEnd - jobStart;
-  result_.job.timings.reduce_phase_us = jobEnd - mapEnd;
-  const u64 firstPublish = server_->firstPublishUs();
-  const u64 lastFetch = server_->lastFetchUs();
-  if (firstPublish != 0 && lastFetch > firstPublish) {
-    result_.job.timings.shuffle_us = lastFetch - firstPublish;
-    result_.job.timings.shuffle_overlap_us =
-        std::min(lastFetch, mapEnd) - std::min(firstPublish, mapEnd);
-  }
-
-  // Job-level resident peak is the max over reduce tasks, not the sum the
-  // per-task counters accumulated into (see counters.h).
-  u64 maxResidentPeak = 0;
-  for (const hadoop::ReduceTaskStats& t : result_.job.reduce_tasks) {
-    maxResidentPeak = std::max(maxResidentPeak, t.merge_resident_peak_bytes);
-  }
-  if (result_.job.counters.get(counter::kReduceMergeResidentPeakBytes) > 0) {
-    result_.job.counters.set(counter::kReduceMergeResidentPeakBytes, maxResidentPeak);
-  }
+  hadoop::foldJobEnd(*server_, jobStart, mapEnd, jobEnd, result_.job);
 
   sampler.stop();
   const auto rollups = sampler.rollups();

@@ -18,8 +18,8 @@
 // the scheduler re-executes them on survivors and in-flight fetches redirect
 // to the re-executed copy. Because workloads are deterministic
 // (service/workload.h) and the local ShuffleServer slots segments by map
-// index, the job completes bit-identically to the serial baseline
-// (docs/CLUSTER.md).
+// index, the job completes bit-identically to an in-process runJob
+// (docs/CLUSTER.md). The reduce side is runJob's own (hadoop::fetchAndReduce).
 #pragma once
 
 #include <filesystem>

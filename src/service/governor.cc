@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "hadoop/shuffle.h"
+#include "io/clock.h"
 #include "obs/metrics_stream.h"
 
 #if defined(__GLIBC__)
@@ -11,16 +12,6 @@
 #endif
 
 namespace scishuffle::service {
-
-namespace {
-
-u64 steadyNowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-}  // namespace
 
 MemoryGovernor::MemoryGovernor(Config config, obs::GaugeRegistry* registry,
                                obs::MetricsStream* stream)

@@ -7,21 +7,12 @@
 
 #include "hadoop/shuffle.h"
 #include "io/buffer_pool.h"
+#include "io/clock.h"
 #include "io/task_tag.h"
 #include "obs/metrics_stream.h"
 #include "testing/fault_injector.h"
 
 namespace scishuffle::service {
-
-namespace {
-
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-}  // namespace
 
 const char* priorityName(Priority p) {
   switch (p) {
@@ -117,7 +108,7 @@ JobService::JobService(ServiceConfig config) : config_(std::move(config)) {
 JobService::~JobService() { shutdown(Shutdown::kCancelQueued); }
 
 SubmitResult JobService::submit(JobSpec spec) {
-  const u64 submitUs = nowUs();
+  const u64 submitUs = steadyNowUs();
   bool rejected = false;
   std::string reason;
   if (config_.fault_injector != nullptr) {
@@ -176,7 +167,7 @@ bool JobService::cancel(u64 id) {
     if (job.state == JobState::kQueued) {
       queue_.erase(std::remove(queue_.begin(), queue_.end(), id), queue_.end());
       job.state = JobState::kCancelled;
-      job.finish_us = nowUs();
+      job.finish_us = steadyNowUs();
       cancelledQueued = true;
     } else if (job.state == JobState::kRunning) {
       job.cancel.store(true, std::memory_order_relaxed);
@@ -281,7 +272,7 @@ void JobService::shutdown(Shutdown mode) {
         Job& job = *jobs_.at(id);
         job.state = JobState::kCancelled;
         job.error = "cancelled at shutdown";
-        job.finish_us = nowUs();
+        job.finish_us = steadyNowUs();
         cancelledQueued.push_back(id);
       }
       queue_.clear();
@@ -348,7 +339,7 @@ void JobService::dispatcherLoop() {
       // RSS to drop can wait forever — one job must always be able to run.
       std::shared_ptr<Job> job = popNextLocked();
       job->state = JobState::kRunning;
-      job->start_us = nowUs();
+      job->start_us = steadyNowUs();
       ++running_;
       lock.unlock();
       runnerPool_->submit([this, job] { execute(job); });
@@ -422,7 +413,7 @@ void JobService::execute(const std::shared_ptr<Job>& job) {
   {
     MutexLock lock(mutex_);
     job->state = finalState;
-    job->finish_us = nowUs();
+    job->finish_us = steadyNowUs();
     job->result = std::move(result);
     job->failure = failure;
     job->error = std::move(error);

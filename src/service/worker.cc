@@ -22,11 +22,6 @@ namespace scishuffle::service {
 
 namespace {
 
-int codecPoolThreads(const hadoop::JobConfig& config) {
-  if (config.codec_threads > 0) return config.codec_threads;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
 /// Materialized map outputs awaiting fetch, keyed by map index. The data
 /// plane serves from here; segments stay resident until the process exits
 /// (the coordinator owns eviction by shutting the worker down).
@@ -199,7 +194,7 @@ int runWorkerMain(const WorkerOptions& options) {
   std::atomic<bool> hung{false};
   SegmentStore store;
   DataPlane dataPlane(options.data_socket, store, hung);
-  ThreadPool codecPool(codecPoolThreads(workload.config));
+  ThreadPool codecPool(hadoop::codecPoolThreads(workload.config));
 
   net::Connection control = net::connectUnix(options.control_socket);
   {

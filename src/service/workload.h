@@ -6,7 +6,7 @@
 // rebuilds the identical task list locally. Determinism is the contract: the
 // same (name, args) must produce byte-identical map emissions in every
 // process and on every re-execution — that is what makes re-running a dead
-// worker's tasks on a survivor bit-identical to the serial baseline.
+// worker's tasks on a survivor bit-identical to an in-process runJob.
 #pragma once
 
 #include <functional>

@@ -1,7 +1,7 @@
 // Block-framed codec container: round-trips across every registered codec
 // and block size, corruption detection, parallel/serial byte identity, the
 // streaming merge's memory bound, and a thread-pool stress run of the
-// pipelined shuffle against the serial baseline.
+// pipelined shuffle against the reference evaluator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "compress/block_format.h"
+#include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
@@ -170,6 +171,7 @@ using hadoop::JobConfig;
 using hadoop::JobResult;
 using hadoop::MapTask;
 using hadoop::ReduceFn;
+using hadoop::referenceOutputs;
 
 Bytes toBytes(const std::string& s) {
   return Bytes(reinterpret_cast<const u8*>(s.data()),
@@ -183,18 +185,23 @@ Bytes encodeI64(i64 v) {
   return out;
 }
 
-JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed) {
-  const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
-                                          "map", "reduce",    "sci",  "curve"};
+struct WordCountJob {
   std::vector<MapTask> tasks;
+  ReduceFn reduce;
+};
+
+WordCountJob makeWordCountJob(int docs, int words, u32 seed) {
+  static const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
+                                                 "map", "reduce",    "sci",  "curve"};
+  WordCountJob job;
   for (int d = 0; d < docs; ++d) {
-    tasks.push_back(MapTask{[&vocab, words, seed, d](const EmitFn& emit) {
+    job.tasks.push_back(MapTask{[words, seed, d](const EmitFn& emit) {
       std::mt19937 rng(seed + static_cast<u32>(d));
       std::uniform_int_distribution<std::size_t> pick(0, vocab.size() - 1);
       for (int w = 0; w < words; ++w) emit(toBytes(vocab[pick(rng)]), encodeI64(1));
     }});
   }
-  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+  job.reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
     i64 sum = 0;
     for (const auto& v : values) {
       MemorySource src(v);
@@ -202,7 +209,12 @@ JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed) {
     }
     emit(key, encodeI64(sum));
   };
-  return runJob(config, tasks, reduce);
+  return job;
+}
+
+JobResult runWordCountJob(const JobConfig& config, int docs, int words, u32 seed) {
+  const WordCountJob job = makeWordCountJob(docs, words, seed);
+  return runJob(config, job.tasks, job.reduce);
 }
 
 std::map<std::string, u64> recordCounters(const JobResult& result) {
@@ -215,31 +227,29 @@ std::map<std::string, u64> recordCounters(const JobResult& result) {
   return records;
 }
 
-TEST(PipelinedShuffleTest, EightConcurrentJobsMatchTheSerialPath) {
-  JobConfig serialConfig;
-  serialConfig.shuffle_pipeline = false;
-  serialConfig.num_reducers = 3;
-  serialConfig.map_slots = 4;
-  serialConfig.intermediate_codec = "gzipish";
-  serialConfig.spill_buffer_bytes = 2048;  // several spills per task
-  const JobResult baseline = runWordCountJob(serialConfig, 6, 400, 321);
-
-  JobConfig pipeConfig = serialConfig;
-  pipeConfig.shuffle_pipeline = true;
-  pipeConfig.shuffle_block_bytes = 1 << 10;
-  pipeConfig.codec_threads = 2;
+TEST(PipelinedShuffleTest, EightConcurrentJobsMatchTheReference) {
+  JobConfig config;
+  config.num_reducers = 3;
+  config.map_slots = 4;
+  config.intermediate_codec = "gzipish";
+  config.spill_buffer_bytes = 2048;  // several spills per task
+  config.shuffle_block_bytes = 1 << 10;
+  config.codec_threads = 2;
+  const WordCountJob job = makeWordCountJob(6, 400, 321);
+  const auto reference = referenceOutputs(config, job.tasks, job.reduce);
+  const JobResult standalone = runJob(config, job.tasks, job.reduce);
+  EXPECT_EQ(standalone.outputs, reference);
 
   std::vector<JobResult> results(8);
   std::vector<std::thread> jobs;
   for (std::size_t j = 0; j < results.size(); ++j) {
-    jobs.emplace_back(
-        [&, j] { results[j] = runWordCountJob(pipeConfig, 6, 400, 321); });
+    jobs.emplace_back([&, j] { results[j] = runJob(config, job.tasks, job.reduce); });
   }
   for (auto& t : jobs) t.join();
 
   for (const JobResult& result : results) {
-    EXPECT_EQ(result.outputs, baseline.outputs);  // bit-identical reduce outputs
-    EXPECT_EQ(recordCounters(result), recordCounters(baseline));
+    EXPECT_EQ(result.outputs, reference);  // bit-identical reduce outputs
+    EXPECT_EQ(recordCounters(result), recordCounters(standalone));
   }
 }
 

@@ -10,6 +10,7 @@
 #include "compress/bzip2ish.h"
 #include "compress/deflate.h"
 #include "hadoop/ifile.h"
+#include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "hadoop/sequence_file.h"
 #include "io/streams.h"
@@ -76,7 +77,7 @@ class IFileFuzz : public ::testing::TestWithParam<u32> {};
 
 TEST_P(IFileFuzz, CorruptionNeverCrashes) {
   std::mt19937 rng(GetParam());
-  hadoop::IFileWriter writer(nullptr);
+  hadoop::IFileWriter writer;
   for (int i = 0; i < 50; ++i) {
     writer.append(testing::randomBytes(static_cast<std::size_t>(i % 17), GetParam() + i),
                   testing::randomBytes(static_cast<std::size_t>((i * 3) % 29), GetParam() - i));
@@ -87,7 +88,7 @@ TEST_P(IFileFuzz, CorruptionNeverCrashes) {
     Bytes corrupt = file;
     corrupt[pick(rng)] ^= 0xFF;
     try {
-      hadoop::IFileReader reader(corrupt, nullptr);
+      hadoop::IFileReader reader(corrupt);
       while (reader.next()) {
       }
     } catch (const FormatError&) {
@@ -128,7 +129,8 @@ TEST(SequenceFileFuzz, RandomCorruptionWithRecovery) {
   }
 }
 
-// ---- Model-based engine test: random jobs vs a trivial reference shuffle.
+// ---- Model-based engine test: random jobs vs the reference evaluator, plus
+// a hand-rolled key -> total map as an independent check on the evaluator.
 
 struct RandomJob {
   std::vector<std::vector<hadoop::KeyValue>> taskRecords;
@@ -189,16 +191,24 @@ TEST_P(EngineModelFuzz, MatchesReferenceShuffle) {
       for (const auto& kv : records) emit(kv.key, kv.value);
     }});
   }
+  // Emits the 8-byte total, then the values in the order the group delivered
+  // them: at most 6 map tasks never trigger an intermediate merge pass, so
+  // referenceOutputs guarantees that order too, and a changed merge
+  // tie-break shows up as a difference.
   const hadoop::ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values,
                                      const hadoop::EmitFn& emit) {
     u64 total = 0;
     for (const auto& v : values) total += v.size() + 1;
     Bytes out(8);
     for (int i = 0; i < 8; ++i) out[static_cast<std::size_t>(i)] = static_cast<u8>(total >> (8 * i));
+    for (const auto& v : values) out.insert(out.end(), v.begin(), v.end());
     emit(key, std::move(out));
   };
 
   const auto result = hadoop::runJob(config, tasks, reduce);
+  // Exact: every reducer's records, in emit order.
+  ASSERT_LE(tasks.size(), static_cast<std::size_t>(config.merge_factor));
+  EXPECT_EQ(result.outputs, hadoop::referenceOutputs(config, tasks, reduce)) << "seed " << seed;
   std::map<Bytes, u64> got;
   for (const auto& part : result.outputs) {
     for (const auto& kv : part) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "compress/deflate.h"
 #include "hadoop/ifile.h"
 #include "testing_support.h"
 
@@ -8,11 +7,11 @@ namespace scishuffle::hadoop {
 namespace {
 
 TEST(IFileTest, EmptyFileIsJustTheTrailer) {
-  IFileWriter writer(nullptr);
+  IFileWriter writer;
   const Bytes file = writer.close();
   // Two -1 vints + 4-byte CRC.
   EXPECT_EQ(file.size(), kIFileTrailerSize);
-  IFileReader reader(file, nullptr);
+  IFileReader reader(file);
   EXPECT_FALSE(reader.next().has_value());
 }
 
@@ -21,7 +20,7 @@ TEST(IFileTest, PerRecordOverheadMatchesThePaperArithmetic) {
   // bytes per record; 10^6 records + 6-byte trailer = 26,000,006 bytes.
   EXPECT_EQ(ifileRecordOverhead(20, 4), 2u);
 
-  IFileWriter writer(nullptr);
+  IFileWriter writer;
   const Bytes key(20, 0xAB);
   const Bytes value(4, 0xCD);
   const int records = 1000;
@@ -32,7 +31,7 @@ TEST(IFileTest, PerRecordOverheadMatchesThePaperArithmetic) {
 
 TEST(IFileTest, NamedKeyOverheadMatchesIntro) {
   // Key with Text("windspeed1") = 11 + 16 coord bytes = 27; record = 33.
-  IFileWriter writer(nullptr);
+  IFileWriter writer;
   const Bytes key(27, 1);
   const Bytes value(4, 2);
   writer.append(key, value);
@@ -41,7 +40,7 @@ TEST(IFileTest, NamedKeyOverheadMatchesIntro) {
 }
 
 TEST(IFileTest, RoundTripsRecords) {
-  IFileWriter writer(nullptr);
+  IFileWriter writer;
   std::vector<KeyValue> records;
   for (u32 i = 0; i < 500; ++i) {
     KeyValue kv{testing::randomBytes(i % 40, i), testing::randomBytes((i * 7) % 100, i + 1)};
@@ -51,7 +50,7 @@ TEST(IFileTest, RoundTripsRecords) {
   EXPECT_EQ(writer.records(), 500u);
   const Bytes file = writer.close();
 
-  IFileReader reader(file, nullptr);
+  IFileReader reader(file);
   for (const auto& expected : records) {
     const auto got = reader.next();
     ASSERT_TRUE(got.has_value());
@@ -61,30 +60,16 @@ TEST(IFileTest, RoundTripsRecords) {
   EXPECT_FALSE(reader.next().has_value());  // stable after EOF
 }
 
-TEST(IFileTest, CompressedRoundTrip) {
-  const DeflateCodec codec;
-  IFileWriter writer(&codec);
-  const Bytes key(20, 7);
-  for (int i = 0; i < 2000; ++i) writer.append(key, Bytes{static_cast<u8>(i), 0, 0, 0});
-  const Bytes file = writer.close();
-  EXPECT_LT(file.size(), writer.rawBytes() / 3);  // repetitive keys compress
-
-  IFileReader reader(file, &codec);
-  int count = 0;
-  while (reader.next()) ++count;
-  EXPECT_EQ(count, 2000);
-}
-
 TEST(IFileTest, ChecksumDetectsCorruption) {
-  IFileWriter writer(nullptr);
+  IFileWriter writer;
   writer.append(Bytes{1, 2, 3}, Bytes{4});
   Bytes file = writer.close();
   file[2] ^= 0x80;
-  EXPECT_THROW(IFileReader(file, nullptr), FormatError);
+  EXPECT_THROW(IFileReader{file}, FormatError);
 }
 
 TEST(IFileTest, AppendAfterCloseIsALogicError) {
-  IFileWriter writer(nullptr);
+  IFileWriter writer;
   (void)writer.close();
   EXPECT_THROW(writer.append(Bytes{1}, Bytes{2}), std::logic_error);
 }

@@ -66,6 +66,17 @@ TEST(LintSpans, UndocumentedSpanNameIsReported) {
   EXPECT_EQ(diags[0].line, 4);
 }
 
+TEST(LintSpans, StaleTaxonomyRowIsReported) {
+  const auto diags = lint::checkSpans(fixture("stale_span_row"));
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/OBSERVABILITY.md", "`retired_copy`"));
+  EXPECT_TRUE(hasDiagnostic(diags, "OBSERVABILITY.md", "names no ScopedSpan under src/"));
+  EXPECT_EQ(diags[0].line, 6);  // the `retired_copy` row
+  // A row naming two spans is checked name by name.
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/OBSERVABILITY.md", "`stride_inverse`"));
+  EXPECT_EQ(diags[1].line, 7);
+}
+
 TEST(LintFaultSites, UndocumentedSiteIsReported) {
   const auto diags = lint::checkFaultSites(fixture("undocumented_site"));
   ASSERT_EQ(diags.size(), 1u);

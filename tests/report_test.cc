@@ -65,6 +65,18 @@ TEST(ReportTest, SummaryLineIsCompact) {
   EXPECT_EQ(line.find('\n'), std::string::npos);
 }
 
+TEST(ReportTest, SummaryLineTotalIsMapPlusReducePhase) {
+  // Reducers fetch during the map phase, so map + reduce phase is the job's
+  // wall clock; the shuffle window and its overlap must not be added again.
+  JobResult result;
+  result.timings.map_phase_us = 100'000;
+  result.timings.reduce_phase_us = 50'000;
+  result.timings.shuffle_us = 80'000;
+  result.timings.shuffle_overlap_us = 30'000;
+  EXPECT_NE(jobSummaryLine(result).find(" in 150 ms"), std::string::npos)
+      << jobSummaryLine(result);
+}
+
 TEST(ReportTest, PerTaskStatsArePopulated) {
   const auto result = runTinyJob(false);
   ASSERT_EQ(result.map_tasks.size(), 3u);
@@ -101,20 +113,8 @@ TEST(ReportJsonTest, ParsesAndCountersMatchSnapshot) {
   EXPECT_TRUE(doc.at("telemetry").has("counters"));
 }
 
-TEST(ReportJsonTest, LegacyTimingFieldsHaveNoOverlap) {
-  const auto result = runTinyJob(false, [](JobConfig& c) { c.shuffle_pipeline = false; });
-  const JsonValue doc = JsonParser::parse(jobReportJson(result));
-  const JsonValue& timings = doc.at("timings");
-  // The serial path times shuffle as its own phase and never overlaps it
-  // with the map phase.
-  EXPECT_TRUE(timings.has("map_phase_us"));
-  EXPECT_GT(timings.at("shuffle_us").asU64(), 0u);
-  EXPECT_TRUE(timings.has("reduce_phase_us"));
-  EXPECT_EQ(timings.at("shuffle_overlap_us").asU64(), 0u);
-}
-
 TEST(ReportJsonTest, PipelinedTimingReportsOverlap) {
-  const auto result = runTinyJob(false, [](JobConfig& c) { c.shuffle_pipeline = true; });
+  const auto result = runTinyJob(false);
   const JsonValue doc = JsonParser::parse(jobReportJson(result));
   const JsonValue& timings = doc.at("timings");
   // Pipelined, shuffle_us spans firstPublish..lastFetch and the overlap
@@ -160,7 +160,6 @@ TEST(ReportTraceTest, TraceFileCoversEveryStageCategory) {
   const std::filesystem::path path = dir.file("report_test_trace.json");
   runTinyJob(false, [&path](JobConfig& c) {
     c.trace_path = path;
-    c.shuffle_pipeline = true;
     c.intermediate_codec = "gzipish";  // ensures real codec work -> codec spans
   });
   ASSERT_TRUE(std::filesystem::exists(path));
@@ -179,7 +178,7 @@ TEST(ReportTraceTest, TraceFileCoversEveryStageCategory) {
 }
 
 TEST(ReportTest, ResidentPeakCounterIsMaxOverReduceTasksNotSum) {
-  const auto result = runTinyJob(false, [](JobConfig& c) { c.shuffle_pipeline = true; });
+  const auto result = runTinyJob(false);
   u64 maxPeak = 0;
   u64 sumPeak = 0;
   for (const auto& t : result.reduce_tasks) {

@@ -204,7 +204,6 @@ JobResult runWordCount(JobConfig config) {
 JobConfig faultedConfig(scishuffle::testing::FaultInjector* faults) {
   JobConfig config;
   config.num_reducers = 3;
-  config.shuffle_pipeline = true;
   config.intermediate_codec = "gzipish";
   config.fault_injector = faults;
   config.shuffle_retry = enabledPolicy(4);
@@ -222,7 +221,7 @@ TEST(RecoveryAcceptanceTest, CorruptBlockAndDroppedFetchHealBitIdentically) {
   const JobResult faulted = runWordCount(faultedConfig(&faults));
   EXPECT_EQ(faults.triggered(site::kShuffleFetch), 2u) << "both rules must have fired";
 
-  // Bit-identical output versus the fault-free serial baseline.
+  // Bit-identical output versus a fault-free run.
   JobConfig clean;
   clean.num_reducers = 3;
   clean.intermediate_codec = "gzipish";

@@ -37,7 +37,6 @@ TEST(ShuffleServerTest, ZeroMapsDrainsImmediately) {
 TEST(ShuffleServerTest, ZeroMapJobProducesEmptyOutputsOnPipelinedPath) {
   JobConfig config;
   config.num_reducers = 3;
-  config.shuffle_pipeline = true;
   const ReduceFn reduce = [](const Bytes&, std::vector<Bytes>&, const EmitFn&) {};
   const JobResult result = runJob(config, {}, reduce);
   ASSERT_EQ(result.outputs.size(), 3u);

@@ -1,19 +1,19 @@
 // Randomized multi-tenant soak (ctest label: stress): one JobService runs a
 // fleet of concurrent word-count jobs across mixed codecs, priorities and
 // seeded fault plans, under a memory governor. Every job's output must be
-// bit-identical to a serial no-fault baseline, the governor's observed RSS
-// must stay under its budget, and each job's metrics stream lands as a JSONL
-// file (CI uploads the directory as an artifact). Seeded via
-// SCISHUFFLE_PROP_SEED so a failure replays exactly.
+// bit-identical to the reference evaluation (hadoop/reference.h), the
+// governor's observed RSS must stay under its budget, and each job's metrics
+// stream lands as a JSONL file (CI uploads the directory as an artifact).
+// Seeded via SCISHUFFLE_PROP_SEED so a failure replays exactly.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/buffer_pool.h"
 #include "io/primitives.h"
@@ -48,8 +48,8 @@ i64 decodeI64(const Bytes& b) {
   return readI64(src);
 }
 
-/// A corpus plus the job shape that must match between the serial baseline
-/// and the service run for outputs to compare byte for byte.
+/// A corpus plus the job shape that must match between the reference and the
+/// service run for outputs to compare byte for byte.
 struct Workload {
   std::vector<std::vector<std::string>> docs;
   int num_reducers = 1;
@@ -99,7 +99,7 @@ JobSpec specFor(const Workload& workload, const std::string& name, const std::st
   return spec;
 }
 
-/// Random recoverable plan over the pipelined path's injection sites;
+/// Random recoverable plan over the shuffle's injection sites;
 /// trigger counts stay below the retry budget so every job must heal.
 FaultPlan randomPlan(std::mt19937_64& rng) {
   FaultPlan plan;
@@ -145,8 +145,12 @@ TEST(StressJobServiceTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
   std::vector<Workload> workloads;
   for (int i = 0; i < kWorkloads; ++i) workloads.push_back(makeWorkload(rng));
 
-  // Serial no-fault baselines, one per (workload, codec) actually used.
-  std::vector<std::map<std::string, hadoop::JobResult>> baselines(kWorkloads);
+  // One reference evaluation per workload (the reference is codec-independent).
+  std::vector<std::vector<std::vector<hadoop::KeyValue>>> references;
+  for (const Workload& w : workloads) {
+    const JobSpec spec = specFor(w, "reference", "null", Priority::kNormal);
+    references.push_back(hadoop::referenceOutputs(spec.config, spec.map_tasks, spec.reduce));
+  }
 
   TempDir overflow("svc_soak_overflow");
   ServiceConfig config;
@@ -175,14 +179,6 @@ TEST(StressJobServiceTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
     const auto priority = static_cast<Priority>(rng() % 3);
     const bool faulted = rng() % 2 == 0;
 
-    auto& slot = baselines[static_cast<std::size_t>(w)];
-    if (slot.find(codec) == slot.end()) {
-      JobSpec serial = specFor(workloads[static_cast<std::size_t>(w)], "baseline", codec,
-                               Priority::kNormal);
-      serial.config.shuffle_pipeline = false;
-      slot.emplace(codec, hadoop::runJob(serial.config, serial.map_tasks, serial.reduce));
-    }
-
     JobSpec spec = specFor(workloads[static_cast<std::size_t>(w)],
                            "soak" + std::to_string(job), codec, priority);
     spec.config.metrics_path = metricsDir / ("job_" + std::to_string(job) + ".jsonl");
@@ -203,9 +199,8 @@ TEST(StressJobServiceTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
                  " (SCISHUFFLE_PROP_SEED to replay)");
     hadoop::JobResult result;
     ASSERT_NO_THROW(result = service.takeResult(p.id));
-    const hadoop::JobResult& baseline =
-        baselines[static_cast<std::size_t>(p.workload)].at(p.codec);
-    ASSERT_EQ(result.outputs, baseline.outputs) << "diverged from the serial baseline";
+    ASSERT_EQ(result.outputs, references[static_cast<std::size_t>(p.workload)])
+        << "diverged from the reference evaluation";
   }
 
   // Governor verdicts: it sampled, and aggregate RSS never broke the budget.
@@ -237,10 +232,9 @@ TEST(StressJobServiceTest, TightBudgetThrottlesWithoutCorruption) {
   std::mt19937_64 rng(seed);
 
   const Workload workload = makeWorkload(rng);
-  JobSpec serial = specFor(workload, "baseline", "gzipish", Priority::kNormal);
-  serial.config.shuffle_pipeline = false;
-  const hadoop::JobResult baseline =
-      hadoop::runJob(serial.config, serial.map_tasks, serial.reduce);
+  const JobSpec reference = specFor(workload, "reference", "gzipish", Priority::kNormal);
+  const auto expected =
+      hadoop::referenceOutputs(reference.config, reference.map_tasks, reference.reduce);
 
   TempDir overflow("svc_tight_overflow");
   ServiceConfig config;
@@ -265,7 +259,7 @@ TEST(StressJobServiceTest, TightBudgetThrottlesWithoutCorruption) {
   for (const u64 id : ids) {
     hadoop::JobResult result;
     ASSERT_NO_THROW(result = service.takeResult(id)) << "job " << id;
-    ASSERT_EQ(result.outputs, baseline.outputs) << "job " << id << " diverged under throttle";
+    ASSERT_EQ(result.outputs, expected) << "job " << id << " diverged under throttle";
   }
   const MemoryGovernor* governor = service.governor();
   ASSERT_NE(governor, nullptr);

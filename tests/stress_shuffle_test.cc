@@ -1,15 +1,15 @@
 // Randomized soak (ctest label: stress): 200 word-count jobs across random
-// codec x pipeline x fault-plan combinations, each asserting bit-identical
-// output against a no-fault serial baseline. Every job derives from
-// SCISHUFFLE_PROP_SEED, so a failure replays exactly.
+// codec x fault-plan combinations, each asserting bit-identical output
+// against the reference evaluator (hadoop/reference.h). Every job derives
+// from SCISHUFFLE_PROP_SEED, so a failure replays exactly.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
@@ -41,8 +41,8 @@ i64 decodeI64(const Bytes& b) {
   return readI64(src);
 }
 
-/// A corpus plus the fixed job shape that must match between baseline and
-/// faulted runs for outputs to be comparable byte for byte.
+/// A corpus plus the fixed job shape that must match between the reference
+/// and the runtime for outputs to be comparable byte for byte.
 struct Workload {
   std::vector<std::vector<std::string>> docs;
   int num_reducers = 1;
@@ -65,27 +65,33 @@ Workload makeWorkload(std::mt19937_64& rng) {
   return w;
 }
 
-JobResult runWordCount(const Workload& w, JobConfig config) {
+JobConfig shapedConfig(const Workload& w, JobConfig config) {
   config.num_reducers = w.num_reducers;
   config.spill_buffer_bytes = w.spill_buffer;
   config.codec_threads = 2;  // keep 200 pool spin-ups cheap
   config.map_slots = 2;
   config.reduce_slots = 2;
+  return config;
+}
+
+std::vector<MapTask> wordCountTasks(const Workload& w) {
   std::vector<MapTask> tasks;
   for (const auto& doc : w.docs) {
     tasks.push_back(MapTask{[&doc](const EmitFn& emit) {
       for (const auto& word : doc) emit(toBytes(word), encodeI64(1));
     }});
   }
-  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
-    i64 sum = 0;
-    for (const auto& v : values) sum += decodeI64(v);
-    emit(key, encodeI64(sum));
-  };
-  return runJob(config, tasks, reduce);
+  return tasks;
 }
 
-/// Random plan over the pipelined path's injection sites. Trigger counts stay
+const ReduceFn kSumReduce = [](const Bytes& key, std::vector<Bytes>& values,
+                               const EmitFn& emit) {
+  i64 sum = 0;
+  for (const auto& v : values) sum += decodeI64(v);
+  emit(key, encodeI64(sum));
+};
+
+/// Random plan over the shuffle's injection sites. Trigger counts stay
 /// below the retry budget so every job is recoverable by construction.
 FaultPlan randomPlan(std::mt19937_64& rng) {
   FaultPlan plan;
@@ -126,29 +132,23 @@ TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
   std::mt19937_64 rng(seed);
   const std::vector<std::string> codecs = {"null", "gzipish", "bzip2ish", "transform+gzipish"};
 
-  // A handful of workloads, each with one serial no-fault baseline, reused
-  // across the soak so 200 jobs cost ~208 runs.
+  // A handful of workloads, each with one reference evaluation reused
+  // across the soak (the reference is codec-independent).
   constexpr int kWorkloads = 8;
   std::vector<Workload> workloads;
-  std::vector<std::map<std::string, JobResult>> baselines(kWorkloads);
-  for (int i = 0; i < kWorkloads; ++i) workloads.push_back(makeWorkload(rng));
+  std::vector<std::vector<std::vector<KeyValue>>> references;
+  for (int i = 0; i < kWorkloads; ++i) {
+    workloads.push_back(makeWorkload(rng));
+    references.push_back(referenceOutputs(shapedConfig(workloads.back(), JobConfig{}),
+                                          wordCountTasks(workloads.back()), kSumReduce));
+  }
 
   for (int job = 0; job < 200; ++job) {
-    const int w = static_cast<int>(rng() % kWorkloads);
+    const auto w = static_cast<std::size_t>(rng() % kWorkloads);
     const std::string codec = codecs[rng() % codecs.size()];
-    const bool pipelined = rng() % 2 == 0;
-
-    auto& baselineSlot = baselines[static_cast<std::size_t>(w)];
-    if (baselineSlot.find(codec) == baselineSlot.end()) {
-      JobConfig serial;
-      serial.shuffle_pipeline = false;
-      serial.intermediate_codec = codec;
-      baselineSlot.emplace(codec, runWordCount(workloads[static_cast<std::size_t>(w)], serial));
-    }
-    const JobResult& baseline = baselineSlot.at(codec);
+    const bool faulted = rng() % 2 == 0;
 
     JobConfig config;
-    config.shuffle_pipeline = pipelined;
     config.intermediate_codec = codec;
     config.max_task_attempts = 3;
     config.shuffle_retry.enabled = true;
@@ -157,18 +157,18 @@ TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
     config.shuffle_retry.max_backoff_us = 500;
     config.shuffle_retry.seed = rng();
 
-    // Fault sites only exist on the pipelined data path; serial jobs soak
-    // the codec/pipeline matrix without injection.
+    // Half the jobs soak the codec matrix without injection.
     std::optional<scishuffle::testing::FaultInjector> faults;
-    if (pipelined) {
+    if (faulted) {
       faults.emplace(randomPlan(rng));
       config.fault_injector = &*faults;
     }
 
-    const JobResult result = runWordCount(workloads[static_cast<std::size_t>(w)], config);
-    ASSERT_EQ(result.outputs, baseline.outputs)
-        << "job " << job << " (codec " << codec << ", pipelined " << pipelined
-        << ", workload " << w << ", seed " << seed << ") diverged from the serial baseline;"
+    const JobResult result =
+        runJob(shapedConfig(workloads[w], config), wordCountTasks(workloads[w]), kSumReduce);
+    ASSERT_EQ(result.outputs, references[w])
+        << "job " << job << " (codec " << codec << ", faulted " << faulted << ", workload " << w
+        << ", seed " << seed << ") diverged from the reference evaluation;"
         << " replay with SCISHUFFLE_PROP_SEED=" << seed;
   }
 }

@@ -217,14 +217,19 @@ std::vector<Diagnostic> checkFormats(const fs::path& root) {
 
 std::vector<Diagnostic> checkSpans(const fs::path& root) {
   std::vector<Diagnostic> diags;
-  const std::string docs = readAll(root, "docs/OBSERVABILITY.md", diags);
-  if (docs.empty()) return diags;
+  const std::string docPath = "docs/OBSERVABILITY.md";
+  std::vector<std::string> docLines;
+  if (!readLines(root, docPath, docLines, diags)) return diags;
+  std::ostringstream joined;
+  for (const auto& l : docLines) joined << l << '\n';
+  const std::string docs = joined.str();
   const std::vector<SourceFile> sources = loadSources(root, diags);
 
   // Instrumentation sites: `ScopedSpan span("name", ...)` (optionally through
   // a named variable). The obs/ implementation files declare the class
   // itself, so they are excluded.
   static const std::regex spanRe(R"re(ScopedSpan(?:\s+\w+)?\s*\(\s*"([^"]+)")re");
+  std::map<std::string, bool> emitted;
   for (const auto& f : sources) {
     if (f.relPath == "src/obs/trace.h" || f.relPath == "src/obs/trace.cc") continue;
     for (std::size_t i = 0; i < f.lines.size(); ++i) {
@@ -232,12 +237,47 @@ std::vector<Diagnostic> checkSpans(const fs::path& root) {
       std::string rest = f.lines[i];
       while (std::regex_search(rest, m, spanRe)) {
         const std::string name = m[1].str();
+        emitted[name] = true;
         if (docs.find("`" + name + "`") == std::string::npos) {
           diags.push_back({f.relPath, static_cast<int>(i + 1),
                            "span \"" + name +
                                "\" is not documented in docs/OBSERVABILITY.md's span taxonomy"});
         }
         rest = m.suffix();
+      }
+    }
+  }
+
+  // The reverse direction: every span named in the taxonomy table (the table
+  // whose header starts `| category | span |`) must be opened by a ScopedSpan
+  // literal under src/, so a deleted span cannot leave its row behind. A row
+  // may name several spans in its span cell (`a` / `b`); each is checked.
+  static const std::regex nameRe(R"(`(\w+)`)");
+  bool inTable = false;
+  for (std::size_t i = 0; i < docLines.size(); ++i) {
+    const std::string& line = docLines[i];
+    if (line.rfind("| category | span |", 0) == 0) {
+      inTable = true;
+      continue;
+    }
+    if (!inTable) continue;
+    if (line.empty() || line[0] != '|') {
+      inTable = false;
+      continue;
+    }
+    // Cells: "", category, span, ...
+    const std::size_t spanStart = line.find('|', 1);
+    if (spanStart == std::string::npos) continue;
+    const std::size_t spanEnd = line.find('|', spanStart + 1);
+    const std::string cell = line.substr(spanStart + 1, spanEnd - spanStart - 1);
+    for (auto it = std::sregex_iterator(cell.begin(), cell.end(), nameRe);
+         it != std::sregex_iterator(); ++it) {
+      const std::string name = (*it)[1].str();
+      if (emitted.count(name) == 0) {
+        diags.push_back({docPath, static_cast<int>(i + 1),
+                         "span taxonomy row `" + name +
+                             "` names no ScopedSpan under src/ (remove the row together with "
+                             "its span)"});
       }
     }
   }

@@ -13,7 +13,8 @@
 //                  src/compress/block_format.h match the grammar lines in
 //                  docs/FORMATS.md and the header's own file comment.
 //   * spans      — every ScopedSpan name emitted anywhere under src/ appears
-//                  in docs/OBSERVABILITY.md's span taxonomy.
+//                  in docs/OBSERVABILITY.md's span taxonomy, and every span
+//                  that taxonomy table names is emitted under src/.
 //   * sites      — every fault-injection site constant in
 //                  src/testing/fault_injector.h and in the transport header
 //                  src/net/socket.h (when present) is documented in
