@@ -1,16 +1,13 @@
 // Concurrency note: this file's parallelism is structured as fan-out over
 // futures — sealed blocks and decode-ahead frames are owned by exactly one
 // pool task, results are joined through std::future, and the shared mutable
-// state is the relaxed `cpuUs_` accounting atomic plus the process-wide
-// sharedBytePool(), which serializes internally behind its own annotated
-// Mutex (src/io/buffer_pool.h). There is no mutex to annotate here; the
-// thread-safety story is ownership transfer, checked dynamically by the TSan
-// CI job (docs/STATIC_ANALYSIS.md §coverage).
+// state is the relaxed `cpuUs_` accounting atomic. There is no mutex to
+// annotate here; the thread-safety story is ownership transfer, checked
+// dynamically by the TSan CI job (docs/STATIC_ANALYSIS.md §coverage).
 #include "compress/block_format.h"
 
 #include <string>
 
-#include "io/buffer_pool.h"
 #include "io/clock.h"
 #include "io/thread.h"
 #include "io/crc32.h"
@@ -44,16 +41,7 @@ BlockCompressedWriter::Sealed BlockCompressedWriter::compressBlock(Bytes raw) co
   s.crc = crc32(raw);
   obs::ScopedSpan span("block_compress", "codec");
   const u64 start = steadyNowUs();
-  if (codec_ != nullptr) {
-    s.compressed = codec_->compress(raw);
-    // The raw block's storage goes back to the shared pool for the next
-    // pending block (or a decode-side buffer); the pool locks internally.
-    sharedBytePool().release(std::move(raw));
-  } else {
-    // The pool-acquired raw block *is* the output; its lease ends when the
-    // Sealed is consumed (close() or the destructor releases it).
-    s.compressed = std::move(raw);
-  }
+  s.compressed = codec_ != nullptr ? codec_->compress(raw) : std::move(raw);
   cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
   span.arg("raw_bytes", s.rawLen);
   span.arg("compressed_bytes", s.compressed.size());
@@ -76,11 +64,7 @@ void BlockCompressedWriter::write(ByteSpan data) {
   check(!closed_, "write after close");
   rawBytes_ += data.size();
   while (!data.empty()) {
-    if (pending_.empty() && pending_.capacity() < blockBytes_) {
-      // seal() moved the previous block's storage away; start the next block
-      // on recycled capacity instead of growing a fresh vector.
-      pending_ = sharedBytePool().acquireRaw(blockBytes_);
-    }
+    if (pending_.empty()) pending_.reserve(blockBytes_);  // seal() moved the last one away
     const std::size_t room = blockBytes_ - pending_.size();
     const std::size_t take = std::min(room, data.size());
     pending_.insert(pending_.end(), data.begin(), data.begin() + static_cast<std::ptrdiff_t>(take));
@@ -90,23 +74,14 @@ void BlockCompressedWriter::write(ByteSpan data) {
 }
 
 BlockCompressedWriter::~BlockCompressedWriter() {
-  // Join first — a task captures `this` — then settle the pool account: with
-  // codec == nullptr a Sealed's `compressed` is the pool-acquired raw block
-  // still on lease (see compressBlock); with a codec the lease already ended
-  // inside compressBlock, so the output is plain codec storage.
+  // A compression task captures `this`; never let it outlive us.
   for (auto& f : inFlight_) {
     try {
-      Sealed s = awaitFuture(f);
-      if (codec_ == nullptr) sharedBytePool().release(std::move(s.compressed));
+      awaitFuture(f);
     } catch (...) {
-      // A failed compression task never produced (or already freed) output;
-      // teardown has nothing to return.
+      // A compression error surfaces through close(); teardown ignores it.
     }
   }
-  if (codec_ == nullptr) {
-    for (Sealed& s : sealed_) sharedBytePool().release(std::move(s.compressed));
-  }
-  if (pending_.capacity() != 0) sharedBytePool().release(std::move(pending_));
 }
 
 Bytes BlockCompressedWriter::close() {
@@ -123,9 +98,6 @@ Bytes BlockCompressedWriter::close() {
     writeVLong(sink, static_cast<i64>(s.compressed.size()));
     writeU32(sink, s.crc);
     sink.write(s.compressed);
-    // Null codec: `compressed` is the pool-acquired raw block (see
-    // compressBlock); its lease ends here, once the bytes are copied out.
-    if (codec_ == nullptr) sharedBytePool().release(std::move(s.compressed));
   };
   for (auto& f : inFlight_) emit(awaitFuture(f));  // in seal order: deterministic bytes
   inFlight_.clear();
@@ -248,18 +220,14 @@ BlockDecodeSource::BlockDecodeSource(ByteSpan stream, const Codec* codec, Thread
     : reader_(stream, codec, faults), pool_(prefetchPool) {}
 
 BlockDecodeSource::~BlockDecodeSource() {
-  // A decode-ahead task captures `this`; never let it outlive us. Decoded
-  // blocks are codec output (never pool-acquired), so an abandoned source —
-  // a cancelled merge, an exception mid-read — donates them: the storage is
-  // recycled without touching the outstanding-bytes account.
+  // A decode-ahead task captures `this`; never let it outlive us.
   if (ahead_.has_value()) {
     try {
-      sharedBytePool().donate(awaitFuture(*ahead_));
+      awaitFuture(*ahead_);
     } catch (...) {
       // A decode error surfaces on the consuming path; teardown ignores it.
     }
   }
-  sharedBytePool().donate(std::move(current_));
 }
 
 void BlockDecodeSource::scheduleAhead() {
@@ -272,18 +240,10 @@ void BlockDecodeSource::scheduleAhead() {
 
 bool BlockDecodeSource::advance() {
   if (exhausted_) return false;
-  // The fully consumed block's storage feeds the shared pool; decode-side
-  // buffers get recycled into the writer's pending blocks and vice versa.
-  // Donated, not released: the block came out of the codec, not out of an
-  // acquire, so releasing it would phantom-subtract from the outstanding
-  // account (and mask real leaks on the writer side).
-  sharedBytePool().donate(std::move(current_));
-  current_.clear();
   if (ahead_.has_value()) {
-    Bytes next = awaitFuture(*ahead_);  // rethrows decode errors from the pool
+    current_ = awaitFuture(*ahead_);  // rethrows decode errors from the pool
     ahead_.reset();
     aheadRawLen_ = 0;
-    current_ = std::move(next);
   } else {
     auto block = reader_.nextBlock();
     if (!block) {

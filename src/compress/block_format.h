@@ -46,9 +46,8 @@ class BlockCompressedWriter {
                                  ThreadPool* pool = nullptr);
 
   /// An abandoned writer (a job cancelled mid-spill, an exception between
-  /// write() and close()) joins its in-flight compression tasks and returns
-  /// every pool-acquired buffer to sharedBytePool, so cancellation never
-  /// leaks outstanding-bytes accounting.
+  /// write() and close()) joins its in-flight compression tasks, which
+  /// capture `this`.
   ~BlockCompressedWriter();
 
   BlockCompressedWriter(const BlockCompressedWriter&) = delete;

@@ -9,7 +9,6 @@
 #include "compress/huffman.h"
 #include "compress/lz77.h"
 #include "io/bitio.h"
-#include "io/buffer_pool.h"
 #include "io/crc32.h"
 #include "io/primitives.h"
 #include "io/streams.h"
@@ -192,12 +191,6 @@ u64 dynamicHeaderBits(const std::vector<u8>& litLengths, const std::vector<u8>& 
   return bw.bitsWritten();
 }
 
-/// Per-worker recycled token vectors for the pool-parallel spill path.
-VectorPool<lz77::Token>& tokenPool() {
-  static VectorPool<lz77::Token>* pool = new VectorPool<lz77::Token>(16);
-  return *pool;
-}
-
 /// Appends `len` bytes starting `dist` back from the end of `out`.
 void copyMatch(Bytes& out, u32 dist, u32 len) {
   const std::size_t at = out.size();
@@ -222,9 +215,7 @@ Bytes DeflateCodec::compress(ByteSpan data) const {
   writeU64(sink, data.size());
   writeU32(sink, crc32(data));
 
-  auto tokenLease = tokenPool().lease();
-  std::vector<lz77::Token>& tokens = tokenLease.get();
-  lz77::parse(data, options_, tokens);
+  const std::vector<lz77::Token> tokens = lz77::parse(data, options_);
   BitWriter bw(sink);
 
   std::vector<u64> litFreq(kNumLitLen, 0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "io/buffer_pool.h"
 #include "io/simd.h"
 
 namespace scishuffle::lz77 {
@@ -17,13 +16,6 @@ constexpr std::size_t kHashSize = 1u << kHashBits;
 /// historical 3-byte shift/or assembly; requiring 4 bytes also filters out
 /// candidates that could only ever yield a minimum-length match.
 u32 hash4(const u8* p) { return (simd::load32le(p) * 2654435761u) >> (32 - kHashBits); }
-
-/// Hash-chain scratch (head + prev arrays, 256 KiB) is recycled across
-/// blocks; under pool-parallel spilling each worker grabs its own lease.
-VectorPool<u32>& scratchPool() {
-  static VectorPool<u32>* pool = new VectorPool<u32>(16, kHashSize + kWindowSize);
-  return *pool;
-}
 
 }  // namespace
 
@@ -52,12 +44,10 @@ void parse(ByteSpan data, const ParseOptions& options, std::vector<Token>& token
 
   // head[h]: most recent position with hash h; prev[i % kWindowSize]:
   // previous position in the chain for position i. Positions stored +1,
-  // 0 = empty. Cleared on every parse so output is deterministic no matter
-  // which worker's lease this is.
-  auto scratch = scratchPool().lease();
-  scratch->assign(kHashSize + kWindowSize, 0);
-  u32* const head = scratch->data();
-  u32* const prev = scratch->data() + kHashSize;
+  // 0 = empty. Zeroed on every parse, so output is deterministic.
+  std::vector<u32> scratch(kHashSize + kWindowSize);
+  u32* const head = scratch.data();
+  u32* const prev = scratch.data() + kHashSize;
 
   // Positions closer than 4 bytes to the end cannot be hashed.
   const std::size_t hashEnd = n >= 4 ? n - 3 : 0;

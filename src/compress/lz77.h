@@ -34,8 +34,7 @@ struct ParseOptions {
 /// Greedy-with-lazy-evaluation parse of `data` into tokens.
 std::vector<Token> parse(ByteSpan data, const ParseOptions& options = {});
 
-/// As above, but appends into a caller-owned (typically pooled) vector,
-/// avoiding a token-vector allocation per block.
+/// As above, but appends into a caller-owned vector.
 void parse(ByteSpan data, const ParseOptions& options, std::vector<Token>& out);
 
 /// Expands a token stream back into bytes (used by tests; the deflate decoder

@@ -43,12 +43,6 @@ struct JobConfig {
   /// cause extra on-disk merge passes (step 5 of the paper's data flow).
   int merge_factor = 10;
 
-  /// When set, map-side spill segments are written to real files under this
-  /// directory (Fig. 1 step 2's "write the output to disk") instead of being
-  /// held in memory; results are identical, only the medium changes. The
-  /// directory must exist.
-  std::filesystem::path spill_dir;
-
   /// When set, the runtime records spans for the whole Fig. 1 data path
   /// (map tasks, spills, per-block codec work, segment publish/fetch, merge
   /// passes, reduce tasks) and writes a Chrome trace_event JSON file here at
@@ -64,11 +58,11 @@ struct JobConfig {
   bool collect_histograms = false;
 
   /// Interval of the background telemetry sampler (src/obs/sampler.h): every
-  /// sample_interval_ms it snapshots the process gauge registry (RSS, pool
-  /// outstanding bytes, shuffle backlog, thread-pool depth, stage-resident
-  /// bytes) into the trace as "ph":"C" counter events, the metrics stream,
-  /// and max/mean rollups in JobResult::telemetry. 0 (default) = no sampler
-  /// thread at all, so an untouched config pays nothing.
+  /// sample_interval_ms it snapshots the process gauge registry (RSS, shuffle
+  /// backlog, thread-pool depth, stage-resident bytes) into the trace as
+  /// "ph":"C" counter events, the metrics stream, and max/mean rollups in
+  /// JobResult::telemetry. 0 (default) = no sampler thread at all, so an
+  /// untouched config pays nothing.
   u64 sample_interval_ms = 0;
 
   /// When set, stream scishuffle.metrics.v1 JSONL (sampler gauge snapshots

@@ -13,7 +13,6 @@
 #include "hadoop/retry.h"
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
-#include "io/buffer_pool.h"
 #include "io/clock.h"
 #include "io/task_tag.h"
 #include "io/thread_pool.h"
@@ -528,20 +527,6 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
   {
     ActiveTraceGuard guard(recorder.get(), tag);
     ActiveMetricsGuard metricsGuard(metrics.get(), tag);
-    // The shared byte pool is process-global, so its gauges register for the
-    // job's duration rather than for a component's lifetime — unless a
-    // hosting service already registered them once for the whole fleet
-    // (same-name sources sum, so per-job registration would double-count).
-    std::optional<obs::GaugeRegistration> poolOutstanding;
-    std::optional<obs::GaugeRegistration> poolHwm;
-    if (ctx == nullptr || !ctx->service_owns_pool_gauges) {
-      VectorPool<u8>& bytePool = sharedBytePool();
-      poolOutstanding.emplace(obs::processGauges().add(
-          obs::gauge::kPoolOutstandingBytes,
-          [&bytePool] { return bytePool.outstandingBytes(); }));
-      poolHwm.emplace(obs::processGauges().add(
-          obs::gauge::kPoolHwmBytes, [&bytePool] { return bytePool.hwmBytes(); }));
-    }
     obs::Sampler sampler(config.sample_interval_ms, obs::processGauges(), recorder.get(),
                          metrics.get());
     sampler.start();

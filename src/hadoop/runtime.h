@@ -112,10 +112,6 @@ struct JobContext {
   /// the pending-bytes limit while the job runs.
   std::function<void(ShuffleServer&)> attach_shuffle;
   std::function<void(ShuffleServer&)> detach_shuffle;
-  /// The service registers the shared byte-pool gauges once for its own
-  /// lifetime; per-job registration would double-count them (same-name
-  /// gauge sources are summed).
-  bool service_owns_pool_gauges = false;
 };
 
 /// One map task's materialized result: the per-reducer segments plus the

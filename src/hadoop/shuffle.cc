@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "io/buffer_pool.h"
 #include "io/clock.h"
 #include "obs/metrics_stream.h"
 #include "obs/sampler.h"
@@ -133,11 +132,6 @@ void ShuffleServer::publish(std::size_t mapIndex, std::vector<Bytes> segments) {
     }
   }
   arrived_.notify_all();
-  if (overflow) {
-    // The bytes now live on disk; recycle the in-memory copies' storage.
-    // Donated, not released: MemorySink built these, they were never acquired.
-    for (Bytes& s : segments) sharedBytePool().donate(std::move(s));
-  }
 }
 
 std::optional<ShuffleServer::Fetched> ShuffleServer::fetch(int reducer) {
@@ -208,8 +202,8 @@ void ShuffleServer::abort() {
     MutexLock lock(mutex_);
     aborted_ = true;
     // The job is over; nothing will fetch the backlog. Drop it now so a
-    // cancelled job's shuffle memory returns to the pool immediately instead
-    // of at server destruction.
+    // cancelled job's shuffle memory is freed immediately instead of at
+    // server destruction.
     drainLocked();
   }
   arrived_.notify_all();
@@ -246,16 +240,10 @@ u64 ShuffleServer::overflowBytes() const {
 }
 
 void ShuffleServer::drainLocked() {
-  for (auto& q : queues_) {
-    for (Fetched& f : q) sharedBytePool().donate(std::move(f.segment));
-    q.clear();
-  }
+  for (auto& q : queues_) q.clear();
   pendingSegments_ = 0;
   pendingBytes_ = 0;
-  for (auto& segs : store_) {
-    for (Bytes& s : segs) sharedBytePool().donate(std::move(s));
-    segs.clear();
-  }
+  for (auto& segs : store_) segs.clear();
   for (auto& files : storeFiles_) files.clear();
   for (const auto& p : overflowFiles_) {
     std::error_code ec;

@@ -32,9 +32,8 @@ class ShuffleServer {
   ShuffleServer(std::size_t numMaps, int numReducers,
                 testing::FaultInjector* faults = nullptr, bool retainSegments = false);
 
-  /// Teardown drains every unfetched segment back to sharedBytePool and
-  /// deletes the overflow files this server wrote — a job cancelled
-  /// mid-shuffle releases its buffers instead of leaking them.
+  /// Teardown frees every unfetched segment and deletes the overflow files
+  /// this server wrote.
   ~ShuffleServer();
 
   ShuffleServer(const ShuffleServer&) = delete;
@@ -100,9 +99,8 @@ class ShuffleServer {
   u64 overflowBytes() const;
 
  private:
-  /// Returns queued and retained in-memory segment storage to
-  /// sharedBytePool (as donations — segments were built by MemorySinks, not
-  /// acquired) and deletes this server's overflow files.
+  /// Frees queued and retained in-memory segments and deletes this server's
+  /// overflow files.
   void drainLocked() REQUIRES(mutex_);
 
   mutable Mutex mutex_{lock_rank::kShuffleServer};

@@ -1,22 +1,11 @@
 #include "hadoop/spill.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "io/clock.h"
-#include "io/streams.h"
 #include "obs/trace.h"
 
 namespace scishuffle::hadoop {
-
-namespace {
-
-std::filesystem::path uniqueSpillPath(const std::filesystem::path& dir, std::size_t partition) {
-  static std::atomic<u64> counter{0};
-  return dir / ("spill_" + std::to_string(counter.fetch_add(1)) + "_p" +
-                std::to_string(partition) + ".ifile");
-}
-}  // namespace
 
 MapOutputBuffer::MapOutputBuffer(const JobConfig& config, const Codec* codec, Counters& counters,
                                  ThreadPool* codecPool)
@@ -93,33 +82,15 @@ std::vector<KeyValue> MapOutputBuffer::sortAndCombine(std::vector<KeyValue>&& re
 void MapOutputBuffer::spill() {
   obs::ScopedSpan span("spill", "spill");
   span.arg("buffered_bytes", bufferedBytes_.load(std::memory_order_relaxed));
-  const bool toDisk = !config_->spill_dir.empty();
-  Spill spill;
-  spill.segments.resize(buffer_.size());
-  if (toDisk) spill.spillFiles.resize(buffer_.size());
+  std::vector<Bytes> segments(buffer_.size());
   for (std::size_t p = 0; p < buffer_.size(); ++p) {
     auto records = sortAndCombine(std::move(buffer_[p]), /*useCombiner=*/true);
     buffer_[p].clear();
     counters_->add(counter::kSpilledRecords, records.size());
-    Bytes segment = writeSegment(records);
-    if (toDisk) {
-      spill.spillFiles[p] = uniqueSpillPath(config_->spill_dir, p);
-      FileSink file(spill.spillFiles[p]);
-      file.write(segment);
-    } else {
-      spill.segments[p] = std::move(segment);
-    }
+    segments[p] = writeSegment(records);
   }
-  spills_.push_back(std::move(spill));
+  spills_.push_back(std::move(segments));
   bufferedBytes_.store(0, std::memory_order_relaxed);
-}
-
-Bytes MapOutputBuffer::segmentBytes(const Spill& s, std::size_t partition) const {
-  if (!s.spillFiles.empty()) {
-    FileSource source(s.spillFiles[partition]);
-    return source.readAll();
-  }
-  return s.segments[partition];
 }
 
 MapOutput MapOutputBuffer::finish() {
@@ -131,26 +102,18 @@ MapOutput MapOutputBuffer::finish() {
   out.segments.resize(buffer_.size());
   for (std::size_t p = 0; p < buffer_.size(); ++p) {
     if (spills_.size() == 1) {
-      out.segments[p] = segmentBytes(spills_[0], p);
+      out.segments[p] = std::move(spills_[0][p]);
     } else {
       // Merge the sorted spill segments for this partition; rerun the
       // combiner across spill boundaries as Hadoop does for >= 2 spills.
       std::vector<KeyValue> all;
-      for (auto& s : spills_) {
-        const Bytes segment = segmentBytes(s, p);
-        for (auto& kv : readSegmentRecords(segment)) all.push_back(std::move(kv));
+      for (const auto& segments : spills_) {
+        for (auto& kv : readSegmentRecords(segments[p])) all.push_back(std::move(kv));
       }
       auto records = sortAndCombine(std::move(all), /*useCombiner=*/true);
       out.segments[p] = writeSegment(records);
     }
     counters_->add(counter::kMapOutputMaterializedBytes, out.segments[p].size());
-  }
-  // Spill files are transient; remove them once merged.
-  for (const auto& s : spills_) {
-    for (const auto& path : s.spillFiles) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-    }
   }
   spills_.clear();
   return out;

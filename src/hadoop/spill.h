@@ -39,14 +39,7 @@ class MapOutputBuffer {
   MapOutput finish();
 
  private:
-  struct Spill {
-    std::vector<Bytes> segments;                     // per partition, IFile bytes...
-    std::vector<std::filesystem::path> spillFiles;   // ...or on-disk when spill_dir is set
-  };
-
   void spill();
-  /// Segment bytes for (spill, partition), reading back from disk if needed.
-  Bytes segmentBytes(const Spill& s, std::size_t partition) const;
   /// Serializes sorted records into a block-framed segment.
   Bytes writeSegment(const std::vector<KeyValue>& records);
   /// Parses every record back out of a segment.
@@ -62,7 +55,7 @@ class MapOutputBuffer {
   // Atomic (relaxed) because the telemetry sampler reads it from its own
   // thread while collect()/spill() update it on the task thread.
   std::atomic<std::size_t> bufferedBytes_{0};
-  std::vector<Spill> spills_;
+  std::vector<std::vector<Bytes>> spills_;  // per spill, per partition: IFile segment
   // Declared last: unregisters first on destruction, so the sampler can
   // never read bufferedBytes_ after (or while) the buffer is torn down.
   obs::GaugeRegistration bufferedGauge_;

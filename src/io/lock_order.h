@@ -61,8 +61,8 @@ inline constexpr LockLevel kGovernor{30, "service.governor"};
 inline constexpr LockLevel kCoordinator{40, "dist.coordinator"};
 inline constexpr LockLevel kCoordinatorMonitor{45, "dist.coordinator_monitor"};
 
-// -- Data plane: the shuffle server sits below its governors and above the
-//    pools/telemetry it touches from inside critical sections.
+// -- Data plane: the shuffle server sits below its governors and the gauge
+//    registry that reads it; its own critical sections acquire nothing.
 inline constexpr LockLevel kShuffleServer{50, "shuffle.server"};
 
 // -- Per-task tag-binding registries (lookup only; released before use).
@@ -90,7 +90,6 @@ inline constexpr LockLevel kMetricsStream{76, "obs.metrics_stream"};
 inline constexpr LockLevel kSampler{80, "obs.sampler"};
 
 // -- Deep leaves reached from data-plane critical sections.
-inline constexpr LockLevel kBufferPool{85, "io.buffer_pool"};
 inline constexpr LockLevel kCounters{90, "hadoop.counters"};
 inline constexpr LockLevel kErrorSlot{92, "hadoop.error_slot"};
 inline constexpr LockLevel kJobOutputs{94, "hadoop.job_outputs"};

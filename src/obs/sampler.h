@@ -1,7 +1,7 @@
 // Continuous runtime telemetry: a process-wide gauge registry plus the
 // background sampler thread that turns end-of-run aggregates into
-// time-series data. Components register gauge sources (RSS, pool
-// outstanding bytes, shuffle queue depth, per-stage resident bytes) with
+// time-series data. Components register gauge sources (RSS, shuffle queue
+// depth, thread-pool load, per-stage resident bytes) with
 // processGauges(); the Sampler snapshots every source at a fixed interval
 // (JobConfig::sample_interval_ms, default off) and fans each sample out to
 //   * the active TraceRecorder as "ph":"C" counter events (memory-over-time
@@ -45,9 +45,6 @@ namespace gauge {
 // Process resident set, read from /proc/self/statm (getrusage peak as the
 // portable fallback). Injected by the sampler itself, present in every run.
 inline constexpr const char* kProcessRssBytes = "process.rss_bytes";
-// sharedBytePool(): bytes currently leased out / high-water of the same.
-inline constexpr const char* kPoolOutstandingBytes = "pool.shared_bytes.outstanding_bytes";
-inline constexpr const char* kPoolHwmBytes = "pool.shared_bytes.hwm_bytes";
 // ShuffleServer: segments published but not yet fetched, and their bytes.
 inline constexpr const char* kShuffleInflightSegments = "shuffle.inflight_segments";
 inline constexpr const char* kShufflePendingBytes = "shuffle.pending_bytes";

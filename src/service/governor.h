@@ -1,6 +1,6 @@
 // Memory governor for the job service: a background thread that samples the
-// process gauge registry (RSS, pool outstanding bytes, shuffle backlogs) on a
-// fixed cadence and turns the readings into *control*, not just telemetry —
+// process gauge registry (RSS, shuffle backlogs) on a fixed cadence and turns
+// the readings into *control*, not just telemetry —
 // the actuator half of the PR 7 observability substrate:
 //   * admission — the dispatcher asks admissionOk() before starting another
 //     job; a process whose RSS leaves no headroom for one more job's reserve

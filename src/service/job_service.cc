@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "hadoop/shuffle.h"
-#include "io/buffer_pool.h"
 #include "io/clock.h"
 #include "io/task_tag.h"
 #include "obs/metrics_stream.h"
@@ -79,10 +78,7 @@ JobService::JobService(ServiceConfig config) : config_(std::move(config)) {
   dispatcher_ = Thread([this] { dispatcherLoop(); });
 
   // Gauge registrations last (they read state declared above; see the
-  // teardown-order note in the header). The service owns the shared-pool
-  // gauges for its whole lifetime — per-job registration is suppressed via
-  // JobContext::service_owns_pool_gauges, else same-name sources would sum
-  // to double counts.
+  // teardown-order note in the header).
   jobsRunningGauge_ = obs::processGauges().add(obs::gauge::kServiceJobsRunning, [this] {
     MutexLock lock(mutex_);
     return static_cast<u64>(running_);
@@ -91,11 +87,6 @@ JobService::JobService(ServiceConfig config) : config_(std::move(config)) {
     MutexLock lock(mutex_);
     return static_cast<u64>(queue_.size());
   });
-  VectorPool<u8>& bytePool = sharedBytePool();
-  poolOutstandingGauge_ = obs::processGauges().add(
-      obs::gauge::kPoolOutstandingBytes, [&bytePool] { return bytePool.outstandingBytes(); });
-  poolHwmGauge_ = obs::processGauges().add(obs::gauge::kPoolHwmBytes,
-                                           [&bytePool] { return bytePool.hwmBytes(); });
   ThreadPool& codecPool = *codecPool_;
   codecQueueGauge_ = obs::processGauges().add(
       obs::gauge::kThreadPoolQueueDepth,
@@ -362,7 +353,6 @@ void JobService::execute(const std::shared_ptr<Job>& job) {
   ctx.codec_pool = codecPool_.get();
   ctx.job_tag = job->id;
   ctx.cancelled = &job->cancel;
-  ctx.service_owns_pool_gauges = true;
   ctx.shuffle_pending_limit_bytes = config_.shuffle_pending_limit_bytes;
   ctx.shuffle_overflow_dir = config_.overflow_dir;
   ctx.attach_shuffle = [this, jobPtr](hadoop::ShuffleServer& server) {

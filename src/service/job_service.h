@@ -217,8 +217,6 @@ class JobService {
 
   obs::GaugeRegistration jobsRunningGauge_;
   obs::GaugeRegistration jobsQueuedGauge_;
-  obs::GaugeRegistration poolOutstandingGauge_;
-  obs::GaugeRegistration poolHwmGauge_;
   obs::GaugeRegistration codecQueueGauge_;
   obs::GaugeRegistration codecActiveGauge_;
 };

@@ -1,43 +1,36 @@
 #include "transform/predictive_transform.h"
 
-#include "io/buffer_pool.h"
-
 namespace scishuffle::transform {
 
 namespace {
 constexpr std::size_t kChunk = 64 * 1024;
+
+/// Streams `in` through one of StrideModel's batch kernels, kChunk at a time.
+template <typename Batch>
+u64 pump(ByteSource& in, ByteSink& out, Batch batch) {
+  Bytes inBuf(kChunk);
+  Bytes outBuf(kChunk);
+  u64 predicted = 0;
+  while (const std::size_t n = in.read(MutableByteSpan(inBuf))) {
+    predicted += batch(inBuf.data(), outBuf.data(), n);
+    out.write(ByteSpan(outBuf.data(), n));
+  }
+  return predicted;
 }
+}  // namespace
 
 u64 PredictiveTransform::forward(ByteSource& in, ByteSink& out) const {
   StrideModel model(config_);
-  auto inBuf = sharedBytePool().lease(kChunk);
-  auto outBuf = sharedBytePool().lease(kChunk);
-  inBuf->resize(kChunk);
-  u64 predicted = 0;
-  for (;;) {
-    const std::size_t n = in.read(MutableByteSpan(inBuf->data(), inBuf->size()));
-    if (n == 0) break;
-    outBuf->resize(n);
-    predicted += model.forwardBatch(inBuf->data(), outBuf->data(), n);
-    out.write(ByteSpan(outBuf->data(), n));
-  }
-  return predicted;
+  return pump(in, out, [&](const u8* src, u8* dst, std::size_t n) {
+    return model.forwardBatch(src, dst, n);
+  });
 }
 
 u64 PredictiveTransform::inverse(ByteSource& in, ByteSink& out) const {
   StrideModel model(config_);
-  auto inBuf = sharedBytePool().lease(kChunk);
-  auto outBuf = sharedBytePool().lease(kChunk);
-  inBuf->resize(kChunk);
-  u64 predicted = 0;
-  for (;;) {
-    const std::size_t n = in.read(MutableByteSpan(inBuf->data(), inBuf->size()));
-    if (n == 0) break;
-    outBuf->resize(n);
-    predicted += model.inverseBatch(inBuf->data(), outBuf->data(), n);
-    out.write(ByteSpan(outBuf->data(), n));
-  }
-  return predicted;
+  return pump(in, out, [&](const u8* src, u8* dst, std::size_t n) {
+    return model.inverseBatch(src, dst, n);
+  });
 }
 
 Bytes PredictiveTransform::forward(ByteSpan data, u64* predictedBytes) const {

@@ -138,6 +138,16 @@ TEST(LintGauges, DuplicateWireNameIsReported) {
   EXPECT_TRUE(hasDiagnostic(diags, "sampler.h", "mapped by both kProcessRssBytes"));
 }
 
+TEST(LintGauges, StaleTaxonomyRowIsReported) {
+  const auto diags = lint::checkGauges(fixture("stale_gauge_row"));
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/OBSERVABILITY.md", "`retired.outstanding_bytes`"));
+  EXPECT_TRUE(hasDiagnostic(diags, "OBSERVABILITY.md", "names no constant in src/obs/sampler.h"));
+  EXPECT_EQ(diags[0].line, 6);  // the stale gauge row
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/OBSERVABILITY.md", "`retired.event`"));
+  EXPECT_EQ(diags[1].line, 11);  // the stale event row
+}
+
 TEST(LintSync, RawPrimitiveOutsideAnnotationsIsReported) {
   const auto diags = lint::checkSyncPrimitives(fixture("raw_sync_primitive"));
   ASSERT_EQ(diags.size(), 2u);  // the std::mutex decl and the std::lock_guard use
@@ -154,6 +164,14 @@ TEST(LintSync, UnrankedMutexAndUndocumentedLevelAreReported) {
   EXPECT_TRUE(hasDiagnostic(diags, "lock_order.h", "docs/LOCK_ORDER.md"));
   // naked_ declares no lock_rank:: level at all.
   EXPECT_TRUE(hasDiagnostic(diags, "src/hadoop/state.h", "naked_"));
+}
+
+TEST(LintSync, StaleHierarchyRowIsReported) {
+  const auto diags = lint::checkLockHierarchy(fixture("stale_lock_row"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/LOCK_ORDER.md", "`test.retired`"));
+  EXPECT_TRUE(hasDiagnostic(diags, "LOCK_ORDER.md", "names no level declared in"));
+  EXPECT_EQ(diags[0].line, 6);  // the stale rank-20 row
 }
 
 TEST(LintSync, UnguardedCondVarWaitIsReported) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <tuple>
@@ -256,24 +255,6 @@ TEST(EngineTest, PersistentFailureStillFails) {
   std::vector<MapTask> tasks{MapTask{[](const EmitFn&) { throw std::runtime_error("fatal"); }}};
   const ReduceFn reduce = [](const Bytes&, std::vector<Bytes>&, const EmitFn&) {};
   EXPECT_THROW(runJob(config, tasks, reduce), std::runtime_error);
-}
-
-TEST(EngineTest, DiskBackedSpillsProduceIdenticalResults) {
-  const auto docs = corpus(6, 400, 77);
-  JobConfig memConfig;
-  memConfig.num_reducers = 3;
-  memConfig.spill_buffer_bytes = 2048;  // force several spills per task
-  JobConfig diskConfig = memConfig;
-  const testing::TempDir dir("scishuffle_spills");
-  diskConfig.spill_dir = dir.path();
-
-  const JobResult mem = runWordCount(docs, memConfig);
-  const JobResult disk = runWordCount(docs, diskConfig);
-  EXPECT_EQ(actualCounts(disk), actualCounts(mem));
-  EXPECT_EQ(disk.counters.get(counter::kMapOutputMaterializedBytes),
-            mem.counters.get(counter::kMapOutputMaterializedBytes));
-  // Transient spill files are cleaned up after the merge.
-  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
 }
 
 TEST(EngineTest, EmptyJobProducesEmptyOutputs) {

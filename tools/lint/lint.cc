@@ -29,13 +29,17 @@ bool readLines(const fs::path& root, const std::string& relPath, std::vector<std
   return true;
 }
 
+std::string joinLines(const std::vector<std::string>& lines) {
+  std::ostringstream os;
+  for (const auto& l : lines) os << l << '\n';
+  return os.str();
+}
+
 std::string readAll(const fs::path& root, const std::string& relPath,
                     std::vector<Diagnostic>& diags) {
   std::vector<std::string> lines;
   if (!readLines(root, relPath, lines, diags)) return {};
-  std::ostringstream os;
-  for (const auto& l : lines) os << l << '\n';
-  return os.str();
+  return joinLines(lines);
 }
 
 /// Every .h/.cc under root/src, with repo-relative paths, sorted for
@@ -78,6 +82,47 @@ std::vector<NamedConstant> parseStringConstants(const std::vector<std::string>& 
     std::smatch m;
     if (std::regex_search(lines[i], m, re)) {
       out.push_back({m[1].str(), m[2].str(), static_cast<int>(i + 1)});
+    }
+  }
+  return out;
+}
+
+struct TableName {
+  std::string name;
+  int line = 0;
+};
+
+/// Backticked names in cell `cell` (0-based) of every row of the markdown
+/// table whose header line starts with `header`. This is the docs -> code
+/// direction of the doc-table checks: a name listed here must still exist in
+/// code, so a deletion cannot leave its row behind.
+std::vector<TableName> tableCellNames(const std::vector<std::string>& docLines,
+                                      const std::string& header, std::size_t cell) {
+  static const std::regex nameRe(R"(`([\w.]+)`)");
+  std::vector<TableName> out;
+  bool inTable = false;
+  for (std::size_t i = 0; i < docLines.size(); ++i) {
+    const std::string& line = docLines[i];
+    if (line.rfind(header, 0) == 0) {
+      inTable = true;
+      continue;
+    }
+    if (!inTable) continue;
+    if (line.empty() || line[0] != '|') {
+      inTable = false;
+      continue;
+    }
+    std::size_t start = 0;  // the '|' that opens the cell
+    for (std::size_t k = 0; k < cell && start != std::string::npos; ++k) {
+      start = line.find('|', start + 1);
+    }
+    if (start == std::string::npos) continue;
+    const std::size_t end = line.find('|', start + 1);
+    const std::string text =
+        line.substr(start + 1, end == std::string::npos ? std::string::npos : end - start - 1);
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), nameRe);
+         it != std::sregex_iterator(); ++it) {
+      out.push_back({(*it)[1].str(), static_cast<int>(i + 1)});
     }
   }
   return out;
@@ -220,9 +265,7 @@ std::vector<Diagnostic> checkSpans(const fs::path& root) {
   const std::string docPath = "docs/OBSERVABILITY.md";
   std::vector<std::string> docLines;
   if (!readLines(root, docPath, docLines, diags)) return diags;
-  std::ostringstream joined;
-  for (const auto& l : docLines) joined << l << '\n';
-  const std::string docs = joined.str();
+  const std::string docs = joinLines(docLines);
   const std::vector<SourceFile> sources = loadSources(root, diags);
 
   // Instrumentation sites: `ScopedSpan span("name", ...)` (optionally through
@@ -252,33 +295,12 @@ std::vector<Diagnostic> checkSpans(const fs::path& root) {
   // whose header starts `| category | span |`) must be opened by a ScopedSpan
   // literal under src/, so a deleted span cannot leave its row behind. A row
   // may name several spans in its span cell (`a` / `b`); each is checked.
-  static const std::regex nameRe(R"(`(\w+)`)");
-  bool inTable = false;
-  for (std::size_t i = 0; i < docLines.size(); ++i) {
-    const std::string& line = docLines[i];
-    if (line.rfind("| category | span |", 0) == 0) {
-      inTable = true;
-      continue;
-    }
-    if (!inTable) continue;
-    if (line.empty() || line[0] != '|') {
-      inTable = false;
-      continue;
-    }
-    // Cells: "", category, span, ...
-    const std::size_t spanStart = line.find('|', 1);
-    if (spanStart == std::string::npos) continue;
-    const std::size_t spanEnd = line.find('|', spanStart + 1);
-    const std::string cell = line.substr(spanStart + 1, spanEnd - spanStart - 1);
-    for (auto it = std::sregex_iterator(cell.begin(), cell.end(), nameRe);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1].str();
-      if (emitted.count(name) == 0) {
-        diags.push_back({docPath, static_cast<int>(i + 1),
-                         "span taxonomy row `" + name +
-                             "` names no ScopedSpan under src/ (remove the row together with "
-                             "its span)"});
-      }
+  for (const TableName& row : tableCellNames(docLines, "| category | span |", 1)) {
+    if (emitted.count(row.name) == 0) {
+      diags.push_back({docPath, row.line,
+                       "span taxonomy row `" + row.name +
+                           "` names no ScopedSpan under src/ (remove the row together with its "
+                           "span)"});
     }
   }
   return diags;
@@ -327,9 +349,7 @@ std::vector<Diagnostic> checkSimdKernels(const fs::path& root) {
   const std::string docPath = "docs/PERFORMANCE.md";
   std::vector<std::string> docLines;
   if (!readLines(root, docPath, docLines, diags)) return diags;
-  std::ostringstream joined;
-  for (const auto& l : docLines) joined << l << '\n';
-  const std::string docs = joined.str();
+  const std::string docs = joinLines(docLines);
   const std::vector<SourceFile> sources = loadSources(root, diags);
 
   // Registration sites: SCISHUFFLE_SIMD_KERNEL(kernel, scalarRef). The macro
@@ -381,25 +401,12 @@ std::vector<Diagnostic> checkSimdKernels(const fs::path& root) {
   // The reverse direction: every row of the doc's kernel table (the table
   // whose header starts `| kernel |`) must name a registered kernel, so a
   // deleted kernel cannot leave its row behind.
-  static const std::regex rowRe(R"(^\|\s*`(\w+)`\s*\|)");
-  bool inTable = false;
-  for (std::size_t i = 0; i < docLines.size(); ++i) {
-    const std::string& line = docLines[i];
-    if (line.rfind("| kernel |", 0) == 0) {
-      inTable = true;
-      continue;
-    }
-    if (!inTable) continue;
-    if (line.empty() || line[0] != '|') {
-      inTable = false;
-      continue;
-    }
-    std::smatch m;
-    if (std::regex_search(line, m, rowRe) && !registered.count(m[1].str())) {
-      diags.push_back({docPath, static_cast<int>(i + 1),
-                       "kernel table row `" + m[1].str() +
-                           "` has no SCISHUFFLE_SIMD_KERNEL registration under src/ (remove "
-                           "the row together with its kernel)"});
+  for (const TableName& row : tableCellNames(docLines, "| kernel |", 0)) {
+    if (!registered.count(row.name)) {
+      diags.push_back({docPath, row.line,
+                       "kernel table row `" + row.name +
+                           "` has no SCISHUFFLE_SIMD_KERNEL registration under src/ (remove the "
+                           "row together with its kernel)"});
     }
   }
   return diags;
@@ -408,10 +415,12 @@ std::vector<Diagnostic> checkSimdKernels(const fs::path& root) {
 std::vector<Diagnostic> checkGauges(const fs::path& root) {
   std::vector<Diagnostic> diags;
   const std::string header = "src/obs/sampler.h";
+  const std::string docPath = "docs/OBSERVABILITY.md";
   std::vector<std::string> lines;
   if (!readLines(root, header, lines, diags)) return diags;
-  const std::string docs = readAll(root, "docs/OBSERVABILITY.md", diags);
-  if (docs.empty()) return diags;
+  std::vector<std::string> docLines;
+  if (!readLines(root, docPath, docLines, diags)) return diags;
+  const std::string docs = joinLines(docLines);
 
   // Gauge names and structured-event names share one contract (both are wire
   // names in the metrics.v1 stream), so both namespaces lint together.
@@ -461,6 +470,19 @@ std::vector<Diagnostic> checkGauges(const fs::path& root) {
                        "telemetry name " + c.ident + " (\"" + c.value +
                            "\") is never referenced outside the sampler subsystem (dead gauge; "
                            "register a source or remove it)"});
+    }
+  }
+
+  // The reverse direction: every name in the first cell of the gauge and
+  // event tables must be the value of a constant here, so a deleted gauge
+  // cannot leave its row behind.
+  for (const char* table : {"| gauge |", "| event |"}) {
+    for (const TableName& row : tableCellNames(docLines, table, 0)) {
+      if (!byValue.count(row.name)) {
+        diags.push_back({docPath, row.line,
+                         "gauge/event table row `" + row.name + "` names no constant in " +
+                             header + " (remove the row together with its gauge or event)"});
+      }
     }
   }
   return diags;
@@ -575,7 +597,10 @@ std::vector<Diagnostic> checkLockHierarchy(const fs::path& root) {
   std::vector<std::string> lines;
   if (!readLines(root, header, lines, diags)) return diags;
   const std::vector<LockLevelDecl> levels = parseLockLevels(lines);
-  const std::string docs = readAll(root, "docs/LOCK_ORDER.md", diags);
+  const std::string docPath = "docs/LOCK_ORDER.md";
+  std::vector<std::string> docLines;
+  readLines(root, docPath, docLines, diags);
+  const std::string docs = joinLines(docLines);
 
   std::map<std::string, std::string> rankOwner;  // rank (as text) -> ident
   std::map<std::string, std::string> nameOwner;
@@ -598,6 +623,14 @@ std::vector<Diagnostic> checkLockHierarchy(const fs::path& root) {
                        "lock level " + l.ident + " (\"" + l.name +
                            "\") is not documented in docs/LOCK_ORDER.md; every level needs a row "
                            "in the hierarchy table"});
+    }
+  }
+  // The reverse direction: every Name in the hierarchy table is declared.
+  for (const TableName& row : tableCellNames(docLines, "| Rank | Name |", 1)) {
+    if (!nameOwner.count(row.name)) {
+      diags.push_back({docPath, row.line,
+                       "lock hierarchy row `" + row.name + "` names no level declared in " +
+                           header + " (remove the row together with its lock)"});
     }
   }
 

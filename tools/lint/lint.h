@@ -27,11 +27,13 @@
 //   * gauges     — every gauge/event name constant in src/obs/sampler.h maps
 //                  to exactly one wire name, is referenced outside the
 //                  sampler subsystem (dead telemetry rots silently), and is
-//                  documented in docs/OBSERVABILITY.md's gauge/event tables.
+//                  documented in docs/OBSERVABILITY.md's gauge/event tables,
+//                  and every name those tables list is such a constant.
 //   * sync       — raw std sync primitives stay confined to io/annotations.h
 //                  and the checker/scheduler layer, every Mutex under src/
 //                  declares a lock_rank:: level that docs/LOCK_ORDER.md
-//                  documents, and every CondVar wait sits in a re-check loop.
+//                  documents, every level that doc lists is declared, and
+//                  every CondVar wait sits in a re-check loop.
 //
 // Each check takes the repo root, reads only the files it names, and returns
 // diagnostics carrying file:line so CI output is clickable. Header
@@ -70,8 +72,9 @@ std::vector<Diagnostic> checkGauges(const std::filesystem::path& root);
 std::vector<Diagnostic> checkSyncPrimitives(const std::filesystem::path& root);
 
 /// The declared lock hierarchy: ranks and names in src/io/lock_order.h are
-/// unique, every level has a row in docs/LOCK_ORDER.md, and every Mutex
-/// declared under src/ is constructed with a lock_rank:: level.
+/// unique, every level has a row in docs/LOCK_ORDER.md and every row names a
+/// declared level, and every Mutex declared under src/ is constructed with a
+/// lock_rank:: level.
 std::vector<Diagnostic> checkLockHierarchy(const std::filesystem::path& root);
 
 /// Every CondVar wait/wait_for sits inside a while/for re-check loop.
