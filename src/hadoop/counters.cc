@@ -4,42 +4,53 @@
 
 namespace scishuffle::hadoop {
 
-Counters::Counters(const Counters& other) : values_(other.snapshot()) {}
+Counters::Counters(const Counters& other) : values_(other.values()) {}
 
 Counters& Counters::operator=(const Counters& other) {
   if (this != &other) {
-    auto snap = other.snapshot();
+    Values copy = other.values();
     MutexLock lock(mutex_);
-    values_ = std::move(snap);
+    values_ = std::move(copy);
   }
   return *this;
 }
 
-void Counters::add(const std::string& name, u64 delta) {
+Counters::Values Counters::values() const {
   MutexLock lock(mutex_);
-  values_[name] += delta;
+  return values_;
 }
 
-void Counters::set(const std::string& name, u64 value) {
-  MutexLock lock(mutex_);
-  values_[name] = value;
+u64& Counters::slot(std::string_view name) {
+  auto it = values_.find(name);
+  if (it == values_.end()) it = values_.emplace(std::string(name), 0).first;
+  return it->second;
 }
 
-u64 Counters::get(const std::string& name) const {
+void Counters::add(std::string_view name, u64 delta) {
+  MutexLock lock(mutex_);
+  slot(name) += delta;
+}
+
+void Counters::set(std::string_view name, u64 value) {
+  MutexLock lock(mutex_);
+  slot(name) = value;
+}
+
+u64 Counters::get(std::string_view name) const {
   MutexLock lock(mutex_);
   const auto it = values_.find(name);
   return it == values_.end() ? 0 : it->second;
 }
 
 void Counters::merge(const Counters& other) {
-  const auto snap = other.snapshot();
+  const Values theirs = other.values();
   MutexLock lock(mutex_);
-  for (const auto& [name, value] : snap) values_[name] += value;
+  for (const auto& [name, value] : theirs) slot(name) += value;
 }
 
 std::map<std::string, u64> Counters::snapshot() const {
   MutexLock lock(mutex_);
-  return values_;
+  return {values_.begin(), values_.end()};
 }
 
 std::string Counters::toString() const {

@@ -3,8 +3,10 @@
 // the same name.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/annotations.h"
@@ -67,12 +69,14 @@ class Counters {
   Counters(const Counters& other);
   Counters& operator=(const Counters& other);
 
-  void add(const std::string& name, u64 delta);
-  u64 get(const std::string& name) const;
+  // Lookups build no std::string; only the first add/set of a name
+  // allocates.
+  void add(std::string_view name, u64 delta);
+  u64 get(std::string_view name) const;
 
   /// Overwrites a counter (used for job-level values that are a max over
   /// tasks rather than a sum, e.g. REDUCE_MERGE_RESIDENT_PEAK_BYTES).
-  void set(const std::string& name, u64 value);
+  void set(std::string_view name, u64 value);
 
   /// Adds every counter from `other` into this.
   void merge(const Counters& other);
@@ -81,8 +85,14 @@ class Counters {
   std::string toString() const;
 
  private:
+  using Values = std::map<std::string, u64, std::less<>>;
+
+  Values values() const;
+  /// The counter named `name`, inserted at 0 if absent.
+  u64& slot(std::string_view name) REQUIRES(mutex_);
+
   mutable Mutex mutex_{lock_rank::kCounters};
-  std::map<std::string, u64> values_ GUARDED_BY(mutex_);
+  Values values_ GUARDED_BY(mutex_);
 };
 
 }  // namespace scishuffle::hadoop

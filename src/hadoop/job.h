@@ -35,8 +35,9 @@ struct JobConfig {
   /// reduce-side decode-ahead; 0 = hardware concurrency.
   int codec_threads = 0;
 
-  /// Map-side sort buffer: a spill is triggered when buffered key+value
-  /// bytes exceed this.
+  /// Map-side sort buffer: a spill is triggered when the buffered arena
+  /// bytes plus 16 B of index per record reach this, so it bounds map-side
+  /// memory even for zero-length records.
   std::size_t spill_buffer_bytes = 16u << 20;
 
   /// Maximum segments merged per pass on the reduce side; more segments
@@ -94,9 +95,6 @@ struct JobConfig {
   /// Deterministic fault injection for tests (see docs/FAULTS.md); not owned.
   /// nullptr = no faults.
   testing::FaultInjector* fault_injector = nullptr;
-
-  /// Key order for sort/merge. Default: lexicographic on serialized bytes.
-  KeyLessFn key_less = lexicographicLess;
 
   /// Routing hook; default hash partitioning. SciHadoop installs a
   /// grid-aware router that splits aggregate keys at partition boundaries.

@@ -80,7 +80,7 @@ std::vector<MergedSegmentStream::Head> MergedSegmentStream::openHeads(
 KeyValue MergedSegmentStream::popSmallest(std::vector<Head>& heads) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < heads.size(); ++i) {
-    if (config_->key_less(heads[i].kv.key, heads[best].kv.key)) best = i;
+    if (lexicographicLess(heads[i].kv.key, heads[best].kv.key)) best = i;
   }
   KeyValue out = std::move(heads[best].kv);
   if (auto kv = heads[best].records->next()) {

@@ -39,8 +39,8 @@ std::vector<std::vector<KeyValue>> referenceOutputs(const JobConfig& config,
   std::vector<std::vector<KeyValue>> outputs(reducers);
   for (std::size_t r = 0; r < reducers; ++r) {
     std::vector<KeyValue>& records = partitions[r];
-    std::stable_sort(records.begin(), records.end(), [&](const KeyValue& a, const KeyValue& b) {
-      return config.key_less(a.key, b.key);
+    std::stable_sort(records.begin(), records.end(), [](const KeyValue& a, const KeyValue& b) {
+      return lexicographicLess(a.key, b.key);
     });
     VectorStream stream(records);
     Counters counters;

@@ -317,7 +317,7 @@ MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
       const EmitFn emit = [&](Bytes key, Bytes value) {
         auto routed =
             config.router(KeyValue{std::move(key), std::move(value)}, config.num_reducers);
-        for (auto& [partition, kv] : routed) buffer.collect(partition, std::move(kv));
+        for (const auto& [partition, kv] : routed) buffer.collect(partition, kv.key, kv.value);
       };
       task.run(emit);
       taskCounters.add(counter::kMapCpuUs, steadyNowUs() - taskStart);
@@ -361,13 +361,15 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
       Counters& taskCounters = exec.counters;
       MergedSegmentStream stream(segments, codec, config, taskCounters, codecPool);
       const EmitFn emit = [&](Bytes key, Bytes value) {
-        taskCounters.add(counter::kReduceOutputRecords, 1);
         exec.output.push_back(KeyValue{std::move(key), std::move(value)});
       };
       const u64 taskStart = steadyNowUs();
       config.grouper->run(stream, reduce, emit, taskCounters);
       taskCounters.add(counter::kReduceCpuUs, steadyNowUs() - taskStart);
-      span.arg("output_records", taskCounters.get(counter::kReduceOutputRecords));
+      if (!exec.output.empty()) {
+        taskCounters.add(counter::kReduceOutputRecords, exec.output.size());
+      }
+      span.arg("output_records", exec.output.size());
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);
       exec.stats.merge_materialized_bytes =

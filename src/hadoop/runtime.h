@@ -210,8 +210,8 @@ void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* cod
 void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 jobEndUs,
                 JobResult& result);
 
-/// Runs a complete MapReduce job. Thread-safe hooks required: key_less,
-/// router and combiner run concurrently across tasks.
+/// Runs a complete MapReduce job. Thread-safe hooks required: router and
+/// combiner run concurrently across tasks.
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce);
 

@@ -1,14 +1,8 @@
 #include "hadoop/types.h"
 
-#include <algorithm>
-
 #include "hadoop/counters.h"
 
 namespace scishuffle::hadoop {
-
-bool lexicographicLess(ByteSpan a, ByteSpan b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
 
 u32 hashBytes(ByteSpan data) {
   u32 h = 2166136261u;

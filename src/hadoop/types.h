@@ -1,12 +1,15 @@
 // Core key/value types and the pluggable hooks a job can install.
 //
-// Hadoop's assumptions the paper calls out (§II-B) live here as the
-// *defaults*: keys are opaque byte strings compared lexicographically,
-// routed independently by a hash partitioner, and grouped by byte equality.
-// SciHadoop's aggregate-key support replaces each default via these hooks —
-// the same seam the authors patched in Hadoop (§IV-B).
+// Hadoop's assumptions the paper calls out (§II-B) live here: keys are
+// opaque byte strings compared lexicographically, routed independently by a
+// hash partitioner, and grouped by byte equality. SciHadoop's aggregate-key
+// support replaces the routing and grouping defaults via these hooks — the
+// same seam the authors patched in Hadoop (§IV-B) — and serializes its keys
+// so that the byte order is the key order.
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -32,10 +35,13 @@ using EmitFn = std::function<void(Bytes key, Bytes value)>;
 using ReduceFn = std::function<void(const Bytes& key, std::vector<Bytes>& values,
                                     const EmitFn& emit)>;
 
-/// Strict weak order on serialized keys. Defaults to lexicographic.
-using KeyLessFn = std::function<bool(ByteSpan, ByteSpan)>;
-
-bool lexicographicLess(ByteSpan a, ByteSpan b);
+/// The key order of every sort and merge: lexicographic on the serialized
+/// bytes (the common prefix decides, then the shorter key sorts first).
+inline bool lexicographicLess(ByteSpan a, ByteSpan b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  return c != 0 ? c < 0 : a.size() < b.size();
+}
 
 /// Routing hook: assigns a record to one or more partitions, possibly
 /// splitting it (aggregate keys whose simple keys span reducers, §IV-B).

@@ -1,6 +1,6 @@
 #include "scikey/curve_space.h"
 
-#include <vector>
+#include <array>
 
 namespace scishuffle::scikey {
 
@@ -15,20 +15,23 @@ CurveSpace::CurveSpace(sfc::CurveKind kind, const grid::Box& domain) : domain_(d
   curve_ = sfc::makeCurve(kind, domain.rank(), bits);
 }
 
+// Lattice coordinates live on the stack: Curve's constructor caps dims at
+// kMaxDims, and these run once per cell on the aggregation and routing paths.
 sfc::CurveIndex CurveSpace::encode(const grid::Coord& c) const {
   check(domain_.contains(c), "coordinate outside curve domain");
-  std::vector<u32> lattice(c.size());
+  std::array<u32, sfc::Curve::kMaxDims> lattice{};
   for (std::size_t d = 0; d < c.size(); ++d) {
     lattice[d] = static_cast<u32>(c[d] - domain_.corner()[d]);
   }
-  return curve_->encode(lattice);
+  return curve_->encode(std::span<const u32>(lattice.data(), c.size()));
 }
 
 grid::Coord CurveSpace::decode(sfc::CurveIndex index) const {
-  std::vector<u32> lattice(static_cast<std::size_t>(domain_.rank()));
-  curve_->decode(index, lattice);
-  grid::Coord c(lattice.size());
-  for (std::size_t d = 0; d < lattice.size(); ++d) {
+  const auto rank = static_cast<std::size_t>(domain_.rank());
+  std::array<u32, sfc::Curve::kMaxDims> lattice{};
+  curve_->decode(index, std::span<u32>(lattice.data(), rank));
+  grid::Coord c(rank);
+  for (std::size_t d = 0; d < rank; ++d) {
     c[d] = static_cast<i64>(lattice[d]) + domain_.corner()[d];
   }
   return c;

@@ -10,7 +10,7 @@
 namespace scishuffle::sfc {
 
 Curve::Curve(int dims, int bitsPerDim) : dims_(dims), bits_(bitsPerDim) {
-  check(dims >= 1 && dims <= 8, "dims must be in [1,8]");
+  check(dims >= 1 && dims <= kMaxDims, "dims must be in [1,8]");
   check(bitsPerDim >= 1 && bitsPerDim <= 32, "bitsPerDim must be in [1,32]");
   check(dims * bitsPerDim <= 128, "index exceeds 128 bits");
 }

@@ -27,6 +27,9 @@ std::string toString(CurveIndex v);
 /// exhaustively for small cubes and by sampling for large ones.
 class Curve {
  public:
+  /// Largest `dims` a curve accepts.
+  static constexpr int kMaxDims = 8;
+
   Curve(int dims, int bitsPerDim);
   virtual ~Curve() = default;
 

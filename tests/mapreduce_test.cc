@@ -7,6 +7,8 @@
 #include <string>
 #include <tuple>
 
+#include "compress/codec.h"
+#include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
@@ -265,6 +267,156 @@ TEST(EngineTest, EmptyJobProducesEmptyOutputs) {
   EXPECT_EQ(result.outputs.size(), 2u);
   EXPECT_TRUE(result.outputs[0].empty());
   EXPECT_TRUE(result.outputs[1].empty());
+}
+
+TEST(EngineTest, ZeroByteRecordsStillSpill) {
+  // Records with an empty key and an empty value still occupy the map-side
+  // buffer, so the spill threshold must bound them like any other record.
+  JobConfig config;
+  config.spill_buffer_bytes = 64u << 10;
+  config.collect_histograms = true;
+  const std::vector<MapTask> tasks{MapTask{[](const EmitFn& emit) {
+    for (int i = 0; i < 100'000; ++i) emit(Bytes{}, Bytes{});
+  }}};
+  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    emit(key, encodeI64(static_cast<i64>(values.size())));
+  };
+  const JobResult result = runJob(config, tasks, reduce);
+  const obs::HistogramSnapshot* spills = result.telemetry.findHistogram("spill_us");
+  ASSERT_NE(spills, nullptr);
+  EXPECT_GE(spills->count, 2u);
+  EXPECT_EQ(result.outputs, referenceOutputs(config, tasks, reduce));
+}
+
+// ------------------------------------------------------ golden map output
+//
+// A map task's segments are the bytes every reducer fetches, so any
+// restructuring of the map-side collect/sort/combine/spill path must
+// reproduce them exactly. The digests below were recorded from the buffer
+// that held each record as a KeyValue, before the byte arena replaced it; a
+// change that moves a single segment byte, or a map-output counter, under
+// any case fails here.
+
+/// 3000 records over 130 distinct keys (a corpus word plus a suffix), each
+/// valued by its position: equal keys carry distinct values, so a sort that
+/// is not stable moves bytes.
+MapTask positionedWords() {
+  return MapTask{[](const EmitFn& emit) {
+    const auto docs = corpus(1, 3000, 4242);
+    for (std::size_t i = 0; i < docs[0].size(); ++i) {
+      emit(toBytes(docs[0][i] + std::to_string(i % 13)), encodeI64(static_cast<i64>(i)));
+    }
+  }};
+}
+
+/// Every mix of empty and non-empty key and value.
+MapTask emptyFieldRecords() {
+  return MapTask{[](const EmitFn& emit) {
+    for (int i = 0; i < 400; ++i) {
+      const Bytes key = i % 2 == 0 ? Bytes{} : toBytes("k" + std::to_string(i % 7));
+      const Bytes value = i % 3 == 0 ? Bytes{} : encodeI64(i);
+      emit(key, value);
+    }
+  }};
+}
+
+struct MapOutputCase {
+  const char* name;
+  JobConfig config;
+  MapTask task;
+};
+
+std::vector<MapOutputCase> mapOutputCases() {
+  std::vector<MapOutputCase> cases;
+  JobConfig base;
+  base.num_reducers = 3;
+  cases.push_back({"null_one_spill", base, positionedWords()});
+
+  JobConfig multiSpill = base;
+  multiSpill.intermediate_codec = "gzipish";
+  multiSpill.spill_buffer_bytes = 2048;
+  cases.push_back({"gzipish_multi_spill", multiSpill, positionedWords()});
+
+  JobConfig combined = base;
+  combined.spill_buffer_bytes = 2048;
+  combined.combiner = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    i64 sum = 0;
+    for (const auto& v : values) sum += decodeI64(v);
+    emit(key, encodeI64(sum));
+  };
+  cases.push_back({"sum_combiner", combined, positionedWords()});
+
+  JobConfig splitting = base;
+  splitting.router = [](KeyValue&& kv, int parts) {
+    std::vector<std::pair<int, KeyValue>> out;
+    for (int p = 0; p < parts; ++p) out.emplace_back(p, kv);
+    return out;
+  };
+  cases.push_back({"splitting_router", splitting, positionedWords()});
+
+  cases.push_back({"empty_fields", base, emptyFieldRecords()});
+  return cases;
+}
+
+struct GoldenMapOutput {
+  const char* name;
+  u64 records;
+  u64 bytes;
+  u64 materialized;
+  u64 segment_digests[3];
+};
+
+const GoldenMapOutput kGoldenMapOutputs[] = {
+    {"null_one_spill",
+     3000,
+     41740,
+     47797,
+     {0xab4fb075150245a2ull, 0x943bda992850d707ull, 0xce19e05c9662598eull}},
+    {"gzipish_multi_spill",
+     3000,
+     41740,
+     8380,
+     {0xbd06f2f3941a2416ull, 0xcfc434933dde0dbeull, 0x077df193ca5c4e6cull}},
+    {"sum_combiner",
+     3000,
+     41740,
+     2128,
+     {0x06d0a83a117ff89aull, 0x00e6dbb20c6a43f8ull, 0xf195922665ee74b8ull}},
+    {"splitting_router",
+     9000,
+     125220,
+     143277,
+     {0xca1a57954932ea6eull, 0xca1a57954932ea6eull, 0xca1a57954932ea6eull}},
+    {"empty_fields",
+     400,
+     2528,
+     3385,
+     {0x3e66967987b591b6ull, 0x502781c96147cfd4ull, 0x1166c64e3da459fbull}},
+};
+
+TEST(MapOutputGoldenTest, SegmentDigestsAreUnchanged) {
+  registerBuiltinCodecs();
+  const std::vector<MapOutputCase> cases = mapOutputCases();
+  ASSERT_EQ(std::size(kGoldenMapOutputs), cases.size());
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const MapOutputCase& tc = cases[c];
+    const GoldenMapOutput& golden = kGoldenMapOutputs[c];
+    ASSERT_STREQ(golden.name, tc.name);
+    const auto codec = tc.config.intermediate_codec == "null"
+                           ? nullptr
+                           : CodecRegistry::instance().create(tc.config.intermediate_codec);
+    const MapTaskExecution exec = executeMapTask(tc.config, codec.get(), nullptr, tc.task, 0);
+    ASSERT_EQ(exec.output.segments.size(), std::size(golden.segment_digests));
+    for (std::size_t p = 0; p < exec.output.segments.size(); ++p) {
+      const u64 digest = testing::fnv1a64(exec.output.segments[p]);
+      EXPECT_EQ(digest, golden.segment_digests[p])
+          << tc.name << " / partition " << p << ": got 0x" << std::hex << digest << "ull";
+    }
+    EXPECT_EQ(exec.counters.get(counter::kMapOutputRecords), golden.records) << tc.name;
+    EXPECT_EQ(exec.counters.get(counter::kMapOutputBytes), golden.bytes) << tc.name;
+    EXPECT_EQ(exec.counters.get(counter::kMapOutputMaterializedBytes), golden.materialized)
+        << tc.name;
+  }
 }
 
 }  // namespace

@@ -74,6 +74,17 @@ class SeededRngTest : public ::testing::Test {
   std::mt19937_64 rng_;
 };
 
+/// FNV-1a, 64-bit: a compact, fully specified fingerprint of a byte stream
+/// (the golden-digest tests pin outputs with it).
+inline u64 fnv1a64(ByteSpan data) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (const u8 b : data) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 /// Uniform random bytes from a fixed seed.
 inline Bytes randomBytes(std::size_t n, u32 seed) {
   std::mt19937 rng(seed);

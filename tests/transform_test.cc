@@ -134,16 +134,6 @@ INSTANTIATE_TEST_SUITE_P(
 // below were recorded from the byte-at-a-time model; a change that moves a
 // single residual byte under any config fails here.
 
-/// FNV-1a, 64-bit: a compact, fully specified fingerprint of a byte stream.
-u64 fnv1a64(ByteSpan data) {
-  u64 h = 0xcbf29ce484222325ull;
-  for (const u8 b : data) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// The four golden inputs: a 30^3 grid walk, random, runny and all-zero
 /// bytes. The random and runny streams use only raw std::mt19937 output,
 /// whose sequence the standard fixes, so no library-specific distribution
@@ -208,7 +198,7 @@ TEST(TransformGoldenTest, ResidualDigestsAreUnchanged) {
     ASSERT_STREQ(kGoldenDigests[c].config, tc.name);
     const PredictiveTransform transform(tc.config);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const u64 digest = fnv1a64(transform.forward(inputs[i]));
+      const u64 digest = testing::fnv1a64(transform.forward(inputs[i]));
       EXPECT_EQ(digest, kGoldenDigests[c].digests[i])
           << tc.name << " / " << kGoldenInputNames[i] << ": got 0x" << std::hex << digest
           << "ull";
