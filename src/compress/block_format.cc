@@ -263,17 +263,21 @@ bool BlockDecodeSource::advance() {
 std::size_t BlockDecodeSource::readSome(MutableByteSpan out) {
   std::size_t total = 0;
   while (total < out.size()) {
-    if (pos_ == current_.size()) {
-      if (!advance()) break;
-      if (current_.empty()) continue;  // zero-length block
-    }
-    const std::size_t take = std::min(out.size() - total, current_.size() - pos_);
-    std::copy_n(current_.begin() + static_cast<std::ptrdiff_t>(pos_), take,
-                out.begin() + static_cast<std::ptrdiff_t>(total));
+    const ByteSpan window = buffered();
+    if (window.empty()) break;
+    const std::size_t take = std::min(out.size() - total, window.size());
+    std::copy_n(window.begin(), take, out.begin() + static_cast<std::ptrdiff_t>(total));
     pos_ += take;
     total += take;
   }
   return total;
+}
+
+ByteSpan BlockDecodeSource::buffered() {
+  while (pos_ == current_.size()) {
+    if (!advance()) return {};  // a zero-length block loops to the next one
+  }
+  return ByteSpan(current_).subspan(pos_);
 }
 
 // ---------------------------------------------------------------- helpers

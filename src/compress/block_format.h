@@ -150,8 +150,13 @@ class BlockDecodeSource final : public ByteSource {
   /// decode-ahead block in flight).
   u64 residentPeakBytes() const { return residentPeak_; }
 
+  /// The rest of the current decoded block; loads the next block first when
+  /// the current one is used up, which ends the previous window's life.
+  ByteSpan buffered() override;
+
  protected:
   std::size_t readSome(MutableByteSpan out) override;
+  void skipBuffered(std::size_t n) override { pos_ += n; }
 
  private:
   bool advance();          // loads the next block into current_

@@ -1,5 +1,7 @@
 #include "hadoop/ifile.h"
 
+#include <limits>
+
 #include "io/crc32.h"
 #include "io/primitives.h"
 #include "io/varint.h"
@@ -69,8 +71,38 @@ Bytes IFileBlockWriter::close() {
   return writer_.close();
 }
 
-std::optional<KeyValue> IFileStreamReader::next() {
+std::optional<RecordView> IFileStreamReader::next() {
   if (done_) return std::nullopt;
+  // In place when both lengths and the whole record lie in the source's
+  // window. Anything else (a record running past the window's end, a
+  // negative or out-of-range length) takes the byte-wise path, which raises
+  // the same FormatErrors at the same offsets.
+  const ByteSpan window = source_->buffered();
+  i64 keyLen = 0;
+  i64 valueLen = 0;
+  const std::size_t keyHeader = decodeVLong(window, keyLen);
+  if (keyHeader == 0) return readChecked();
+  const std::size_t valueHeader = decodeVLong(window.subspan(keyHeader), valueLen);
+  if (valueHeader == 0) return readChecked();
+  const std::size_t header = keyHeader + valueHeader;
+  if (keyLen == -1 && valueLen == -1) {
+    source_->skip(header);
+    done_ = true;
+    return std::nullopt;
+  }
+  constexpr i64 kMaxLen = std::numeric_limits<i32>::max();
+  const ByteSpan body = window.subspan(header);
+  if (keyLen < 0 || valueLen < 0 || keyLen > kMaxLen || valueLen > kMaxLen ||
+      static_cast<u64>(keyLen + valueLen) > body.size()) {
+    return readChecked();
+  }
+  const auto keyBytes = static_cast<std::size_t>(keyLen);
+  const auto valueBytes = static_cast<std::size_t>(valueLen);
+  source_->skip(header + keyBytes + valueBytes);
+  return RecordView{body.first(keyBytes), body.subspan(keyBytes, valueBytes)};
+}
+
+std::optional<RecordView> IFileStreamReader::readChecked() {
   const i32 keyLen = readVInt(*source_);
   const i32 valueLen = readVInt(*source_);
   if (keyLen == -1 && valueLen == -1) {
@@ -78,12 +110,13 @@ std::optional<KeyValue> IFileStreamReader::next() {
     return std::nullopt;
   }
   checkFormat(keyLen >= 0 && valueLen >= 0, "negative record length");
-  KeyValue kv;
-  kv.key.resize(static_cast<std::size_t>(keyLen));
-  source_->readExact(MutableByteSpan(kv.key.data(), kv.key.size()));
-  kv.value.resize(static_cast<std::size_t>(valueLen));
-  source_->readExact(MutableByteSpan(kv.value.data(), kv.value.size()));
-  return kv;
+  // Key and value share one buffer: a key left in a block that the value's
+  // read then replaced would dangle.
+  const auto keyBytes = static_cast<std::size_t>(keyLen);
+  scratch_.resize(keyBytes + static_cast<std::size_t>(valueLen));
+  source_->readExact(scratch_);
+  const ByteSpan record(scratch_);
+  return RecordView{record.first(keyBytes), record.subspan(keyBytes)};
 }
 
 }  // namespace scishuffle::hadoop

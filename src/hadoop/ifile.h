@@ -11,7 +11,7 @@
 // container (compress/block_format.h): records stream through
 // IFileBlockWriter into independently decompressible blocks, and
 // IFileStreamReader parses records back out of any ByteSource one block at a
-// time.
+// time, lending each one in place in the decoded block.
 #pragma once
 
 #include "compress/block_format.h"
@@ -31,11 +31,19 @@ class IFileStreamReader {
  public:
   explicit IFileStreamReader(ByteSource& source) : source_(&source) {}
 
-  /// Next record, or nullopt at the (-1, -1) end marker.
-  std::optional<KeyValue> next();
+  /// Next record, or nullopt at the (-1, -1) end marker. The view is lent:
+  /// it points into the source's window when the whole record lies there,
+  /// else into this reader's scratch buffer, and stays valid until the next
+  /// call (which may load the source's next block).
+  std::optional<RecordView> next();
 
  private:
+  /// The byte-wise path: a record that straddles the window's end, a
+  /// malformed length, or truncation (with the same FormatErrors).
+  std::optional<RecordView> readChecked();
+
   ByteSource* source_;
+  Bytes scratch_;  // key and value of a record read byte-wise, back to back
   bool done_ = false;
 };
 
@@ -66,8 +74,9 @@ class IFileReader {
   IFileReader& operator=(const IFileReader&) = delete;
 
   /// Next record, or nullopt at the end marker; throws FormatError on
-  /// malformed framing.
-  std::optional<KeyValue> next() { return records_.next(); }
+  /// malformed framing. The view points into `file` and stays valid while
+  /// `file` does.
+  std::optional<RecordView> next() { return records_.next(); }
 
  private:
   MemorySource source_;

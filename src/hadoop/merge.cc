@@ -44,12 +44,9 @@ void MergedSegmentStream::reduceSegmentCount(std::vector<Bytes>& segments, const
 
   // Stream the pass: k-way merge through block-at-a-time readers into a
   // block-framed writer, never materializing the decoded records wholesale.
-  std::vector<Head> heads = openHeads(segments, take, codec);
+  Heads heads = openHeads(segments, take, codec);
   IFileBlockWriter writer(codec, config_->shuffle_block_bytes, codecPool_);
-  while (!heads.empty()) {
-    const KeyValue kv = popSmallest(heads);
-    writer.append(kv.key, kv.value);
-  }
+  while (const auto record = popSmallest(heads)) writer.append(record->key, record->value);
   Bytes merged = writer.close();
   counters_->add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
   counters_->add(counter::kReduceMergeMaterializedBytes, merged.size());
@@ -59,17 +56,17 @@ void MergedSegmentStream::reduceSegmentCount(std::vector<Bytes>& segments, const
   segments.push_back(std::move(merged));
 }
 
-std::vector<MergedSegmentStream::Head> MergedSegmentStream::openHeads(
-    const std::vector<Bytes>& segments, std::size_t count, const Codec* codec) {
-  std::vector<Head> heads;
+MergedSegmentStream::Heads MergedSegmentStream::openHeads(const std::vector<Bytes>& segments,
+                                                          std::size_t count, const Codec* codec) {
+  Heads heads;
   for (std::size_t i = 0; i < count; ++i) {
     Head head;
     head.source = std::make_unique<BlockDecodeSource>(segments[i], codec, codecPool_,
                                                       config_->fault_injector);
     head.records = std::make_unique<IFileStreamReader>(*head.source);
-    if (auto kv = head.records->next()) {
-      head.kv = std::move(*kv);
-      heads.push_back(std::move(head));
+    if (const auto record = head.records->next()) {
+      head.record = *record;
+      heads.open.push_back(std::move(head));
     } else {
       foldStats(head);
     }
@@ -77,19 +74,25 @@ std::vector<MergedSegmentStream::Head> MergedSegmentStream::openHeads(
   return heads;
 }
 
-KeyValue MergedSegmentStream::popSmallest(std::vector<Head>& heads) {
+std::optional<RecordView> MergedSegmentStream::popSmallest(Heads& heads) {
+  std::vector<Head>& open = heads.open;
+  if (heads.lent) {
+    Head& head = open[*heads.lent];
+    if (const auto record = head.records->next()) {
+      head.record = *record;
+    } else {
+      foldStats(head);
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(*heads.lent));
+    }
+    heads.lent.reset();
+  }
+  if (open.empty()) return std::nullopt;
   std::size_t best = 0;
-  for (std::size_t i = 1; i < heads.size(); ++i) {
-    if (lexicographicLess(heads[i].kv.key, heads[best].kv.key)) best = i;
+  for (std::size_t i = 1; i < open.size(); ++i) {
+    if (lexicographicLess(open[i].record.key, open[best].record.key)) best = i;
   }
-  KeyValue out = std::move(heads[best].kv);
-  if (auto kv = heads[best].records->next()) {
-    heads[best].kv = std::move(*kv);
-  } else {
-    foldStats(heads[best]);
-    heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-  return out;
+  heads.lent = best;
+  return open[best].record;
 }
 
 void MergedSegmentStream::foldStats(const Head& head) {
@@ -97,10 +100,9 @@ void MergedSegmentStream::foldStats(const Head& head) {
   residentPeakBytes_ += head.source->residentPeakBytes();
 }
 
-std::optional<KeyValue> MergedSegmentStream::next() {
-  std::optional<KeyValue> out;
-  if (!heads_.empty()) out = popSmallest(heads_);
-  if (heads_.empty() && !peakReported_) {
+std::optional<RecordView> MergedSegmentStream::next() {
+  const std::optional<RecordView> out = popSmallest(heads_);
+  if (!out && !peakReported_) {
     peakReported_ = true;
     counters_->add(counter::kReduceMergeResidentPeakBytes, residentPeakBytes_);
   }

@@ -8,11 +8,14 @@
 // hold only the current block per segment (plus a one-block decode-ahead
 // filled by the codec pool): peak decoded-bytes residency is
 // O(num_segments x block size), not O(total shuffled bytes), reported via
-// REDUCE_MERGE_RESIDENT_PEAK_BYTES.
+// REDUCE_MERGE_RESIDENT_PEAK_BYTES. Records are never copied here: each head
+// lends its record in place in its decoded block, and the stream passes that
+// view on until its next call.
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "compress/block_format.h"
@@ -32,33 +35,41 @@ class MergedSegmentStream final : public KVStream {
   MergedSegmentStream(std::vector<Bytes> segments, const Codec* codec, const JobConfig& config,
                       Counters& counters, ThreadPool* codecPool = nullptr);
 
-  std::optional<KeyValue> next() override;
+  /// The view stays valid until the next call.
+  std::optional<RecordView> next() override;
 
  private:
   /// Block-at-a-time record stream over one segment, holding its next record.
   struct Head {
     std::unique_ptr<BlockDecodeSource> source;
     std::unique_ptr<IFileStreamReader> records;
-    KeyValue kv;
+    RecordView record;  // lent by `records` until it advances
+  };
+
+  /// The heads of one k-way merge and the one whose record was lent last.
+  struct Heads {
+    std::vector<Head> open;
+    std::optional<std::size_t> lent;
   };
 
   /// Merges the `merge_factor` smallest segments into one (an extra pass).
   void reduceSegmentCount(std::vector<Bytes>& segments, const Codec* codec);
   /// Heads over segments[0, count) that hold at least one record; the heads
   /// borrow the segments' bytes.
-  std::vector<Head> openHeads(const std::vector<Bytes>& segments, std::size_t count,
-                              const Codec* codec);
-  /// Removes and returns the smallest record across `heads` (the lowest
-  /// index wins key ties, which keeps every merge stable); an exhausted head
-  /// folds its decode stats and is erased.
-  KeyValue popSmallest(std::vector<Head>& heads);
+  Heads openHeads(const std::vector<Bytes>& segments, std::size_t count, const Codec* codec);
+  /// Advances the head that lent the previous record (not before: its view
+  /// points into its current block), then lends the smallest record across
+  /// the heads; the lowest index wins key ties, which keeps every merge
+  /// stable. nullopt once all heads are exhausted; an exhausted head folds
+  /// its decode stats and is erased.
+  std::optional<RecordView> popSmallest(Heads& heads);
   void foldStats(const Head& head);
 
   const JobConfig* config_;
   Counters* counters_;
   ThreadPool* codecPool_;
   std::vector<Bytes> segments_;  // owns the bytes the heads borrow
-  std::vector<Head> heads_;
+  Heads heads_;
   u64 residentPeakBytes_ = 0;  // accumulated from exhausted heads
   bool peakReported_ = false;
   // Compressed segment bytes this live stream pins (the decoded-block

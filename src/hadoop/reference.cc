@@ -6,18 +6,19 @@ namespace scishuffle::hadoop {
 
 namespace {
 
-/// KVStream over one partition's sorted records, moving each one out.
+/// KVStream over one partition's sorted records, lending each in place.
 class VectorStream final : public KVStream {
  public:
-  explicit VectorStream(std::vector<KeyValue>& records) : records_(&records) {}
+  explicit VectorStream(const std::vector<KeyValue>& records) : records_(&records) {}
 
-  std::optional<KeyValue> next() override {
+  std::optional<RecordView> next() override {
     if (pos_ == records_->size()) return std::nullopt;
-    return std::move((*records_)[pos_++]);
+    const KeyValue& kv = (*records_)[pos_++];
+    return RecordView{kv.key, kv.value};
   }
 
  private:
-  std::vector<KeyValue>* records_;
+  const std::vector<KeyValue>* records_;
   std::size_t pos_ = 0;
 };
 

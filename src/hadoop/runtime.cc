@@ -369,6 +369,7 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
       if (!exec.output.empty()) {
         taskCounters.add(counter::kReduceOutputRecords, exec.output.size());
       }
+      span.arg("input_records", taskCounters.get(counter::kReduceInputRecords));
       span.arg("output_records", exec.output.size());
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);

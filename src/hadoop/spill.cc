@@ -49,8 +49,8 @@ void MapOutputBuffer::readSegmentRecords(const Bytes& segment, Bytes& arena,
                                          std::vector<IndexEntry>& index) {
   BlockDecodeSource source(segment, codec_, codecPool_);
   IFileStreamReader reader(source);
-  while (const auto kv = reader.next()) {
-    index.push_back(IndexEntry::append(arena, kv->key, kv->value));
+  while (const auto record = reader.next()) {
+    index.push_back(IndexEntry::append(arena, record->key, record->value));
   }
   counters_->add(counter::kCodecDecompressCpuUs, source.decompressCpuUs());
 }

@@ -68,7 +68,8 @@ class MapOutputBuffer {
   ByteSpan sortAndCombine(ByteSpan arena, std::vector<IndexEntry>& index, Bytes& combined);
   /// Serializes sorted records into a block-framed segment.
   Bytes writeSegment(ByteSpan arena, const std::vector<IndexEntry>& index);
-  /// Appends every record of a segment to `arena` and `index`.
+  /// Copies every record of a segment, as the reader lends it, to the end
+  /// of `arena` and `index`.
   void readSegmentRecords(const Bytes& segment, Bytes& arena, std::vector<IndexEntry>& index);
 
   const JobConfig* config_;

@@ -24,19 +24,32 @@ RouteFn hashRouter() {
 
 void DefaultGrouper::run(KVStream& sorted, const ReduceFn& reduce, const EmitFn& emit,
                          Counters& counters) {
-  std::optional<KeyValue> pending = sorted.next();
+  // The stream lends each record only until its next call, so a group copies
+  // its key into one buffer and its values into slots, both reused from
+  // group to group; a reduce that moves a value out leaves that slot to
+  // reallocate.
+  Bytes key;
+  std::vector<Bytes> values;
+  u64 groups = 0;
+  u64 records = 0;
+  std::optional<RecordView> pending = sorted.next();
   while (pending) {
-    Bytes key = std::move(pending->key);
-    std::vector<Bytes> values;
-    values.push_back(std::move(pending->value));
-    for (;;) {
+    key.assign(pending->key.begin(), pending->key.end());
+    std::size_t count = 0;
+    do {
+      if (count == values.size()) values.emplace_back();
+      values[count++].assign(pending->value.begin(), pending->value.end());
       pending = sorted.next();
-      if (!pending || pending->key != key) break;
-      values.push_back(std::move(pending->value));
-    }
-    counters.add(counter::kReduceInputGroups, 1);
-    counters.add(counter::kReduceInputRecords, values.size());
+    } while (pending && std::ranges::equal(pending->key, key));
+    values.resize(count);
+    ++groups;
+    records += count;
     reduce(key, values, emit);
+  }
+  // Task-local tallies, added once (and only by a task that had a group).
+  if (groups > 0) {
+    counters.add(counter::kReduceInputGroups, groups);
+    counters.add(counter::kReduceInputRecords, records);
   }
 }
 

@@ -28,6 +28,13 @@ struct KeyValue {
   bool operator==(const KeyValue&) const = default;
 };
 
+/// A record lent by a reader or stream: spans into storage the lender owns
+/// (typically the current decoded block), valid until the lender's next call.
+struct RecordView {
+  ByteSpan key;
+  ByteSpan value;
+};
+
 /// Map-side emit callback.
 using EmitFn = std::function<void(Bytes key, Bytes value)>;
 
@@ -58,12 +65,15 @@ u32 hashBytes(ByteSpan data);
 class KVStream {
  public:
   virtual ~KVStream() = default;
-  virtual std::optional<KeyValue> next() = 0;
+  /// Next record, or nullopt at the end. The view stays valid until the
+  /// following call; a consumer copies whatever it keeps past that.
+  virtual std::optional<RecordView> next() = 0;
 };
 
 /// Reduce-side grouping strategy. The default groups byte-equal keys; the
 /// scikey layer substitutes one that splits overlapping aggregate keys at
-/// overlap boundaries before grouping (Fig. 7).
+/// overlap boundaries before grouping (Fig. 7). A grouper copies what it
+/// keeps out of the stream's lent records.
 class ReduceGrouper {
  public:
   virtual ~ReduceGrouper() = default;

@@ -1,6 +1,8 @@
 // Minimal stream abstractions: a ByteSink accepts bytes, a ByteSource yields
-// them. Memory-backed and file-backed implementations are provided, plus a
-// counting decorator used by the shuffle to account materialized bytes.
+// them (and, when it holds them in memory, lends them in place through a
+// zero-copy window). Memory-backed and file-backed implementations are
+// provided, plus a counting decorator used by the shuffle to account
+// materialized bytes.
 #pragma once
 
 #include <cstdio>
@@ -50,8 +52,22 @@ class ByteSource {
   /// Drains the remainder of the stream.
   Bytes readAll();
 
+  /// Zero-copy window: the bytes from the read position on that the source
+  /// already holds in memory, for a reader to parse in place. Empty when
+  /// the source keeps no such buffer (the default) or has no bytes left.
+  /// The span stays valid until the next read, skip() or buffered() call.
+  virtual ByteSpan buffered() { return {}; }
+
+  /// Consumes the first n bytes of buffered() (n must not exceed its size).
+  void skip(std::size_t n) {
+    skipBuffered(n);
+    consumed_ += n;
+  }
+
  protected:
   virtual std::size_t readSome(MutableByteSpan out) = 0;
+  /// Advances past n bytes of the window buffered() returned last.
+  virtual void skipBuffered(std::size_t /*n*/) {}
 
  private:
   u64 consumed_ = 0;
@@ -73,9 +89,11 @@ class MemorySource final : public ByteSource {
   explicit MemorySource(ByteSpan data) : data_(data) {}
   std::size_t remaining() const { return data_.size() - pos_; }
   std::size_t position() const { return pos_; }
+  ByteSpan buffered() override { return data_.subspan(pos_); }
 
  protected:
   std::size_t readSome(MutableByteSpan out) override;
+  void skipBuffered(std::size_t n) override { pos_ += n; }
 
  private:
   ByteSpan data_;

@@ -22,6 +22,25 @@ inline void writeVInt(ByteSink& sink, i32 v) { writeVLong(sink, v); }
 i64 readVLong(ByteSource& source);
 i32 readVInt(ByteSource& source);
 
+/// Decodes a vlong from the front of `data` without a stream: stores it in
+/// `value` and returns its encoded size, or returns 0 when `data` ends
+/// inside the encoding. Inline: record readers call it twice per record.
+inline std::size_t decodeVLong(ByteSpan data, i64& value) {
+  if (data.empty()) return 0;
+  const auto first = static_cast<i8>(data[0]);
+  if (first >= -112) {
+    value = first;
+    return 1;
+  }
+  const bool negative = first < -120;
+  const auto total = static_cast<std::size_t>(negative ? -(first + 120) : -(first + 112)) + 1;
+  if (data.size() < total) return 0;
+  u64 mag = 0;
+  for (std::size_t i = 1; i < total; ++i) mag = (mag << 8) | data[i];
+  value = negative ? static_cast<i64>(~mag) : static_cast<i64>(mag);
+  return total;
+}
+
 /// Number of bytes writeVLong would produce.
 std::size_t vlongSize(i64 v);
 

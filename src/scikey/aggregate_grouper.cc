@@ -1,6 +1,7 @@
 #include "scikey/aggregate_grouper.h"
 
 #include <map>
+#include <optional>
 
 #include "hadoop/counters.h"
 
@@ -81,13 +82,21 @@ void AggregateGrouper::run(hadoop::KVStream& sorted, const hadoop::ReduceFn& red
   auto insert = [&](AggregateKey key, Bytes blob) {
     pending.emplace(std::make_tuple(key.var, key.start, key.count), std::move(blob));
   };
-
-  auto pull = [&]() -> bool {
-    auto kv = sorted.next();
-    if (!kv) return false;
-    insert(deserializeAggregateKey(kv->key), std::move(kv->value));
-    return true;
+  // Moves the stream's next record into `pending` and returns its key
+  // (nullopt at the end). The stream lends each record only until its next
+  // call, so the multimap keeps a copy of the blob.
+  auto pull = [&]() -> std::optional<AggregateKey> {
+    const auto record = sorted.next();
+    if (!record) return std::nullopt;
+    const AggregateKey key = deserializeAggregateKey(record->key);
+    insert(key, Bytes(record->value.begin(), record->value.end()));
+    return key;
   };
+
+  // Tallies for the whole run, added to the counters once at its end.
+  u64 groups = 0;
+  u64 records = 0;
+  u64 splits = 0;
 
   bool streamOpen = true;
   for (;;) {
@@ -104,14 +113,12 @@ void AggregateGrouper::run(hadoop::KVStream& sorted, const hadoop::ReduceFn& red
     // The stream is sorted by (var, start), so once its head starts at or
     // beyond front.end() (or on a later var) nothing further can overlap.
     while (streamOpen) {
-      auto kv = sorted.next();
-      if (!kv) {
+      const auto head = pull();
+      if (!head) {
         streamOpen = false;
         break;
       }
-      const AggregateKey head = deserializeAggregateKey(kv->key);
-      insert(head, std::move(kv->value));
-      if (head.var > front.var || (head.var == front.var && head.start >= front.end())) break;
+      if (head->var > front.var || (head->var == front.var && head->start >= front.end())) break;
     }
     // Pulling may have introduced a new minimum; restart with it.
     frontIt = pending.begin();
@@ -137,7 +144,7 @@ void AggregateGrouper::run(hadoop::KVStream& sorted, const hadoop::ReduceFn& red
             pending.equal_range(std::make_tuple(victim.var, victim.start, victim.count));
         for (auto it = range.first; it != range.second; ++it) {
           auto [left, right] = splitAggregateRecord(victim, it->second, at, valueSize_);
-          counters.add(hadoop::counter::kKeySplitsOverlap, 1);
+          ++splits;
           fragments.push_back(Pending{deserializeAggregateKey(left.key), std::move(left.value)});
           fragments.push_back(Pending{deserializeAggregateKey(right.key), std::move(right.value)});
         }
@@ -154,12 +161,18 @@ void AggregateGrouper::run(hadoop::KVStream& sorted, const hadoop::ReduceFn& red
     for (auto it = range.first; it != range.second; ++it) values.push_back(std::move(it->second));
     pending.erase(range.first, range.second);
 
-    counters.add(hadoop::counter::kReduceInputGroups, 1);
-    counters.add(hadoop::counter::kReduceInputRecords, values.size());
+    ++groups;
+    records += values.size();
     const Bytes keyBytes = serializeAggregateKey(front);
     reduce(keyBytes, values, reduceEmit);
   }
   reaggregator.flush();
+  // Only the counters the run touched.
+  if (groups > 0) {
+    counters.add(hadoop::counter::kReduceInputGroups, groups);
+    counters.add(hadoop::counter::kReduceInputRecords, records);
+  }
+  if (splits > 0) counters.add(hadoop::counter::kKeySplitsOverlap, splits);
 }
 
 }  // namespace scishuffle::scikey

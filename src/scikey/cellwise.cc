@@ -91,6 +91,7 @@ i32 applyCellOp(CellOp op, std::vector<i32>& values) {
 
 Bytes encodeCellValue(i32 v) {
   Bytes out;
+  out.reserve(4);  // one allocation, not three growth steps
   encodeBigEndianI32(out, v);
   return out;
 }

@@ -120,6 +120,36 @@ TEST(BlockFormatTest, DecodeAheadSourceMatchesAndStaysBounded) {
   EXPECT_LE(source.residentPeakBytes(), 2 * kBlock);
 }
 
+TEST(BlockFormatTest, WindowRunsToTheBlockEndAndKeepsConsumedExact) {
+  // Skips through the zero-copy window and reads that cross block ends,
+  // mixed, must take the stream's bytes in order, with consumed() counting
+  // both (record readers report error offsets from it).
+  const Bytes data = patternedData(1000, 3);
+  constexpr std::size_t kBlock = 64;
+  const Bytes stream = blockCompress(data, nullptr, kBlock);
+  ThreadPool pool(2);
+  BlockDecodeSource source(stream, nullptr, &pool);
+  Bytes got;
+  for (std::size_t step = 0; got.size() < data.size(); ++step) {
+    const ByteSpan window = source.buffered();
+    ASSERT_FALSE(window.empty());
+    const std::size_t end = got.size() + window.size();
+    EXPECT_TRUE(end % kBlock == 0 || end == data.size()) << "window ends at " << end;
+    if (step % 3 == 2) {
+      u8 buf[5];
+      const std::size_t n = source.read(MutableByteSpan(buf, sizeof buf));
+      got.insert(got.end(), buf, buf + n);
+    } else {
+      const std::size_t n = std::min(window.size(), step % 7 + 1);
+      got.insert(got.end(), window.begin(), window.begin() + static_cast<std::ptrdiff_t>(n));
+      source.skip(n);
+    }
+    EXPECT_EQ(source.consumed(), got.size());
+  }
+  EXPECT_EQ(got, data);
+  EXPECT_TRUE(source.buffered().empty());
+}
+
 TEST(BlockFormatTest, BadMagicAndVersionThrow) {
   Bytes stream = blockCompress(patternedData(100, 1), nullptr, 64);
   Bytes badMagic = stream;

@@ -54,7 +54,8 @@ TEST(IFileTest, RoundTripsRecords) {
   for (const auto& expected : records) {
     const auto got = reader.next();
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, expected);
+    EXPECT_EQ(Bytes(got->key.begin(), got->key.end()), expected.key);
+    EXPECT_EQ(Bytes(got->value.begin(), got->value.end()), expected.value);
   }
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_FALSE(reader.next().has_value());  // stable after EOF

@@ -2,16 +2,20 @@
 // (word count, sum-by-key) across codec / combiner / spill / slot settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
 #include <tuple>
 
 #include "compress/codec.h"
+#include "grid/dataset.h"
 #include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "obs/trace.h"
+#include "scikey/sliding_query.h"
 #include "testing_support.h"
 
 namespace scishuffle::hadoop {
@@ -288,6 +292,36 @@ TEST(EngineTest, ZeroByteRecordsStillSpill) {
   EXPECT_EQ(result.outputs, referenceOutputs(config, tasks, reduce));
 }
 
+TEST(EngineTest, ReduceTaskSpanCarriesInputRecords) {
+  // The reduce_task span names how many records its task received, so a
+  // trace alone shows reducer skew.
+  JobConfig config;
+  config.num_reducers = 2;
+  const MapTask task{[](const EmitFn& emit) {
+    for (int i = 0; i < 50; ++i) emit(toBytes("k" + std::to_string(i % 6)), encodeI64(i));
+  }};
+  const MapTaskExecution mapped = executeMapTask(config, nullptr, nullptr, task, 0);
+  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    emit(key, encodeI64(static_cast<i64>(values.size())));
+  };
+  for (int r = 0; r < config.num_reducers; ++r) {
+    obs::TraceRecorder recorder;
+    obs::setActiveTrace(&recorder);
+    const ReduceTaskExecution exec = executeReduceTask(
+        config, nullptr, nullptr, reduce, {mapped.output.segments[static_cast<std::size_t>(r)]}, r);
+    obs::setActiveTrace(nullptr);
+    const u64 records = exec.counters.get(counter::kReduceInputRecords);
+    EXPECT_GT(records, 0u);
+    const std::vector<obs::Span> spans = recorder.snapshot();
+    const auto span = std::find_if(spans.begin(), spans.end(),
+                                   [](const obs::Span& s) { return s.name == "reduce_task"; });
+    ASSERT_NE(span, spans.end());
+    EXPECT_NE(std::find(span->args.begin(), span->args.end(),
+                        std::pair<std::string, u64>{"input_records", records}),
+              span->args.end());
+  }
+}
+
 // ------------------------------------------------------ golden map output
 //
 // A map task's segments are the bytes every reducer fetches, so any
@@ -416,6 +450,172 @@ TEST(MapOutputGoldenTest, SegmentDigestsAreUnchanged) {
     EXPECT_EQ(exec.counters.get(counter::kMapOutputBytes), golden.bytes) << tc.name;
     EXPECT_EQ(exec.counters.get(counter::kMapOutputMaterializedBytes), golden.materialized)
         << tc.name;
+  }
+}
+
+// ------------------------------------------------------ golden reduce output
+//
+// The reduce side (merge, grouping, reduce) must hand every job the same
+// records in the same order. referenceOutputs runs the same groupers, so it
+// cannot catch a grouper regression; these digests and counters were
+// recorded while the merge still returned owning records, before it lent
+// views into the decoded block.
+
+/// Reduce that concatenates a group's values in delivery order.
+void concatReduce(const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+  Bytes joined;
+  for (const Bytes& v : values) joined.insert(joined.end(), v.begin(), v.end());
+  emit(key, std::move(joined));
+}
+
+/// Reduce that emits every value in delivery order, moving each one out.
+void identityReduce(const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+  for (Bytes& v : values) emit(key, std::move(v));
+}
+
+/// Values of 24-84 B and every 37th 150 B, with empty keys and empty values
+/// mixed in: with 64-byte blocks about 70 % of records straddle a block end.
+MapTask straddlingRecords(u32 seed) {
+  return MapTask{[seed](const EmitFn& emit) {
+    for (u32 i = 0; i < 300; ++i) {
+      const Bytes key = i % 5 == 0 ? Bytes{} : toBytes("k" + std::to_string((i * seed) % 23));
+      const std::size_t valueBytes = i % 37 == 0 ? 150 : 24 + (i * 11 + seed) % 61;
+      emit(key, i % 7 == 0 ? Bytes{} : testing::randomBytes(valueBytes, seed * 1000 + i));
+    }
+  }};
+}
+
+/// Nine keys per map task, each valued by (task, position), in a count that
+/// differs per task so the merge passes see segments of different sizes.
+MapTask taggedRecords(int task) {
+  return MapTask{[task](const EmitFn& emit) {
+    for (int j = 0; j < 20 + task * 7; ++j) {
+      emit(toBytes("key" + std::to_string(j % 9)), encodeI64(task * 1000 + j));
+    }
+  }};
+}
+
+grid::Variable medianInput() {
+  grid::Variable v("pressure", grid::DataType::kInt32, grid::Shape({24, 18}));
+  grid::gen::fillRandomInt(v, 42, 1000);
+  return v;
+}
+
+struct ReduceCase {
+  const char* name;
+  JobConfig config;
+  std::vector<MapTask> tasks;
+  ReduceFn reduce;
+};
+
+std::vector<ReduceCase> reduceCases(const grid::Variable& medianGrid) {
+  std::vector<ReduceCase> cases;
+  JobConfig base;
+  base.num_reducers = 3;
+  {
+    std::vector<MapTask> tasks;
+    for (u32 seed = 1; seed <= 4; ++seed) {
+      tasks.push_back(MapTask{[seed](const EmitFn& emit) {
+        // Groups of 1 to ~100 records: suffixes repeat at a per-task period.
+        const auto docs = corpus(1, 800, seed);
+        for (std::size_t i = 0; i < docs[0].size(); ++i) {
+          const std::string key = docs[0][i] + std::to_string(i % (3 * seed));
+          emit(toBytes(key), encodeI64(static_cast<i64>(i)));
+        }
+      }});
+    }
+    const ReduceFn sum = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+      i64 total = 0;
+      for (const auto& v : values) total += decodeI64(v);
+      emit(key, encodeI64(total));
+    };
+    cases.push_back({"null_default", base, std::move(tasks), sum});
+  }
+  {
+    JobConfig config = base;
+    config.num_reducers = 2;
+    config.intermediate_codec = "gzipish";
+    config.shuffle_block_bytes = 64;
+    cases.push_back({"gzipish_64b_blocks",
+                     config,
+                     {straddlingRecords(3), straddlingRecords(5), straddlingRecords(7)},
+                     concatReduce});
+  }
+  {
+    JobConfig config = base;
+    config.num_reducers = 2;
+    config.merge_factor = 4;
+    config.map_slots = 3;
+    std::vector<MapTask> tasks;
+    for (int t = 0; t < 12; ++t) tasks.push_back(taggedRecords(t));
+    cases.push_back({"merge_factor_4", config, std::move(tasks), identityReduce});
+  }
+  for (const bool reaggregate : {false, true}) {
+    scikey::SlidingQueryConfig query;
+    query.num_mappers = 4;
+    query.reaggregate_output = reaggregate;
+    JobConfig config = base;
+    config.map_slots = 2;
+    scikey::PreparedJob job = scikey::buildAggregateSlidingJob(medianGrid, query, config);
+    cases.push_back({reaggregate ? "aggregate_median_reaggregated" : "aggregate_median",
+                     job.job, std::move(job.map_tasks), job.reduce});
+  }
+  return cases;
+}
+
+/// fnv1a64 over every reducer's output in order, each record framed by its
+/// lengths so that a byte moving between key and value changes the digest.
+u64 outputDigest(const JobResult& result) {
+  Bytes framed;
+  MemorySink sink(framed);
+  for (const auto& reducerOutput : result.outputs) {
+    writeU32(sink, static_cast<u32>(reducerOutput.size()));
+    for (const KeyValue& kv : reducerOutput) {
+      writeU32(sink, static_cast<u32>(kv.key.size()));
+      sink.write(kv.key);
+      writeU32(sink, static_cast<u32>(kv.value.size()));
+      sink.write(kv.value);
+    }
+  }
+  return testing::fnv1a64(framed);
+}
+
+struct GoldenReduceOutput {
+  const char* name;
+  u64 output_digest;
+  u64 input_groups;
+  u64 input_records;
+  u64 output_records;
+  u64 merge_passes;
+  u64 overlap_splits;
+};
+
+const GoldenReduceOutput kGoldenReduceOutputs[] = {
+    {"null_default", 0x234ba1fd98434875ull, 120, 3200, 120, 0, 0},
+    {"gzipish_64b_blocks", 0x9b6aa60602b8829full, 24, 900, 24, 0, 0},
+    {"merge_factor_4", 0x0635ed6838d463b8ull, 9, 702, 702, 6, 0},
+    {"aggregate_median", 0xf14569adb04476acull, 269, 1787, 269, 0, 1074},
+    {"aggregate_median_reaggregated", 0xdc860da470121165ull, 269, 1787, 13, 0, 1074},
+};
+
+TEST(ReduceGoldenTest, OutputDigestsAndCountersAreUnchanged) {
+  registerBuiltinCodecs();
+  const grid::Variable medianGrid = medianInput();
+  const std::vector<ReduceCase> cases = reduceCases(medianGrid);
+  ASSERT_EQ(std::size(kGoldenReduceOutputs), cases.size());
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const ReduceCase& tc = cases[c];
+    const GoldenReduceOutput& golden = kGoldenReduceOutputs[c];
+    ASSERT_STREQ(golden.name, tc.name);
+    const JobResult result = runJob(tc.config, tc.tasks, tc.reduce);
+    const u64 digest = outputDigest(result);
+    EXPECT_EQ(digest, golden.output_digest) << tc.name << ": got 0x" << std::hex << digest << "ull";
+    EXPECT_EQ(result.counters.get(counter::kReduceInputGroups), golden.input_groups) << tc.name;
+    EXPECT_EQ(result.counters.get(counter::kReduceInputRecords), golden.input_records) << tc.name;
+    EXPECT_EQ(result.counters.get(counter::kReduceOutputRecords), golden.output_records)
+        << tc.name;
+    EXPECT_EQ(result.counters.get(counter::kReduceMergePasses), golden.merge_passes) << tc.name;
+    EXPECT_EQ(result.counters.get(counter::kKeySplitsOverlap), golden.overlap_splits) << tc.name;
   }
 }
 

@@ -272,9 +272,10 @@ TEST(AggregateGrouperTest, VariablesNeverMixInGroups) {
   });
   struct Stream final : hadoop::KVStream {
     explicit Stream(std::vector<hadoop::KeyValue> kvs) : records(std::move(kvs)) {}
-    std::optional<hadoop::KeyValue> next() override {
+    std::optional<hadoop::RecordView> next() override {
       if (pos >= records.size()) return std::nullopt;
-      return std::move(records[pos++]);
+      const hadoop::KeyValue& kv = records[pos++];
+      return hadoop::RecordView{kv.key, kv.value};
     }
     std::vector<hadoop::KeyValue> records;
     std::size_t pos = 0;
@@ -298,9 +299,10 @@ TEST(AggregateGrouperTest, VariablesNeverMixInGroups) {
 /// Feeds records through the grouper and collects (key, layer blobs) groups.
 struct VectorStream final : hadoop::KVStream {
   explicit VectorStream(std::vector<hadoop::KeyValue> kvs) : records(std::move(kvs)) {}
-  std::optional<hadoop::KeyValue> next() override {
+  std::optional<hadoop::RecordView> next() override {
     if (pos >= records.size()) return std::nullopt;
-    return std::move(records[pos++]);
+    const hadoop::KeyValue& kv = records[pos++];
+    return hadoop::RecordView{kv.key, kv.value};
   }
   std::vector<hadoop::KeyValue> records;
   std::size_t pos = 0;

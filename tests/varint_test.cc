@@ -97,6 +97,33 @@ TEST(VarintTest, FirstByteNegativityMatchesDecodedSign) {
   }
 }
 
+TEST(VarintTest, SpanDecodeMatchesStreamDecodeAndStopsShort) {
+  // decodeVLong (the record readers' in-place path) must read what
+  // readVLong reads, and report 0 for every prefix that ends inside it.
+  const i64 cases[] = {std::numeric_limits<i64>::min(), -(static_cast<i64>(1) << 32), -113, -112,
+                       -1, 0, 127, 128, 65536, std::numeric_limits<i64>::max()};
+  for (const i64 v : cases) {
+    Bytes buf = encode(v);
+    const std::size_t size = buf.size();
+    buf.push_back(0x2A);  // a following byte must not be taken
+    i64 got = 0;
+    EXPECT_EQ(decodeVLong(buf, got), size) << v;
+    EXPECT_EQ(got, v);
+    for (std::size_t cut = 0; cut < size; ++cut) {
+      EXPECT_EQ(decodeVLong(ByteSpan(buf).first(cut), got), 0u) << v << " cut " << cut;
+    }
+  }
+  for (int b = 0; b < 256; ++b) {
+    Bytes buf(10, 0x5A);
+    buf[0] = static_cast<u8>(b);
+    MemorySource src(buf);
+    const i64 expected = readVLong(src);
+    i64 got = 0;
+    EXPECT_EQ(decodeVLong(buf, got), src.position()) << "first byte " << b;
+    EXPECT_EQ(got, expected) << "first byte " << b;
+  }
+}
+
 TEST(VarintTest, VIntRejectsOutOfRange) {
   const Bytes big = encode(static_cast<i64>(1) << 40);
   MemorySource src(big);
