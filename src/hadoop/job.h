@@ -83,14 +83,11 @@ struct JobConfig {
   /// corrupt segment (FormatError / CRC mismatch) is re-attempted with
   /// exponential backoff before the job fails; enabling it also makes the
   /// ShuffleServer retain pristine copies of published segments so a corrupt
-  /// fetch can be re-fetched (Hadoop's reducer re-fetch of map output).
+  /// fetch can be re-fetched (Hadoop's reducer re-fetch of map output), and
+  /// decode-scans every fetched segment before the merge (one extra decode
+  /// pass per segment), so in-transit corruption is healed at fetch time
+  /// instead of surfacing mid-reduce.
   RetryPolicy shuffle_retry;
-
-  /// Decode-scan every fetched segment before handing it to the merge, so
-  /// in-transit corruption is caught (and, with shuffle_retry.enabled,
-  /// healed by a re-fetch) at fetch time instead of mid-reduce. Implied by
-  /// shuffle_retry.enabled; costs one extra decode pass per segment.
-  bool verify_fetched_segments = false;
 
   /// Deterministic fault injection for tests (see docs/FAULTS.md); not owned.
   /// nullptr = no faults.

@@ -105,8 +105,7 @@ void verifyAndRecoverSegment(const JobConfig& config, ShuffleServer& server, con
   fetched.segment = retryWithPolicy(config.shuffle_retry, "segment.integrity", [&]() -> Bytes {
     if (!server.retainsSegments()) {
       throw FormatError("segment from map " + std::to_string(fetched.map_index) +
-                        " is corrupt and no retained copy exists to re-fetch (enable "
-                        "shuffle_retry to retain segments)");
+                        " is corrupt and no retained copy exists to re-fetch");
     }
     counters.add(counter::kSegmentsRefetched, 1);
     obs::emitEvent(obs::event::kShuffleSegmentRefetch, "segment.integrity", fetched.map_index);
@@ -153,7 +152,7 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
   std::optional<PoolGauges> ownedCodecPoolGauges;
   ThreadPool* codecPoolPtr = ctx != nullptr ? ctx->codec_pool : nullptr;
   if (codecPoolPtr == nullptr) {
-    ownedCodecPool.emplace(codecPoolThreads(config));
+    ownedCodecPool.emplace(codecPoolThreads(config.codec_threads));
     ownedCodecPoolGauges.emplace(*ownedCodecPool);
     codecPoolPtr = &*ownedCodecPool;
   }
@@ -162,12 +161,6 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
   // move semantics (no segment copies on the happy path).
   ShuffleServer server(mapTasks.size(), config.num_reducers, config.fault_injector,
                        /*retainSegments=*/config.shuffle_retry.enabled);
-  if (ctx != nullptr) {
-    if (ctx->shuffle_pending_limit_bytes != 0) {
-      server.setPendingBytesLimit(ctx->shuffle_pending_limit_bytes);
-    }
-    if (!ctx->shuffle_overflow_dir.empty()) server.setOverflowDir(ctx->shuffle_overflow_dir);
-  }
   FleetAttachGuard fleet(ctx, server);
   obs::GaugeRegistration shuffleSegments = obs::processGauges().add(
       obs::gauge::kShuffleInflightSegments,
@@ -400,8 +393,8 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
   }
 }
 
-int codecPoolThreads(const JobConfig& config) {
-  if (config.codec_threads > 0) return config.codec_threads;
+int codecPoolThreads(int configured) {
+  if (configured > 0) return configured;
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
@@ -409,7 +402,7 @@ void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* cod
                     const ReduceFn& reduce, ShuffleServer& server, std::size_t numMaps,
                     int reducer, const JobContext* ctx, JobResult& result, Mutex& outputsMutex,
                     ErrorSlot& errors) {
-  const bool verifySegments = config.verify_fetched_segments || config.shuffle_retry.enabled;
+  const bool verifySegments = config.shuffle_retry.enabled;
   try {
     // Slotted by map index, so the merge sees one deterministic order
     // whatever the arrival order.

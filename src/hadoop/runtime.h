@@ -102,14 +102,10 @@ struct JobContext {
   /// (The service additionally aborts the live ShuffleServer to unblock
   /// fetchers immediately.)
   const std::atomic<bool>* cancelled = nullptr;
-  /// Shuffle backpressure seeds (ShuffleServer::setPendingBytesLimit /
-  /// setOverflowDir); the governor may tighten the limit later through the
-  /// attach hook. 0 / empty = unbounded, no overflow.
-  u64 shuffle_pending_limit_bytes = 0;
-  std::filesystem::path shuffle_overflow_dir;
   /// Called with the job's live ShuffleServer right after construction /
-  /// right before destruction — the memory governor attaches here to adjust
-  /// the pending-bytes limit while the job runs.
+  /// right before destruction — the service seeds the overflow directory and
+  /// pending-bytes limit here, and the memory governor attaches to adjust
+  /// the limit while the job runs.
   std::function<void(ShuffleServer&)> attach_shuffle;
   std::function<void(ShuffleServer&)> detach_shuffle;
 };
@@ -153,9 +149,10 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
                                       const std::vector<Bytes>& segments, int reducer,
                                       Counters* retryCounters = nullptr);
 
-/// Threads in a job's private codec pool: JobConfig::codec_threads, or the
-/// hardware concurrency when that is 0.
-int codecPoolThreads(const JobConfig& config);
+/// Threads in a codec pool configured with `configured` threads
+/// (JobConfig::codec_threads, ServiceConfig::codec_threads): that many, or
+/// the hardware concurrency when it is 0.
+int codecPoolThreads(int configured);
 
 /// First-error collection for pool tasks, which must not throw.
 class ErrorSlot {
@@ -190,9 +187,9 @@ class ErrorSlot {
 /// The reduce side of Fig. 1 for one reducer (steps 4-7), shared by runJob
 /// and the distributed coordinator: block-fetches the reducer's segment from
 /// each of `numMaps` maps as `server` receives it (under
-/// config.shuffle_retry; decode-scanned and re-fetched when
-/// verify_fetched_segments or shuffle_retry asks; overflowed segments read
-/// back from disk after the shuffle window), then runs executeReduceTask
+/// config.shuffle_retry, which also decode-scans and re-fetches them when
+/// enabled; overflowed segments read back from disk after the shuffle
+/// window), then runs executeReduceTask
 /// over them slotted by map index and folds its stats, counters and output
 /// into `result`. Writes to result.outputs hold `outputsMutex`. A cancel
 /// request in `ctx` (may be nullptr) skips the reduce. Never throws: errors,

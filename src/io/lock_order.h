@@ -81,9 +81,7 @@ inline constexpr LockLevel kNetListener{66, "net.listener"};
 inline constexpr LockLevel kNetConnectionSend{67, "net.connection_send"};
 inline constexpr LockLevel kWorkloadRegistry{68, "service.workload_registry"};
 
-// -- Metrics internals: the registry map lock nests the per-histogram lock
-//    during snapshot().
-inline constexpr LockLevel kMetricsRegistry{70, "obs.metrics_registry"};
+// -- Telemetry leaves.
 inline constexpr LockLevel kHistogram{71, "obs.histogram"};
 inline constexpr LockLevel kTraceRecorder{75, "obs.trace_recorder"};
 inline constexpr LockLevel kMetricsStream{76, "obs.metrics_stream"};

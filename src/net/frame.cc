@@ -19,7 +19,8 @@ void storeU32(Bytes& out, u32 v) {
 }
 
 bool validType(u8 t) {
-  return t >= static_cast<u8>(FrameType::kHello) && t <= static_cast<u8>(FrameType::kFetchError);
+  return t >= static_cast<u8>(FrameType::kHello) &&
+         t <= static_cast<u8>(FrameType::kServiceReply);
 }
 
 }  // namespace

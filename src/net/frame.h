@@ -1,4 +1,5 @@
-// Length-prefixed binary frames for the coordinator/worker transport.
+// Length-prefixed binary frames for the coordinator/worker transport and the
+// job service's control endpoint.
 //
 // Wire layout (little-endian, mirroring the SBF1 block-frame discipline):
 //
@@ -31,6 +32,8 @@ enum class FrameType : u8 {
   kFetchRequest = 7,  // reducer -> worker data plane
   kFetchResponse = 8, // worker data plane -> reducer: one segment
   kFetchError = 9,    // worker data plane -> reducer: structured refusal
+  kServiceRequest = 10,  // CLI -> job service endpoint: one text request
+  kServiceReply = 11,    // job service endpoint -> CLI: the reply text
 };
 
 struct Frame {

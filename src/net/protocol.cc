@@ -21,6 +21,17 @@ void checkDrained(const MemorySource& src, const char* what) {
     throw FormatError(std::string("trailing bytes after ") + what + " body");
 }
 
+/// readText with the declared length checked against the body first, so a
+/// forged length is a FormatError instead of a huge allocation.
+std::string readBodyText(MemorySource& src) {
+  const i32 len = readVInt(src);
+  checkFormat(len >= 0 && static_cast<std::size_t>(len) <= src.remaining(),
+              "text length exceeds message body");
+  std::string text(static_cast<std::size_t>(len), '\0');
+  src.readExact(MutableByteSpan(reinterpret_cast<u8*>(text.data()), text.size()));
+  return text;
+}
+
 }  // namespace
 
 Frame HelloMsg::encode() const {
@@ -36,7 +47,7 @@ HelloMsg HelloMsg::decode(const Frame& frame) {
   MemorySource src = bodySource(frame);
   HelloMsg m;
   m.worker_id = readU32(src);
-  m.data_socket = readText(src);
+  m.data_socket = readBodyText(src);
   checkDrained(src, "HelloMsg");
   return m;
 }
@@ -85,7 +96,7 @@ TaskDoneMsg TaskDoneMsg::decode(const Frame& frame) {
   for (u32 i = 0; i < numSegments; ++i) m.segment_bytes.push_back(readU64(src));
   const u32 numCounters = readU32(src);
   for (u32 i = 0; i < numCounters; ++i) {
-    std::string name = readText(src);
+    std::string name = readBodyText(src);
     m.counters[std::move(name)] = readU64(src);
   }
   checkDrained(src, "TaskDoneMsg");
@@ -105,7 +116,7 @@ TaskFailedMsg TaskFailedMsg::decode(const Frame& frame) {
   MemorySource src = bodySource(frame);
   TaskFailedMsg m;
   m.map_index = readU32(src);
-  m.error = readText(src);
+  m.error = readBodyText(src);
   checkDrained(src, "TaskFailedMsg");
   return m;
 }
@@ -185,8 +196,40 @@ FetchErrorMsg FetchErrorMsg::decode(const Frame& frame) {
   FetchErrorMsg m;
   m.map_index = readU32(src);
   m.reducer = readU32(src);
-  m.error = readText(src);
+  m.error = readBodyText(src);
   checkDrained(src, "FetchErrorMsg");
+  return m;
+}
+
+Frame ServiceRequestMsg::encode() const {
+  Frame f{FrameType::kServiceRequest, {}};
+  MemorySink sink(f.payload);
+  writeText(sink, line);
+  return f;
+}
+
+ServiceRequestMsg ServiceRequestMsg::decode(const Frame& frame) {
+  checkType(frame, FrameType::kServiceRequest, "ServiceRequestMsg");
+  MemorySource src = bodySource(frame);
+  ServiceRequestMsg m;
+  m.line = readBodyText(src);
+  checkDrained(src, "ServiceRequestMsg");
+  return m;
+}
+
+Frame ServiceReplyMsg::encode() const {
+  Frame f{FrameType::kServiceReply, {}};
+  MemorySink sink(f.payload);
+  writeText(sink, text);
+  return f;
+}
+
+ServiceReplyMsg ServiceReplyMsg::decode(const Frame& frame) {
+  checkType(frame, FrameType::kServiceReply, "ServiceReplyMsg");
+  MemorySource src = bodySource(frame);
+  ServiceReplyMsg m;
+  m.text = readBodyText(src);
+  checkDrained(src, "ServiceReplyMsg");
   return m;
 }
 

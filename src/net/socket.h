@@ -1,16 +1,16 @@
-// UNIX-domain stream transport carrying net/frame.h frames between the
-// coordinator and its worker processes.
+// UNIX-domain stream transport carrying net/frame.h frames between
+// processes: the coordinator and its workers (control and data planes), and
+// the job service endpoint and its CLI clients (service/service_socket.h).
 //
-// The same accept/connect discipline as service/service_socket.cc, but
-// speaking binary frames instead of ASCII lines: Connection::sendFrame /
-// recvFrame move whole frames with CRC verification, Listener accepts the
-// data- and control-plane sockets, and connectUnix dials a peer. Every
-// operation can be failed deterministically through the seeded FaultInjector:
-// the `net.*` sites below model connection refusal, mid-frame truncation,
-// byte corruption, and stalls (docs/FAULTS.md).
+// Connection::sendFrame / recvFrame move whole frames with CRC verification
+// (sends never raise SIGPIPE: a departed peer is an IoError), Listener
+// accepts connections, and connectUnix dials a peer. Every operation can be
+// failed deterministically through the seeded FaultInjector: the `net.*`
+// sites below model connection refusal, mid-frame truncation, byte
+// corruption, and stalls (docs/FAULTS.md).
 //
-// POSIX-only (AF_UNIX), like the service endpoint; constructors throw on
-// platforms without UNIX sockets.
+// POSIX-only (AF_UNIX); constructors throw on platforms without UNIX
+// sockets.
 #pragma once
 
 #include <atomic>
@@ -106,7 +106,7 @@ class Listener {
   /// Unblocks accept() (shutdown, not close — a thread may still be inside
   /// ::accept on this fd) and unlinks the socket path. Idempotent. The fd
   /// itself closes at destruction, which owners sequence after joining
-  /// their accept thread — the same discipline as ServiceEndpoint::stop().
+  /// their accept thread.
   void stop();
 
   const std::filesystem::path& socketPath() const { return socketPath_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace scishuffle::obs {
 
@@ -126,59 +127,27 @@ void JobTelemetry::writeJson(JsonWriter& w) const {
   w.endObject();
 }
 
-// ---------------------------------------------------------------- registry
-
-void MetricsRegistry::add(const std::string& counter, u64 delta) {
-  MutexLock lock(mutex_);
-  counters_[counter] += delta;
-}
-
-u64 MetricsRegistry::counter(const std::string& name) const {
-  MutexLock lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void MetricsRegistry::setGauge(const std::string& name, u64 value) {
-  MutexLock lock(mutex_);
-  gauges_[name] = value;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name, const std::string& unit,
-                                      std::vector<u64> bounds) {
-  MutexLock lock(mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(name, unit, std::move(bounds));
-  return *slot;
-}
-
-JobTelemetry MetricsRegistry::snapshot() const {
-  JobTelemetry t;
-  MutexLock lock(mutex_);
-  t.counters = counters_;
-  t.gauges = gauges_;
-  t.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) t.histograms.push_back(histogram->snapshot());
-  return t;  // map iteration order keeps histograms sorted by name
-}
-
 // ---------------------------------------------------------------- folding
 
 JobTelemetry telemetryFromSpans(const std::vector<Span>& spans) {
-  MetricsRegistry registry;
+  std::map<std::string, Histogram> histograms;  // ordered: snapshots sorted by name
+  const auto histogram = [&histograms](const std::string& name, const char* unit,
+                                       std::vector<u64> bounds) -> Histogram& {
+    return histograms.try_emplace(name, name, unit, std::move(bounds)).first->second;
+  };
   for (const Span& span : spans) {
-    registry.histogram(span.name + "_us", "us", Histogram::defaultLatencyBounds())
-        .record(span.dur_us);
+    histogram(span.name + "_us", "us", Histogram::defaultLatencyBounds()).record(span.dur_us);
     for (const auto& [key, value] : span.args) {
       // Size distributions: any arg the instrumentation named in bytes.
       if (key.find("bytes") != std::string::npos) {
-        registry.histogram(span.name + "." + key, "bytes", Histogram::defaultSizeBounds())
-            .record(value);
+        histogram(span.name + "." + key, "bytes", Histogram::defaultSizeBounds()).record(value);
       }
     }
   }
-  JobTelemetry t = registry.snapshot();
+  JobTelemetry t;
   t.span_count = spans.size();
+  t.histograms.reserve(histograms.size());
+  for (const auto& [name, h] : histograms) t.histograms.push_back(h.snapshot());
   return t;
 }
 

@@ -1,9 +1,9 @@
-// Metrics: thread-safe fixed-bucket histograms, gauges, and counters, plus
-// the JobTelemetry snapshot a finished job carries. Histograms use ascending
-// upper-bound buckets (the last bucket is the implicit +inf overflow) and
-// report p50/p95/p99 by linear interpolation inside the landing bucket,
-// clamped to the observed min/max — the same summary shape the paper's
-// cluster-median methodology (§III-E / §IV-D) needs per stage.
+// Metrics: thread-safe fixed-bucket histograms plus the JobTelemetry
+// snapshot (counters, gauges, histograms) a finished job carries. Histograms
+// use ascending upper-bound buckets (the last bucket is the implicit +inf
+// overflow) and report p50/p95/p99 by linear interpolation inside the
+// landing bucket, clamped to the observed min/max — the same summary shape
+// the paper's cluster-median methodology (§III-E / §IV-D) needs per stage.
 //
 // telemetryFromSpans() is the bridge from tracing to metrics: every recorded
 // span name becomes a duration histogram ("<name>_us") and every byte-valued
@@ -12,7 +12,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,30 +87,6 @@ struct JobTelemetry {
 
   /// Emits {"span_count":..,"counters":{..},"gauges":{..},"histograms":[..]}.
   void writeJson(JsonWriter& w) const;
-};
-
-/// Named counters + gauges + histograms behind one lock. Histogram
-/// getOrCreate hands back a reference that stays valid for the registry's
-/// lifetime, so hot paths can record without re-locking the registry map.
-class MetricsRegistry {
- public:
-  void add(const std::string& counter, u64 delta);
-  u64 counter(const std::string& name) const;
-
-  void setGauge(const std::string& name, u64 value);
-
-  Histogram& histogram(const std::string& name, const std::string& unit,
-                       std::vector<u64> bounds);
-
-  JobTelemetry snapshot() const;
-
- private:
-  mutable Mutex mutex_{lock_rank::kMetricsRegistry};
-  std::map<std::string, u64> counters_ GUARDED_BY(mutex_);
-  std::map<std::string, u64> gauges_ GUARDED_BY(mutex_);
-  // unique_ptr so the reference histogram() hands out stays valid while the
-  // map rebalances; the pointed-to Histogram has its own lock.
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mutex_);
 };
 
 /// Folds recorded spans into per-stage histograms (see file comment).

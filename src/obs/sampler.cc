@@ -95,23 +95,26 @@ GaugeRegistry& processGauges() {
 // ---- Sampler ---------------------------------------------------------------
 
 Sampler::Sampler(u64 intervalMs, GaugeRegistry& registry, TraceRecorder* recorder,
-                 MetricsStream* stream)
+                 MetricsStream* stream, SampleFn onSample)
     : intervalMs_(intervalMs),
       epochUs_(steadyNowUs()),
       registry_(&registry),
       recorder_(recorder),
-      stream_(stream) {}
+      stream_(stream),
+      onSample_(std::move(onSample)) {}
 
 Sampler::~Sampler() { stop(); }
 
 void Sampler::start() {
   if (intervalMs_ == 0) return;  // sampling disabled: no thread, no samples
+  // The t≈0 baseline lands before start() returns, so whatever start()'s
+  // caller does next (the governor's first admission decision) already sees
+  // a real reading.
+  takeSample();
   MutexLock lock(mutex_);
   check(!running_, "sampler already running");
   running_ = true;
   stopRequested_ = false;
-  // The new thread's first action is to lock mutex_ (inside takeSample), so
-  // it simply blocks until this scope releases it.
   thread_ = Thread([this] { loop(); });
 }
 
@@ -147,7 +150,6 @@ std::map<std::string, GaugeRollup> Sampler::rollups() const {
 }
 
 void Sampler::loop() {
-  takeSample();  // t≈0 baseline
   MutexLock lock(mutex_);
   while (!stopRequested_) {
     wake_.wait_for(lock, std::chrono::milliseconds(intervalMs_));
@@ -171,17 +173,20 @@ void Sampler::takeSample() {
   }
   if (recorder_ != nullptr) recorder_->recordCounters(gauges);
 
-  MutexLock lock(mutex_);
-  ++samples_;
-  for (const auto& [name, value] : gauges) {
-    GaugeRollup& r = rollups_[name];
-    r.sum += value;
-    ++r.samples;
-    if (r.samples == 1 || value > r.max) {
-      r.max = value;
-      r.peak_ts_us = ts;
+  {
+    MutexLock lock(mutex_);
+    ++samples_;
+    for (const auto& [name, value] : gauges) {
+      GaugeRollup& r = rollups_[name];
+      r.sum += value;
+      ++r.samples;
+      if (r.samples == 1 || value > r.max) {
+        r.max = value;
+        r.peak_ts_us = ts;
+      }
     }
   }
+  if (onSample_) onSample_(gauges);
 }
 
 }  // namespace scishuffle::obs

@@ -8,8 +8,9 @@
 //     under the spans in chrome://tracing / Perfetto),
 //   * the active MetricsStream as scishuffle.metrics.v1 JSONL lines, and
 //   * per-gauge max/mean rollups merged into JobResult::telemetry.
-// This is the accounting substrate the ROADMAP's memory governor will
-// throttle against (docs/OBSERVABILITY.md, "Continuous telemetry").
+// A per-sample callback turns the same readings into control: the job
+// service's memory governor (src/service/governor.h) runs its throttle law
+// from one (docs/OBSERVABILITY.md, "Continuous telemetry").
 //
 // Thread model: gauge callbacks run on the sampler thread, so they must be
 // thread-safe and non-blocking — components expose relaxed atomic mirrors
@@ -176,17 +177,25 @@ struct GaugeRollup {
   }
 };
 
-/// The background sampler thread. Construction is passive; start() spawns
-/// the thread (a no-op at interval 0, so a default config never pays for a
-/// thread), stop() joins it and takes one final sample — every run with the
-/// sampler on therefore records at least two samples (t≈0 and job end), and
-/// stop() is idempotent and safe to race with the destructor. The recorder
-/// and stream may each be null; rollups accumulate regardless so telemetry
-/// summaries work even when nothing is exported.
+/// Called once per sample with the gauge map (process.rss_bytes included),
+/// after the rollups took it. Runs on whichever thread took the sample —
+/// start()'s caller, the sampler thread, or stop()'s caller — and outside
+/// the sampler's lock, so it may take locks ranked below obs.sampler.
+using SampleFn = std::function<void(const std::map<std::string, u64>& gauges)>;
+
+/// The background sampler thread. Construction is passive; start() takes the
+/// t≈0 sample on the caller's thread, then spawns the thread that samples
+/// once per interval (a no-op at interval 0, so a default config never pays
+/// for a thread or a sample); stop() joins it and takes one final sample —
+/// every run with the sampler on therefore records at least two samples
+/// (t≈0 and job end), and stop() is idempotent and safe to race with the
+/// destructor. The recorder, stream and callback may each be null; rollups
+/// accumulate regardless so telemetry summaries work even when nothing is
+/// exported.
 class Sampler {
  public:
   Sampler(u64 intervalMs, GaugeRegistry& registry, TraceRecorder* recorder,
-          MetricsStream* stream);
+          MetricsStream* stream, SampleFn onSample = {});
   ~Sampler();
 
   Sampler(const Sampler&) = delete;
@@ -211,6 +220,7 @@ class Sampler {
   GaugeRegistry* registry_;
   TraceRecorder* recorder_;
   MetricsStream* stream_;
+  const SampleFn onSample_;
 
   mutable Mutex mutex_{lock_rank::kSampler};
   CondVar wake_;

@@ -627,7 +627,7 @@ DistributedResult Coordinator::run() {
   const auto codec = workload_.config.intermediate_codec == "null"
                          ? nullptr
                          : CodecRegistry::instance().create(workload_.config.intermediate_codec);
-  codecPool_.emplace(hadoop::codecPoolThreads(workload_.config));
+  codecPool_.emplace(hadoop::codecPoolThreads(workload_.config.codec_threads));
   server_.emplace(numTasks, numReducers);
   fetchPool_.emplace(std::max(2, config_.num_workers));
   control_.emplace(controlSocketPath_);

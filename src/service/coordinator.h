@@ -42,7 +42,7 @@ struct DistributedConfig {
   /// --control/--data/--id/--workload/--workload-arg/--heartbeat-ms flags.
   std::vector<std::string> worker_command;
   /// Directory for the run's sockets (and per-worker metrics). Created if
-  /// missing. Keep the path short: sockaddr_un caps it around 100 bytes.
+  /// missing. Keep the path short: UNIX socket paths cap out around 100 bytes.
   std::filesystem::path work_dir;
   u64 heartbeat_interval_ms = 20;
   /// A worker silent for this long is declared dead (SIGKILLed and its

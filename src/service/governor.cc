@@ -1,10 +1,8 @@
 #include "service/governor.h"
 
-#include <chrono>
 #include <utility>
 
 #include "hadoop/shuffle.h"
-#include "io/clock.h"
 #include "obs/metrics_stream.h"
 
 #if defined(__GLIBC__)
@@ -13,49 +11,35 @@
 
 namespace scishuffle::service {
 
+namespace {
+
+obs::GaugeRegistry& checkedRegistry(obs::GaugeRegistry* registry) {
+  check(registry != nullptr, "governor needs a gauge registry");
+  return *registry;
+}
+
+}  // namespace
+
 MemoryGovernor::MemoryGovernor(Config config, obs::GaugeRegistry* registry,
                                obs::MetricsStream* stream)
-    : config_(config), registry_(registry), stream_(stream), epochUs_(steadyNowUs()) {
-  check(registry_ != nullptr, "governor needs a gauge registry");
+    : config_(config),
+      sampler_(config.interval_ms, checkedRegistry(registry), /*recorder=*/nullptr, stream,
+               [this](const std::map<std::string, u64>& gauges) { onSample(gauges); }) {
+  // At interval 0 the sampler never samples, and a governor without
+  // readings would admit blindly.
+  check(config_.interval_ms != 0, "governor interval must be nonzero");
   check(config_.min_pending_limit_bytes != 0,
         "min pending limit must be nonzero (0 means unbounded to the server)");
 }
 
-MemoryGovernor::~MemoryGovernor() { stop(); }
-
 void MemoryGovernor::setWakeCallback(std::function<void()> callback) {
-  MutexLock lock(mu_);
-  check(!running_, "set the wake callback before start()");
+  check(!sampler_.running(), "set the wake callback before start()");
   wakeCallback_ = std::move(callback);
 }
 
-void MemoryGovernor::start() {
-  {
-    MutexLock lock(mu_);
-    check(!running_, "governor already running");
-    running_ = true;
-    stopRequested_ = false;
-  }
-  // Synchronous t≈0 sample before the thread exists: the dispatcher's first
-  // admission decision must never see lastRss == 0 and wave a burst through.
-  tick();
-  MutexLock lock(mu_);
-  thread_ = Thread([this] { loop(); });
-}
+void MemoryGovernor::start() { sampler_.start(); }
 
-void MemoryGovernor::stop() {
-  Thread toJoin;
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    running_ = false;
-    stopRequested_ = true;
-    toJoin = std::move(thread_);
-  }
-  wake_.notify_all();
-  if (toJoin.joinable()) toJoin.join();
-  tick();  // final sample: shutdown state lands in the stream and rollups
-}
+void MemoryGovernor::stop() { sampler_.stop(); }
 
 void MemoryGovernor::attach(hadoop::ShuffleServer& server) {
   u64 limit = 0;
@@ -105,64 +89,20 @@ u64 MemoryGovernor::throttleEvents() const {
   return throttles_;
 }
 
-u64 MemoryGovernor::sampleCount() const {
-  MutexLock lock(mu_);
-  return samples_;
-}
-
 bool MemoryGovernor::throttled() const {
   MutexLock lock(mu_);
   return throttled_;
 }
 
-std::map<std::string, obs::GaugeRollup> MemoryGovernor::rollups() const {
-  MutexLock lock(mu_);
-  return rollups_;
-}
-
-void MemoryGovernor::loop() {
-  tick();  // t≈0 baseline
-  MutexLock lock(mu_);
-  while (!stopRequested_) {
-    wake_.wait_for(lock, std::chrono::milliseconds(config_.interval_ms));
-    if (stopRequested_) break;
-    lock.unlock();
-    tick();
-    lock.lock();
-  }
-}
-
-void MemoryGovernor::tick() {
-  // Sample before locking mu_: gauge callbacks take component locks of their
-  // own (registry -> component), and mu_ must stay out of that chain.
-  std::map<std::string, u64> gauges = registry_->sample();
-  const u64 rss = obs::currentRssBytes();
-  gauges[obs::gauge::kProcessRssBytes] = rss;
-
-  u64 ts = 0;
-  if (stream_ != nullptr) {
-    ts = stream_->writeSample(gauges);
-  } else {
-    const u64 now = steadyNowUs();
-    ts = now >= epochUs_ ? now - epochUs_ : 0;
-  }
-
+void MemoryGovernor::onSample(const std::map<std::string, u64>& gauges) {
+  const auto rssIt = gauges.find(obs::gauge::kProcessRssBytes);
+  const u64 rss = rssIt != gauges.end() ? rssIt->second : 0;
   bool startedThrottling = false;
   bool clearedThrottling = false;
   {
     MutexLock lock(mu_);
-    ++samples_;
     lastRss_ = rss;
     if (rss > peakRss_) peakRss_ = rss;
-    for (const auto& [name, value] : gauges) {
-      obs::GaugeRollup& r = rollups_[name];
-      r.sum += value;
-      ++r.samples;
-      if (r.samples == 1 || value > r.max) {
-        r.max = value;
-        r.peak_ts_us = ts;
-      }
-    }
     if (config_.budget_bytes != 0) {
       const bool over =
           static_cast<double>(rss) >

@@ -7,7 +7,6 @@
 
 #include "hadoop/shuffle.h"
 #include "io/clock.h"
-#include "io/task_tag.h"
 #include "obs/metrics_stream.h"
 #include "testing/fault_injector.h"
 
@@ -60,10 +59,7 @@ JobService::JobService(ServiceConfig config) : config_(std::move(config)) {
     // process — the global metrics slot does not nest.
     obs::setActiveMetrics(metrics_.get());
   }
-  const int codecThreads = config_.codec_threads > 0
-                               ? config_.codec_threads
-                               : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  codecPool_ = std::make_unique<ThreadPool>(codecThreads);
+  codecPool_ = std::make_unique<ThreadPool>(hadoop::codecPoolThreads(config_.codec_threads));
   if (config_.memory_budget_bytes != 0) {
     MemoryGovernor::Config g;
     g.budget_bytes = config_.memory_budget_bytes;
@@ -344,18 +340,20 @@ void JobService::dispatcherLoop() {
 }
 
 void JobService::execute(const std::shared_ptr<Job>& job) {
-  // Tag the runner thread with the job id: every span/metric event emitted
-  // from this call tree (pool hops included) resolves to this job.
-  ScopedTaskTag tagScope(job->id);
   Job* jobPtr = job.get();
 
   hadoop::JobContext ctx;
   ctx.codec_pool = codecPool_.get();
+  // runJob tags its call tree with the job id: every span/metric event
+  // emitted on the job's behalf (pool hops included) resolves to this job.
   ctx.job_tag = job->id;
   ctx.cancelled = &job->cancel;
-  ctx.shuffle_pending_limit_bytes = config_.shuffle_pending_limit_bytes;
-  ctx.shuffle_overflow_dir = config_.overflow_dir;
   ctx.attach_shuffle = [this, jobPtr](hadoop::ShuffleServer& server) {
+    // Backpressure seeds first: the governor's attach may tighten the limit.
+    if (!config_.overflow_dir.empty()) server.setOverflowDir(config_.overflow_dir);
+    if (config_.shuffle_pending_limit_bytes != 0) {
+      server.setPendingBytesLimit(config_.shuffle_pending_limit_bytes);
+    }
     bool abortNow = false;
     {
       MutexLock lock(mutex_);

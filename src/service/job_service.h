@@ -11,9 +11,9 @@
 //        (running==0 escapes the governor so a budget can never deadlock the
 //        service outright)
 //        v
-//   runner (ThreadPool, max_concurrent_jobs slots): tags the thread with the
-//        job id (io/task_tag.h) and calls hadoop::runJob with a JobContext —
-//        shared codec pool, per-job trace/metrics routed by tag, cooperative
+//   runner (ThreadPool, max_concurrent_jobs slots): calls hadoop::runJob with
+//        a JobContext — shared codec pool, the job id as task tag
+//        (io/task_tag.h) so per-job trace/metrics route by tag, cooperative
 //        cancel, governor-managed shuffle backpressure (docs/SERVICE.md).
 //
 // Thread model: every Job record and the queue live behind one service mutex
@@ -89,7 +89,7 @@ struct JobStatus {
 struct ServiceConfig {
   int max_concurrent_jobs = 2;
   std::size_t queue_capacity = 16;
-  /// Aggregate RSS budget for the whole service; 0 = no governor thread
+  /// Aggregate RSS budget for the whole service; 0 = no governor
   /// (admission gated on slots only, shuffles unbounded).
   u64 memory_budget_bytes = 0;
   u64 governor_interval_ms = 5;

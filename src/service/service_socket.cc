@@ -3,58 +3,15 @@
 #include <sstream>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SCISHUFFLE_HAVE_UNIX_SOCKETS 1
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#include <cerrno>
-#include <cstring>
-#endif
+#include "net/protocol.h"
 
 namespace scishuffle::service {
 
-#if defined(SCISHUFFLE_HAVE_UNIX_SOCKETS)
-
 namespace {
 
-void writeAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw IoError(std::string("socket send failed: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-/// Reads until `\n` (request side) or EOF (response side).
-std::string readUntil(int fd, bool stopAtNewline) {
-  std::string out;
-  char buf[512];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw IoError(std::string("socket recv failed: ") + std::strerror(errno));
-    }
-    if (n == 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
-    if (stopAtNewline && out.find('\n') != std::string::npos) break;
-  }
-  return out;
-}
-
-sockaddr_un socketAddress(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string s = path.string();
-  check(s.size() < sizeof(addr.sun_path), "socket path too long for sockaddr_un");
-  std::memcpy(addr.sun_path, s.c_str(), s.size() + 1);
-  return addr;
-}
+/// How long a connection may take to deliver its request frame; a client
+/// that stalls past it is dropped unanswered, so it cannot pin a thread.
+constexpr u64 kRequestTimeoutMs = 5000;
 
 std::vector<std::string> splitWords(const std::string& line) {
   std::istringstream in(line);
@@ -76,22 +33,8 @@ std::string statusLine(const JobStatus& s) {
 
 ServiceEndpoint::ServiceEndpoint(JobService& service, std::filesystem::path socketPath,
                                  SpecBuilder builder)
-    : service_(service), socketPath_(std::move(socketPath)), builder_(std::move(builder)) {
+    : service_(service), builder_(std::move(builder)), listener_(std::move(socketPath)) {
   check(static_cast<bool>(builder_), "endpoint needs a spec builder");
-  listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listenFd_ < 0) throw IoError(std::string("socket() failed: ") + std::strerror(errno));
-  std::filesystem::remove(socketPath_);  // stale socket from a dead server
-  sockaddr_un addr = socketAddress(socketPath_);
-  if (::bind(listenFd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listenFd_);
-    throw IoError("bind(" + socketPath_.string() + ") failed: " + why);
-  }
-  if (::listen(listenFd_, 16) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listenFd_);
-    throw IoError("listen failed: " + why);
-  }
   acceptor_ = std::thread([this] { acceptLoop(); });
 }
 
@@ -117,52 +60,40 @@ void ServiceEndpoint::stop() {
     stopped_ = true;
   }
   shutdownCv_.notify_all();
-  // Unblock accept() so the acceptor thread sees stopped_ and exits.
-  ::shutdown(listenFd_, SHUT_RDWR);
+  // Wakes the acceptor out of accept() and unlinks the socket path; mu_ is
+  // held across neither call.
+  listener_.stop();
   if (acceptor_.joinable()) acceptor_.join();
-  ::close(listenFd_);
-  listenFd_ = -1;
   std::vector<std::thread> conns;
   {
     MutexLock lock(mu_);
     conns = std::move(conns_);
-    conns_.clear();
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
-  std::error_code ec;
-  std::filesystem::remove(socketPath_, ec);
+  for (std::thread& t : conns) t.join();
 }
 
 void ServiceEndpoint::acceptLoop() {
   for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    {
-      MutexLock lock(mu_);
-      if (stopped_) {
-        if (fd >= 0) ::close(fd);
-        return;
-      }
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listen socket gone
-      }
-      conns_.emplace_back([this, fd] { serveConnection(fd); });
-    }
+    net::Connection conn = listener_.accept();
+    if (!conn.valid()) return;  // listener stopped
+    MutexLock lock(mu_);
+    if (stopped_) return;  // accepted while stop() ran: dropped unanswered
+    conns_.emplace_back(
+        [this, c = std::move(conn)]() mutable { serveConnection(std::move(c)); });
   }
 }
 
-void ServiceEndpoint::serveConnection(int fd) {
+void ServiceEndpoint::serveConnection(net::Connection conn) {
   try {
-    std::string line = readUntil(fd, /*stopAtNewline=*/true);
-    if (const auto nl = line.find('\n'); nl != std::string::npos) line.resize(nl);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    writeAll(fd, handleRequest(line) + "\n");
+    conn.setRecvTimeout(kRequestTimeoutMs);
+    net::Frame frame;
+    if (!conn.recvFrame(frame)) return;  // closed before sending a request
+    const std::string line = net::ServiceRequestMsg::decode(frame).line;
+    conn.sendFrame(net::ServiceReplyMsg{handleRequest(line)}.encode());
   } catch (...) {
-    // Client went away mid-request; nothing to clean up beyond the fd.
+    // A malformed, stalled or departed client: the protocol answers it with
+    // a closed connection, and the server carries on.
   }
-  ::close(fd);
 }
 
 std::string ServiceEndpoint::handleRequest(const std::string& line) {
@@ -204,11 +135,7 @@ std::string ServiceEndpoint::handleRequest(const std::string& line) {
                                                          : "error unknown or terminal job";
     }
     if (cmd == "shutdown") {
-      {
-        MutexLock lock(mu_);
-        shutdownRequested_ = true;
-      }
-      shutdownCv_.notify_all();
+      requestShutdown();
       return "ok";
     }
     return "error unknown command: " + cmd;
@@ -219,47 +146,13 @@ std::string ServiceEndpoint::handleRequest(const std::string& line) {
 
 std::string ServiceEndpoint::request(const std::filesystem::path& socketPath,
                                      const std::string& line) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw IoError(std::string("socket() failed: ") + std::strerror(errno));
-  sockaddr_un addr = socketAddress(socketPath);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    throw IoError("connect(" + socketPath.string() + ") failed: " + why);
+  net::Connection conn = net::connectUnix(socketPath);
+  conn.sendFrame(net::ServiceRequestMsg{line}.encode());
+  net::Frame reply;
+  if (!conn.recvFrame(reply)) {
+    throw IoError("service endpoint " + socketPath.string() + " closed without a reply");
   }
-  std::string response;
-  try {
-    writeAll(fd, line + "\n");
-    ::shutdown(fd, SHUT_WR);  // half-close: server reads EOF-terminated line fine
-    response = readUntil(fd, /*stopAtNewline=*/false);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  while (!response.empty() && response.back() == '\n') response.pop_back();
-  return response;
+  return net::ServiceReplyMsg::decode(reply).text;
 }
-
-#else  // !SCISHUFFLE_HAVE_UNIX_SOCKETS
-
-ServiceEndpoint::ServiceEndpoint(JobService& service, std::filesystem::path socketPath,
-                                 SpecBuilder builder)
-    : service_(service), socketPath_(std::move(socketPath)), builder_(std::move(builder)) {
-  throw IoError("UNIX domain sockets are not available on this platform");
-}
-
-ServiceEndpoint::~ServiceEndpoint() = default;
-void ServiceEndpoint::waitUntilShutdownRequested() {}
-void ServiceEndpoint::requestShutdown() {}
-void ServiceEndpoint::stop() {}
-void ServiceEndpoint::acceptLoop() {}
-void ServiceEndpoint::serveConnection(int) {}
-std::string ServiceEndpoint::handleRequest(const std::string&) { return "error unsupported"; }
-std::string ServiceEndpoint::request(const std::filesystem::path&, const std::string&) {
-  throw IoError("UNIX domain sockets are not available on this platform");
-}
-
-#endif
 
 }  // namespace scishuffle::service

@@ -1,21 +1,23 @@
-// UNIX-domain socket front-end for the JobService: a line-oriented control
-// protocol so `scishuffle_cli submit/jobs/cancel/shutdown` can talk to a
-// long-running `scishuffle_cli serve` process.
+// UNIX-domain socket front-end for the JobService: a text control protocol
+// so `scishuffle_cli submit/jobs/cancel/shutdown` can talk to a long-running
+// `scishuffle_cli serve` process.
 //
-// Protocol (one request per connection, newline-terminated ASCII):
+// Protocol (one request per connection; the request travels as one
+// kServiceRequest frame and the reply as one kServiceReply frame over the
+// net/ transport, docs/FORMATS.md):
 //   submit <priority> <spec args...>   -> "ok id=N" | "rejected id=N <why>"
 //   status <id>                        -> "<id> <state> <name> wait_us=... <err>"
 //   list                               -> one status line per job, then "end"
 //   wait <id>                          -> blocks; then a status line
 //   cancel <id>                        -> "ok" | "error unknown or terminal job"
 //   shutdown                           -> "ok"; serve loop drains and exits
-// Anything malformed -> "error <message>".
+// Anything malformed -> "error <message>". A frame that fails its CRC or
+// header checks, has the wrong type, or never arrives closes the connection
+// without a reply; a client that leaves mid-request costs the server nothing.
 //
 // The endpoint knows nothing about building jobs: the host supplies a
 // SpecBuilder that turns the submit arguments into a JobSpec (the CLI's
 // builder understands its synthetic workloads; tests plug in their own).
-// POSIX-only (AF_UNIX); the stub on other platforms throws. Socket paths are
-// limited to sizeof(sockaddr_un::sun_path)-1 (~107) bytes.
 #pragma once
 
 #include <filesystem>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "io/annotations.h"
+#include "net/socket.h"
 #include "service/job_service.h"
 
 namespace scishuffle::service {
@@ -58,21 +61,21 @@ class ServiceEndpoint {
   /// Idempotent.
   void stop();
 
-  const std::filesystem::path& socketPath() const { return socketPath_; }
+  const std::filesystem::path& socketPath() const { return listener_.socketPath(); }
 
-  /// Client side: one round trip — connect, send `line`, read the full
-  /// response (until EOF). Throws IoError on connect/IO failure.
+  /// Client side: one round trip — connect, send `line`, return the reply
+  /// text. Throws IoError on connect/IO failure or when the endpoint closes
+  /// the connection without replying.
   static std::string request(const std::filesystem::path& socketPath, const std::string& line);
 
  private:
   void acceptLoop();
-  void serveConnection(int fd);
+  void serveConnection(net::Connection conn);
   std::string handleRequest(const std::string& line);
 
   JobService& service_;
-  const std::filesystem::path socketPath_;
   const SpecBuilder builder_;
-  int listenFd_ = -1;  // const after construction until stop()
+  net::Listener listener_;
 
   mutable Mutex mu_{lock_rank::kServiceEndpoint};
   CondVar shutdownCv_;

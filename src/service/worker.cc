@@ -194,7 +194,7 @@ int runWorkerMain(const WorkerOptions& options) {
   std::atomic<bool> hung{false};
   SegmentStore store;
   DataPlane dataPlane(options.data_socket, store, hung);
-  ThreadPool codecPool(hadoop::codecPoolThreads(workload.config));
+  ThreadPool codecPool(hadoop::codecPoolThreads(workload.config.codec_threads));
 
   net::Connection control = net::connectUnix(options.control_socket);
   {

@@ -1,14 +1,19 @@
 // Job-service scheduler tests (ctest label: tsan): lifecycle against the
 // standalone runtime, the priority-then-FIFO admission order as a seeded
 // property, graceful shutdown with jobs in flight, queue-full rejection, the
-// socket front-end round trip, and a job cancelled mid-shuffle reaching a
-// terminal state.
+// socket front-end round trip (and its survival of abandoned and malformed
+// requests), a job cancelled mid-shuffle reaching a terminal state, and the
+// memory governor's control law.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <sys/un.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -16,9 +21,13 @@
 #include <vector>
 
 #include "hadoop/runtime.h"
+#include "hadoop/shuffle.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "net/protocol.h"
+#include "net/socket.h"
 #include "proptest.h"
+#include "service/governor.h"
 #include "service/job_service.h"
 #include "service/service_socket.h"
 #include "testing_support.h"
@@ -421,6 +430,147 @@ TEST(JobServiceTest, SocketFrontEndRoundTrip) {
   endpoint.waitUntilShutdownRequested();
   endpoint.stop();
   service.shutdown();
+}
+
+// A client that sends `wait` and disconnects before the job ends: the reply
+// then goes to a closed peer, which must cost that connection only. (A write
+// without MSG_NOSIGNAL raises SIGPIPE there and kills the whole server.)
+TEST(JobServiceTest, AbandonedWaitLeavesTheServerUp) {
+  TempDir dir("svc_abandon");
+  ServiceConfig config;
+  config.max_concurrent_jobs = 1;
+  JobService service(config);
+  Gate gate;
+  std::atomic<bool> started{false};
+  const SpecBuilder builder = [&gate, &started](const std::vector<std::string>&, JobSpec& spec,
+                                                std::string&) {
+    spec = plugSpec(&gate, &started);
+    return true;
+  };
+  ServiceEndpoint endpoint(service, dir.file("svc.sock"), builder);
+
+  const std::string submitted =
+      ServiceEndpoint::request(endpoint.socketPath(), "submit normal plug");
+  ASSERT_EQ(submitted.rfind("ok id=", 0), 0u) << submitted;
+  const std::string id = submitted.substr(6);
+  awaitTrue(started);
+  {
+    net::Connection abandoned = net::connectUnix(endpoint.socketPath());
+    abandoned.sendFrame(net::ServiceRequestMsg{"wait " + id}.encode());
+  }  // closed while the job is still parked on the gate
+  gate.release();
+  EXPECT_EQ(service.wait(std::stoull(id)).state, JobState::kDone);
+
+  const std::string listing = ServiceEndpoint::request(endpoint.socketPath(), "list");
+  EXPECT_NE(listing.find(id + " done"), std::string::npos) << listing;
+  EXPECT_EQ(ServiceEndpoint::request(endpoint.socketPath(), "shutdown"), "ok");
+  endpoint.waitUntilShutdownRequested();
+  endpoint.stop();  // joins the abandoned connection: its reply write is behind us
+  service.shutdown();
+}
+
+/// Writes `wire` verbatim to the endpoint on a fresh connection, then
+/// half-closes it (the client sends nothing more). True when the endpoint
+/// answered with a frame before closing the connection.
+bool endpointAnswers(const std::filesystem::path& socketPath, const Bytes& wire) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  net::Connection conn(fd);  // owns the descriptor from here on
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socketPath.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) != static_cast<ssize_t>(wire.size()) ||
+      ::shutdown(fd, SHUT_WR) != 0) {
+    throw IoError("cannot deliver raw bytes to " + socketPath.string());
+  }
+  net::Frame reply;
+  return conn.recvFrame(reply);
+}
+
+TEST(JobServiceTest, MalformedRequestFrameIsDropped) {
+  TempDir dir("svc_malformed");
+  JobService service(ServiceConfig{});
+  ServiceEndpoint endpoint(service, dir.file("svc.sock"),
+                           [](const std::vector<std::string>&, JobSpec&, std::string& error) {
+                             error = "no specs here";
+                             return false;
+                           });
+  const std::filesystem::path& path = endpoint.socketPath();
+
+  const Bytes valid = net::encodeFrame(net::ServiceRequestMsg{"status 1"}.encode());
+  Bytes flipped = valid;
+  // "status" -> "rtatus": a request that would still parse, so only the
+  // frame CRC can refuse it.
+  flipped[net::kFrameHeaderBytes + 1] ^= 0x01;
+  const Bytes truncated(valid.begin(), valid.end() - 1);
+  EXPECT_TRUE(endpointAnswers(path, valid));
+  EXPECT_FALSE(endpointAnswers(path, net::encodeFrame(net::HelloMsg{}.encode())))
+      << "wrong frame type";
+  EXPECT_FALSE(endpointAnswers(path, flipped)) << "flipped payload bit";
+  EXPECT_FALSE(endpointAnswers(path, truncated)) << "frame that never completes";
+  EXPECT_FALSE(endpointAnswers(path, Bytes{})) << "no frame at all";
+
+  EXPECT_EQ(ServiceEndpoint::request(path, "status 1"), "error unknown job id");
+  endpoint.stop();
+  service.shutdown();
+}
+
+// The governor's control law, driven through the hook its sampler calls with
+// synthetic readings: no real RSS, no sampling thread.
+TEST(MemoryGovernorTest, ControlLawFollowsSampledRss) {
+  constexpr u64 kMiB = 1ull << 20;
+  MemoryGovernor::Config cfg;
+  cfg.budget_bytes = 100 * kMiB;  // soft watermark 0.8: throttles above 80 MiB
+  cfg.job_reserve_bytes = 10 * kMiB;
+  cfg.min_pending_limit_bytes = 1;
+  obs::GaugeRegistry registry;
+  MemoryGovernor governor(cfg, &registry, /*stream=*/nullptr);
+  int wakes = 0;
+  governor.setWakeCallback([&wakes] { ++wakes; });
+  const auto sample = [&governor](u64 rss) {
+    governor.onSample({{obs::gauge::kProcessRssBytes, rss}});
+  };
+
+  TempDir dir("governor_law");
+  hadoop::ShuffleServer server(/*numMaps=*/2, /*numReducers=*/1);
+  server.setOverflowDir(dir.path());
+  governor.attach(server);
+
+  // Not throttled: admissionOk(n) is exactly lastRss + reserve * (n + 1) <= budget.
+  sample(60 * kMiB);
+  EXPECT_TRUE(governor.admissionOk(3));  // 60 + 40 == 100 MiB
+  sample(60 * kMiB + 1);
+  EXPECT_FALSE(governor.admissionOk(3));  // one byte past the budget
+  EXPECT_TRUE(governor.admissionOk(2));
+
+  // Crossing the watermark throttles once; admission closes and the squeezed
+  // server spills its next publish to the overflow directory.
+  sample(81 * kMiB);
+  sample(90 * kMiB);
+  EXPECT_TRUE(governor.throttled());
+  EXPECT_EQ(governor.throttleEvents(), 1u);
+  EXPECT_FALSE(governor.admissionOk(0));
+  server.publish(0, {toBytes("squeezed")});
+  EXPECT_EQ(server.overflowSegments(), 1u);
+
+  // Falling back below it wakes the dispatcher exactly once and reopens
+  // admission; the next publish stays in memory.
+  sample(70 * kMiB);
+  sample(70 * kMiB);
+  EXPECT_FALSE(governor.throttled());
+  EXPECT_EQ(wakes, 1);
+  EXPECT_TRUE(governor.admissionOk(0));
+  server.publish(1, {toBytes("resident")});
+  EXPECT_EQ(server.overflowSegments(), 1u);
+  EXPECT_EQ(server.pendingBytes(), toBytes("resident").size());
+
+  EXPECT_EQ(governor.lastRssBytes(), 70 * kMiB);
+  EXPECT_EQ(governor.peakRssBytes(), 90 * kMiB);
+  governor.detach(server);
+
+  // At interval 0 its sampler would never sample: rejected up front.
+  cfg.interval_ms = 0;
+  EXPECT_THROW({ MemoryGovernor rejected(cfg, &registry, /*stream=*/nullptr); }, std::logic_error);
 }
 
 TEST(JobServiceTest, PriorityNamesRoundTrip) {

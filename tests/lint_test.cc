@@ -59,6 +59,24 @@ TEST(LintFormats, StaleDocVersionIsReportedAgainstTheDoc) {
   EXPECT_TRUE(hasDiagnostic(diags, "docs/FORMATS.md", "u8(version=3)"));  // the expected value
 }
 
+TEST(LintFormats, UndocumentedFrameTypeIsReportedAgainstTheEnum) {
+  const auto diags = lint::checkFormats(fixture("undocumented_frame_type"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_TRUE(hasDiagnostic(diags, "src/net/frame.h", "FrameType::kShadow (= 3)"));
+  EXPECT_TRUE(hasDiagnostic(diags, "frame.h", "has no row in docs/FORMATS.md"));
+  EXPECT_EQ(diags[0].line, 9);  // the kShadow enumerator
+}
+
+TEST(LintFormats, StaleFrameTypeRowsAreReportedAgainstTheDoc) {
+  const auto diags = lint::checkFormats(fixture("stale_frame_type_row"));
+  ASSERT_EQ(diags.size(), 2u);
+  // A row naming no enumerator...
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/FORMATS.md", "`kRetired` names no FrameType"));
+  // ...and a row whose value disagrees with the enum.
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/FORMATS.md", "`kAssign` says 7"));
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/FORMATS.md", "defines 2"));
+}
+
 TEST(LintSpans, UndocumentedSpanNameIsReported) {
   const auto diags = lint::checkSpans(fixture("undocumented_span"));
   ASSERT_EQ(diags.size(), 1u);

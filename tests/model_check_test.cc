@@ -7,8 +7,9 @@
 // finds schedule-dependent assertion failures and that a printed seed
 // replays the exact failing interleaving. Then the real subsystems: the
 // shuffle server's publish/fetch/teardown under bounded-exhaustive DFS, the
-// job service's two shutdown modes, and a 500-schedule PCT soak of the
-// governor-squeeze control loop.
+// job service's two shutdown modes, a 500-schedule PCT soak of the
+// governor-squeeze control loop, and 500 schedules of governor teardown
+// racing fleet changes and admission.
 #include <gtest/gtest.h>
 
 #ifndef SCISHUFFLE_MODEL_CHECK
@@ -372,6 +373,49 @@ TEST(ModelCheckServiceTest, GovernorSqueezePctSoak) {
   ExploreOptions opts;
   opts.max_schedules = 500;
   opts.seed = 1234;
+  const ExploreResult result = explore(body, opts);
+  EXPECT_FALSE(result.failed) << "seed " << result.failing_seed << ": " << result.failure;
+  EXPECT_EQ(result.schedules_run, 500);
+}
+
+TEST(ModelCheckServiceTest, GovernorStopRacesAttachAndAdmission) {
+  // 500 seeded PCT schedules of governor teardown: stop() joins the sampling
+  // thread and runs the final sample's squeeze over the fleet
+  // (governor.mu_ -> server.mutex_) while, from two other Threads, a
+  // short-lived job's server attaches, detaches and dies, and a dispatcher
+  // asks for admission. Once stop() returns no sample may land, and a
+  // throttled governor must never report admission headroom.
+  auto body = [] {
+    obs::GaugeRegistry registry;
+    service::MemoryGovernor::Config gcfg;
+    gcfg.budget_bytes = 64ull << 20;
+    gcfg.interval_ms = 1;
+    gcfg.job_reserve_bytes = 16ull << 20;
+    gcfg.min_pending_limit_bytes = 1ull << 10;
+    service::MemoryGovernor governor(gcfg, &registry, /*stream=*/nullptr);
+    hadoop::ShuffleServer first(/*numMaps=*/1, /*numReducers=*/1);
+    governor.attach(first);
+    governor.start();
+    Thread attacher([&governor] {
+      hadoop::ShuffleServer second(/*numMaps=*/1, /*numReducers=*/1);
+      governor.attach(second);
+      governor.detach(second);
+    });
+    Thread admitter([&governor] { (void)governor.admissionOk(1); });
+    governor.stop();
+    const u64 samples = governor.sampleCount();
+    attacher.join();
+    admitter.join();
+    governor.detach(first);
+    if (samples < 2) throw std::logic_error("start() and stop() each owe a sample");
+    if (governor.sampleCount() != samples) throw std::logic_error("sampled after stop()");
+    if (governor.throttled() && governor.admissionOk()) {
+      throw std::logic_error("throttled governor admitted a job");
+    }
+  };
+  ExploreOptions opts;
+  opts.max_schedules = 500;
+  opts.seed = 4321;
   const ExploreResult result = explore(body, opts);
   EXPECT_FALSE(result.failed) << "seed " << result.failing_seed << ": " << result.failure;
   EXPECT_EQ(result.schedules_run, 500);

@@ -1,7 +1,7 @@
 // Tests for the observability layer: span recording (single- and
 // multi-threaded — this test carries the `tsan` label), Chrome trace export,
-// histogram percentile math, the metrics registry, and the span->histogram
-// folding that powers JobConfig::collect_histograms.
+// histogram percentile math, and the span->histogram folding that powers
+// JobConfig::collect_histograms.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -310,31 +310,6 @@ TEST(HistogramTest, SnapshotJsonParses) {
   EXPECT_EQ(v.at("count").number, 2.0);
   ASSERT_EQ(v.at("bounds").array.size(), 2u);
   ASSERT_EQ(v.at("counts").array.size(), 3u);
-}
-
-// ---------------------------------------------------------------- registry
-
-TEST(MetricsRegistryTest, CountersGaugesAndHistograms) {
-  MetricsRegistry registry;
-  registry.add("events", 3);
-  registry.add("events", 2);
-  EXPECT_EQ(registry.counter("events"), 5u);
-  EXPECT_EQ(registry.counter("missing"), 0u);
-
-  registry.setGauge("buffer_fill", 17);
-  registry.setGauge("buffer_fill", 9);  // gauges overwrite
-
-  Histogram& h = registry.histogram("lat", "us", Histogram::defaultLatencyBounds());
-  h.record(5);
-  // Same name returns the same instance, not a fresh histogram.
-  EXPECT_EQ(&registry.histogram("lat", "us", Histogram::defaultLatencyBounds()), &h);
-
-  const JobTelemetry t = registry.snapshot();
-  EXPECT_EQ(t.counters.at("events"), 5u);
-  EXPECT_EQ(t.gauges.at("buffer_fill"), 9u);
-  ASSERT_NE(t.findHistogram("lat"), nullptr);
-  EXPECT_EQ(t.findHistogram("lat")->count, 1u);
-  EXPECT_EQ(t.findHistogram("nope"), nullptr);
 }
 
 // ---------------------------------------------------------------- folding

@@ -254,21 +254,25 @@ TEST(RecoveryAcceptanceTest, DroppedFetchWithRetriesDisabledNamesTheSite) {
 }
 
 TEST(RecoveryAcceptanceTest, CorruptSegmentWithRetriesDisabledNamesIntegritySite) {
+  // With retry off no fetched segment is scanned (and none is retained), so
+  // the in-transit corruption surfaces in the merge's block decoder; every
+  // reduce attempt decodes the same damaged bytes, and the failure names the
+  // decoder's integrity check.
   FaultPlan plan;
   plan.rules.push_back({site::kShuffleFetch, FaultKind::kCorruptBytes});
   scishuffle::testing::FaultInjector faults(plan);
 
   JobConfig config = faultedConfig(&faults);
   config.shuffle_retry.enabled = false;
-  config.verify_fetched_segments = true;  // detect, but nothing retained to re-fetch
+  config.max_task_attempts = 2;
   try {
     runWordCount(config);
     FAIL() << "expected RetryExhaustedError";
   } catch (const RetryExhaustedError& e) {
-    EXPECT_EQ(e.report().site, "segment.integrity");
-    EXPECT_NE(e.report().last_error.find("no retained copy"), std::string::npos)
-        << e.report().last_error;
+    EXPECT_EQ(e.report().site, site::kBlockDecode);
+    EXPECT_EQ(e.report().attempts, 2);
   }
+  EXPECT_EQ(faults.triggered(site::kShuffleFetch), 1u);
 }
 
 TEST(RecoveryAcceptanceTest, TruncatedSegmentIsRecoveredToo) {

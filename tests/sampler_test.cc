@@ -95,14 +95,26 @@ TEST(SamplerTest, ZeroIntervalIsAHardNoOp) {
 TEST(SamplerTest, RecordsAtLeastTwoSamplesAndRollups) {
   GaugeRegistry registry;
   auto g = registry.add("test.constant", [] { return u64{7}; });
-  Sampler sampler(1, registry, nullptr, nullptr);
+  std::atomic<u64> callbacks{0};
+  std::atomic<u64> callbackRss{0};
+  Sampler sampler(1, registry, nullptr, nullptr, [&](const std::map<std::string, u64>& gauges) {
+    callbacks.fetch_add(1);
+    const auto rss = gauges.find(gauge::kProcessRssBytes);
+    callbackRss.store(rss != gauges.end() ? rss->second : 0);
+  });
   sampler.start();
   EXPECT_TRUE(sampler.running());
+  // The t≈0 baseline is taken before start() returns.
+  EXPECT_GE(sampler.sampleCount(), 1u);
+  EXPECT_GE(callbacks.load(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   sampler.stop();
   EXPECT_FALSE(sampler.running());
   // t≈0 baseline sample plus the final sample in stop().
   EXPECT_GE(sampler.sampleCount(), 2u);
+  // One callback per sample, each with the RSS reading the sampler injects.
+  EXPECT_EQ(callbacks.load(), sampler.sampleCount());
+  EXPECT_GT(callbackRss.load(), 0u);
 
   const auto rollups = sampler.rollups();
   ASSERT_EQ(rollups.count("test.constant"), 1u);

@@ -254,8 +254,80 @@ std::vector<Diagnostic> checkFormats(const fs::path& root) {
 
   checkFile(header, lines);
   std::vector<std::string> docLines;
-  if (readLines(root, "docs/FORMATS.md", docLines, diags)) {
-    checkFile("docs/FORMATS.md", docLines);
+  if (!readLines(root, "docs/FORMATS.md", docLines, diags)) return diags;
+  checkFile("docs/FORMATS.md", docLines);
+
+  // SNF1 frame types, in both directions: every net::FrameType enumerator
+  // has a row carrying its value in the doc's frame-type table, and every
+  // row names an enumerator. Trees without the transport layer skip this.
+  const std::string frameHeader = "src/net/frame.h";
+  if (!fs::exists(root / frameHeader)) return diags;
+  std::vector<std::string> frameLines;
+  if (!readLines(root, frameHeader, frameLines, diags)) return diags;
+  struct FrameTypeEntry {
+    std::string name;
+    std::string value;
+    int line = 0;
+  };
+  static const std::regex enumeratorRe(R"(^\s*(k\w+)\s*=\s*(\d+)\b)");
+  std::vector<FrameTypeEntry> types;
+  bool inEnum = false;
+  for (std::size_t i = 0; i < frameLines.size(); ++i) {
+    if (frameLines[i].find("enum class FrameType") != std::string::npos) {
+      inEnum = true;
+      continue;
+    }
+    if (!inEnum) continue;
+    if (frameLines[i].find("};") != std::string::npos) break;
+    std::smatch m;
+    if (std::regex_search(frameLines[i], m, enumeratorRe)) {
+      types.push_back({m[1].str(), m[2].str(), static_cast<int>(i + 1)});
+    }
+  }
+  if (types.empty()) {
+    diags.push_back({frameHeader, 0,
+                     "no FrameType enumerators parsed; declaration syntax changed under the "
+                     "linter?"});
+    return diags;
+  }
+  static const std::regex rowRe(R"(^\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|)");
+  std::map<std::string, FrameTypeEntry> rows;  // enumerator name -> documented value + row line
+  bool inTable = false;
+  for (std::size_t i = 0; i < docLines.size(); ++i) {
+    const std::string& line = docLines[i];
+    if (line.rfind("| Frame type", 0) == 0) {
+      inTable = true;
+      continue;
+    }
+    if (!inTable) continue;
+    if (line.empty() || line[0] != '|') {
+      inTable = false;
+      continue;
+    }
+    std::smatch m;
+    if (!std::regex_search(line, m, rowRe)) continue;  // the |---| separator
+    const FrameTypeEntry row{m[1].str(), m[2].str(), static_cast<int>(i + 1)};
+    const bool declared =
+        std::any_of(types.begin(), types.end(),
+                    [&row](const FrameTypeEntry& t) { return t.name == row.name; });
+    if (!declared) {
+      diags.push_back({"docs/FORMATS.md", row.line,
+                       "frame-type row `" + row.name + "` names no FrameType enumerator in " +
+                           frameHeader});
+    }
+    rows.emplace(row.name, row);
+  }
+  for (const FrameTypeEntry& t : types) {
+    const auto it = rows.find(t.name);
+    if (it == rows.end()) {
+      diags.push_back({frameHeader, t.line,
+                       "FrameType::" + t.name + " (= " + t.value +
+                           ") has no row in docs/FORMATS.md's SNF1 frame-type table"});
+    } else if (it->second.value != t.value) {
+      diags.push_back({"docs/FORMATS.md", it->second.line,
+                       "frame-type row `" + t.name + "` says " + it->second.value + " but " +
+                           frameHeader + ":" + std::to_string(t.line) + " defines " + t.value});
+    }
   }
   return diags;
 }

@@ -11,7 +11,10 @@
 //                  docs/OBSERVABILITY.md.
 //   * formats    — the SBF1 magic/version constants in
 //                  src/compress/block_format.h match the grammar lines in
-//                  docs/FORMATS.md and the header's own file comment.
+//                  docs/FORMATS.md and the header's own file comment, and
+//                  every SNF1 FrameType enumerator in src/net/frame.h (when
+//                  present) has a row with its value in that doc's
+//                  frame-type table, and every row names an enumerator.
 //   * spans      — every ScopedSpan name emitted anywhere under src/ appears
 //                  in docs/OBSERVABILITY.md's span taxonomy, and every span
 //                  that taxonomy table names is emitted under src/.
