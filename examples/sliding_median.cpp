@@ -31,9 +31,7 @@ void report(const std::string& label, const hadoop::JobResult& result, double se
   std::cout << "  overlap key splits:   " << result.counters.get(c::kKeySplitsOverlap) << "\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const i64 side = argc > 1 ? std::atol(argv[1]) : 128;
   const int radius = argc > 2 ? std::atoi(argv[2]) : 1;
   const int mappers = argc > 3 ? std::atoi(argv[3]) : 8;
@@ -90,4 +88,15 @@ int main(int argc, char** argv) {
                   scikey::flattenAggregateOutputs(agg, *aggJob.space) == reference;
   std::cout << "all three configurations agree: " << (ok ? "yes" : "NO") << "\n";
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {  // e.g. an unknown codec or curve name
+    std::cerr << "sliding_median: " << e.what() << "\n";
+    return 2;
+  }
 }

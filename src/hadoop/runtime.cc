@@ -18,6 +18,7 @@
 #include "io/thread_pool.h"
 #include "obs/metrics_stream.h"
 #include "obs/sampler.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "testing/fault_injector.h"
 #include "transform/transform_codec.h"
@@ -237,60 +238,6 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
   return result;
 }
 
-/// Routes the job's spans to its TraceRecorder for the duration of the run.
-/// Standalone job (tag 0): installs the recorder in the process-wide slot and
-/// clears it on every exit path. Service job (nonzero tag): binds the
-/// recorder to the job's task tag and never touches the global slot, which
-/// the service may own.
-struct ActiveTraceGuard {
-  ActiveTraceGuard(obs::TraceRecorder* recorder, u64 tag) : tag_(tag) {
-    if (tag_ != 0) {
-      if (recorder != nullptr) {
-        obs::bindJobTrace(tag_, recorder);
-        bound_ = true;
-      }
-    } else {
-      if (recorder != nullptr) obs::setActiveTrace(recorder);
-      ownsGlobal_ = true;
-    }
-  }
-  ~ActiveTraceGuard() {
-    if (bound_) obs::unbindJobTrace(tag_);
-    if (ownsGlobal_) obs::setActiveTrace(nullptr);
-  }
-
- private:
-  u64 tag_;
-  bool bound_ = false;
-  bool ownsGlobal_ = false;
-};
-
-/// Same pattern for the metrics stream: structured events (retry, corruption,
-/// backpressure) reach the JSONL file only while a job with a metrics_path is
-/// running; emitEvent() is a single relaxed load otherwise.
-struct ActiveMetricsGuard {
-  ActiveMetricsGuard(obs::MetricsStream* stream, u64 tag) : tag_(tag) {
-    if (tag_ != 0) {
-      if (stream != nullptr) {
-        obs::bindJobMetrics(tag_, stream);
-        bound_ = true;
-      }
-    } else {
-      if (stream != nullptr) obs::setActiveMetrics(stream);
-      ownsGlobal_ = true;
-    }
-  }
-  ~ActiveMetricsGuard() {
-    if (bound_) obs::unbindJobMetrics(tag_);
-    if (ownsGlobal_) obs::setActiveMetrics(nullptr);
-  }
-
- private:
-  u64 tag_;
-  bool bound_ = false;
-  bool ownsGlobal_ = false;
-};
-
 }  // namespace
 
 MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
@@ -509,45 +456,16 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
   std::optional<ScopedTaskTag> tagScope;
   if (tag != 0) tagScope.emplace(tag);
 
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  if (!config.trace_path.empty() || config.collect_histograms) {
-    recorder = std::make_unique<obs::TraceRecorder>();
-  }
-  std::unique_ptr<obs::MetricsStream> metrics;
-  if (!config.metrics_path.empty()) {
-    metrics = std::make_unique<obs::MetricsStream>(config.metrics_path, config.sample_interval_ms);
-  }
-
+  obs::TelemetrySession telemetry(config.trace_path, config.collect_histograms,
+                                  config.metrics_path, config.sample_interval_ms, tag);
   JobResult result;
-  std::map<std::string, obs::GaugeRollup> rollups;
   {
-    ActiveTraceGuard guard(recorder.get(), tag);
-    ActiveMetricsGuard metricsGuard(metrics.get(), tag);
-    obs::Sampler sampler(config.sample_interval_ms, obs::processGauges(), recorder.get(),
-                         metrics.get());
-    sampler.start();
-    {
-      obs::ScopedSpan jobSpan("job", "job");
-      jobSpan.arg("map_tasks", mapTasks.size());
-      jobSpan.arg("reducers", static_cast<u64>(config.num_reducers));
-      result = runPipelined(config, mapTasks, reduce, codecPtr.get(), ctx);
-    }
-    sampler.stop();  // takes the final sample before the gauges unregister
-    rollups = sampler.rollups();
-    if (metrics != nullptr) metrics->writeSummary(rollups);
+    obs::ScopedSpan jobSpan("job", "job");
+    jobSpan.arg("map_tasks", mapTasks.size());
+    jobSpan.arg("reducers", static_cast<u64>(config.num_reducers));
+    result = runPipelined(config, mapTasks, reduce, codecPtr.get(), ctx);
   }
-
-  if (recorder != nullptr) {
-    const std::vector<obs::Span> spans = recorder->snapshot();
-    if (config.collect_histograms) result.telemetry = obs::telemetryFromSpans(spans);
-    result.telemetry.span_count = spans.size();
-    if (!config.trace_path.empty()) recorder->writeChromeTrace(config.trace_path);
-  }
-  // After telemetryFromSpans, which replaces `telemetry` wholesale.
-  for (const auto& [name, r] : rollups) {
-    result.telemetry.gauges[name + ".max"] = r.max;
-    result.telemetry.gauges[name + ".mean"] = static_cast<u64>(r.mean() + 0.5);
-  }
+  telemetry.finish(result.telemetry);
   result.telemetry.counters = result.counters.snapshot();
   return result;
 }

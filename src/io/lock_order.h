@@ -75,9 +75,7 @@ inline constexpr LockLevel kThreadPool{60, "io.thread_pool"};
 inline constexpr LockLevel kServiceEndpoint{61, "service.endpoint"};
 inline constexpr LockLevel kSignalGuard{62, "service.signals"};
 inline constexpr LockLevel kSegmentStore{63, "dist.segment_store"};
-inline constexpr LockLevel kDataPlane{64, "dist.data_plane"};
 inline constexpr LockLevel kHeartbeat{65, "dist.heartbeat"};
-inline constexpr LockLevel kNetListener{66, "net.listener"};
 inline constexpr LockLevel kNetConnectionSend{67, "net.connection_send"};
 inline constexpr LockLevel kWorkloadRegistry{68, "service.workload_registry"};
 

@@ -1,5 +1,6 @@
 #include "net/socket.h"
 
+#include <system_error>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -146,8 +147,13 @@ void Connection::shutdownNow() {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
-Listener::Listener(std::filesystem::path socketPath, testing::FaultInjector* faults)
-    : socketPath_(std::move(socketPath)), faults_(faults) {
+void Connection::shutdownRead() {
+  const int fd = fd_.load();
+  if (fd >= 0) ::shutdown(fd, SHUT_RD);
+}
+
+Server::Server(std::filesystem::path socketPath, Handler handler)
+    : socketPath_(std::move(socketPath)), handler_(std::move(handler)) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) throw IoError(std::string("socket() failed: ") + std::strerror(errno));
   std::filesystem::remove(socketPath_);  // stale socket from a dead process
@@ -163,47 +169,60 @@ Listener::Listener(std::filesystem::path socketPath, testing::FaultInjector* fau
     throw IoError("listen failed: " + why);
   }
   listenFd_.store(fd);
+  acceptor_ = std::thread([this] { acceptLoop(); });
 }
 
-Listener::~Listener() {
-  stop();
-  const int fd = listenFd_.exchange(-1);
-  if (fd >= 0) ::close(fd);
-}
+Server::~Server() { stop(); }
 
-Connection Listener::accept() {
+void Server::acceptLoop() {
   for (;;) {
     const int listenFd = listenFd_.load();
     const int fd = listenFd >= 0 ? ::accept(listenFd, nullptr, nullptr) : -1;
-    {
-      MutexLock lock(mu_);
-      if (stopped_) {
-        if (fd >= 0) ::close(fd);
-        return Connection();
-      }
+    if (stopped_.load()) {
+      if (fd >= 0) ::close(fd);  // accepted while stop() ran: dropped unanswered
+      return;
     }
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return Connection();  // listen socket gone
+      return;  // listen socket gone
     }
-    return Connection(fd, faults_);
+    reapFinished();
+    auto live = std::make_unique<Live>();
+    live->conn = std::make_shared<Connection>(fd);
+    try {
+      live->thread = std::thread([this, l = live.get()] {
+        handler_(l->conn);
+        l->conn->shutdownNow();
+        l->done.store(true);
+      });
+    } catch (const std::system_error&) {
+      continue;  // out of threads: the peer sees EOF, a transport failure it retries or reports
+    }
+    live_.push_back(std::move(live));
   }
 }
 
-void Listener::stop() {
-  {
-    MutexLock lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  // shutdown() wakes any thread blocked in ::accept; the fd stays open (and
-  // the next accept on it fails fast) until the destructor closes it, after
-  // the owner has joined its accept thread — closing here could race a
-  // concurrent accept() onto a recycled descriptor.
-  const int fd = listenFd_.load();
+void Server::reapFinished() {
+  std::erase_if(live_, [](const std::unique_ptr<Live>& l) {
+    if (!l->done.load()) return false;
+    l->thread.join();
+    return true;
+  });
+}
+
+void Server::stop() {
+  if (stopped_.exchange(true)) return;
+  // shutdown() wakes the acceptor blocked in ::accept; the fd stays open
+  // until the acceptor is joined, so it cannot accept on a recycled one.
+  const int fd = listenFd_.exchange(-1);
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   std::error_code ec;
   std::filesystem::remove(socketPath_, ec);
+  if (acceptor_.joinable()) acceptor_.join();
+  for (const auto& l : live_) l->conn->shutdownRead();
+  for (const auto& l : live_) l->thread.join();
+  live_.clear();
+  if (fd >= 0) ::close(fd);
 }
 
 Connection connectUnix(const std::filesystem::path& socketPath,
@@ -234,14 +253,14 @@ bool Connection::recvFrame(Frame&) {
 void Connection::setRecvTimeout(u64) {}
 void Connection::close() {}
 void Connection::shutdownNow() {}
+void Connection::shutdownRead() {}
 
-Listener::Listener(std::filesystem::path socketPath, testing::FaultInjector*)
-    : socketPath_(std::move(socketPath)) {
+Server::Server(std::filesystem::path socketPath, Handler handler)
+    : socketPath_(std::move(socketPath)), handler_(std::move(handler)) {
   throw IoError("UNIX domain sockets are not available on this platform");
 }
-Listener::~Listener() = default;
-Connection Listener::accept() { return Connection(); }
-void Listener::stop() {}
+Server::~Server() = default;
+void Server::stop() {}
 
 Connection connectUnix(const std::filesystem::path&, testing::FaultInjector*) {
   throw IoError("UNIX domain sockets are not available on this platform");

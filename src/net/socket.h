@@ -3,11 +3,12 @@
 // the job service endpoint and its CLI clients (service/service_socket.h).
 //
 // Connection::sendFrame / recvFrame move whole frames with CRC verification
-// (sends never raise SIGPIPE: a departed peer is an IoError), Listener
-// accepts connections, and connectUnix dials a peer. Every operation can be
-// failed deterministically through the seeded FaultInjector: the `net.*`
-// sites below model connection refusal, mid-frame truncation, byte
-// corruption, and stalls (docs/FAULTS.md).
+// (sends never raise SIGPIPE: a departed peer is an IoError), Server accepts
+// connections and runs a handler per connection, and connectUnix dials a
+// peer. Every operation on a connection dialed with a seeded FaultInjector
+// can be failed deterministically: the `net.*` sites below model connection
+// refusal, mid-frame truncation, byte corruption, and stalls
+// (docs/FAULTS.md).
 //
 // POSIX-only (AF_UNIX); constructors throw on platforms without UNIX
 // sockets.
@@ -15,7 +16,11 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "io/annotations.h"
 #include "net/frame.h"
@@ -55,8 +60,6 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  bool valid() const { return fd_.load() >= 0; }
-
   /// Encodes and writes one frame. Throws IoError on a broken peer or an
   /// injected net.frame.send fault (a truncating fault sends the partial
   /// prefix and poisons the socket, so the peer observes a real mid-frame
@@ -83,40 +86,65 @@ class Connection {
   /// descriptor stays valid (no recycled-fd race) until the owner closes it.
   void shutdownNow();
 
+  /// Thread-safe, like shutdownNow(), but for the read side only: recvFrame
+  /// returns what the peer already sent, then sees EOF, while sendFrame
+  /// still works, so a request being served still gets its reply.
+  void shutdownRead();
+
  private:
   std::atomic<int> fd_{-1};  // shutdownNow() races the reader; -1 once closed
   testing::FaultInjector* faults_ = nullptr;
   Mutex sendMu_{lock_rank::kNetConnectionSend};  // serialises writers; the fd itself is not guarded for recv
 };
 
-/// Listening UNIX socket: binds at construction (unlinking any stale file),
-/// hands out Connections from accept(). stop() unblocks a pending accept.
-class Listener {
+/// Listening UNIX socket plus the threads that serve it: binds at
+/// construction (unlinking any stale file), then an acceptor thread runs
+/// `handler` for each peer on a thread of its own. Handler threads stay raw
+/// std::thread because they block in recv (io/thread.h). The connection is
+/// shut down when its handler returns, so the peer sees EOF; the shared
+/// pointer lets the owner keep using it meanwhile (the coordinator keeps
+/// each worker's control connection for its scheduler).
+///
+/// Before it starts a new connection's thread the acceptor joins every
+/// handler that has returned, so the server holds one thread per live
+/// connection. Only the acceptor touches that list until stop() has joined
+/// it; after that only stop() does, so the server needs no lock.
+class Server {
  public:
-  explicit Listener(std::filesystem::path socketPath,
-                    testing::FaultInjector* faults = nullptr);
-  ~Listener();
+  /// Must not throw: an escaping exception terminates the process.
+  using Handler = std::function<void(const std::shared_ptr<Connection>&)>;
 
-  Listener(const Listener&) = delete;
-  Listener& operator=(const Listener&) = delete;
+  Server(std::filesystem::path socketPath, Handler handler);
+  ~Server();
 
-  /// Blocks for the next peer. Returns an invalid Connection after stop().
-  Connection accept();
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
-  /// Unblocks accept() (shutdown, not close — a thread may still be inside
-  /// ::accept on this fd) and unlinks the socket path. Idempotent. The fd
-  /// itself closes at destruction, which owners sequence after joining
-  /// their accept thread.
+  /// Stops accepting and unlinks the socket path, shuts the read side of
+  /// every live connection so a handler blocked in recvFrame unwinds (one
+  /// already serving a request can still reply), and joins the acceptor and
+  /// every handler (one blocked elsewhere is joined when it returns).
+  /// Idempotent; called by the owner, not by handlers.
   void stop();
 
   const std::filesystem::path& socketPath() const { return socketPath_; }
 
  private:
+  struct Live {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  void acceptLoop();
+  void reapFinished();
+
   const std::filesystem::path socketPath_;
-  testing::FaultInjector* faults_ = nullptr;
-  std::atomic<int> listenFd_{-1};  // accept() races stop(); -1 once closed
-  mutable Mutex mu_{lock_rank::kNetListener};
-  bool stopped_ GUARDED_BY(mu_) = false;
+  const Handler handler_;
+  std::atomic<int> listenFd_{-1};  // the acceptor reads it while stop() shuts it down
+  std::atomic<bool> stopped_{false};
+  std::vector<std::unique_ptr<Live>> live_;  // acceptor-owned until stop() joins it
+  std::thread acceptor_;
 };
 
 /// Dials a UNIX socket. Throws IoError when the peer refuses (including an

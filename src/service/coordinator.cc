@@ -30,6 +30,7 @@
 #include "net/socket.h"
 #include "obs/metrics_stream.h"
 #include "obs/sampler.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "service/workload.h"
 #include "transform/transform_codec.h"
@@ -96,8 +97,7 @@ class Coordinator {
 
  private:
   void spawnWorker(u32 id);
-  void acceptLoop();
-  void serveControl(std::shared_ptr<net::Connection> conn);
+  void serveControl(const std::shared_ptr<net::Connection>& conn);
   void onTaskDone(u32 wid, net::TaskDoneMsg msg);
   void fetchTask(u32 m, u64 gen, u32 wid);
   void publishFetched(u32 m, u64 gen, std::vector<Bytes> segments);
@@ -126,20 +126,19 @@ class Coordinator {
   bool shuttingDown_ GUARDED_BY(mu_) = false;
   std::exception_ptr fatal_ GUARDED_BY(mu_);
   u64 recoveryLatencyUs_ GUARDED_BY(mu_) = 0;
-  std::vector<std::thread> handlerThreads_ GUARDED_BY(mu_);
 
   Mutex monMu_{lock_rank::kCoordinatorMonitor};
   CondVar monWake_;
   bool monStop_ GUARDED_BY(monMu_) = false;
 
-  // Destruction order matters: fetchPool_ (declared last) joins its stale
-  // fetch tasks before server_ / codecPool_ / control_ go away.
-  std::optional<net::Listener> control_;
+  // Destruction order matters: the control server (declared last) joins its
+  // handlers, which submit to fetchPool_ and abort server_; fetchPool_ then
+  // joins its stale fetch tasks before server_ / codecPool_ go away.
   std::optional<ThreadPool> codecPool_;
   std::optional<hadoop::ShuffleServer> server_;
   std::optional<ThreadPool> fetchPool_;
+  std::optional<net::Server> control_;
 
-  std::thread acceptThread_;
   std::thread monitorThread_;
   std::thread schedulerThread_;
 };
@@ -183,17 +182,7 @@ void Coordinator::spawnWorker(u32 id) {
   obs::emitEvent(obs::event::kWorkerSpawned, "coordinator", id);
 }
 
-void Coordinator::acceptLoop() {
-  for (;;) {
-    net::Connection conn = control_->accept();
-    if (!conn.valid()) return;  // listener stopped
-    auto shared = std::make_shared<net::Connection>(std::move(conn));
-    MutexLock lock(mu_);
-    handlerThreads_.emplace_back([this, shared] { serveControl(shared); });
-  }
-}
-
-void Coordinator::serveControl(std::shared_ptr<net::Connection> conn) {
+void Coordinator::serveControl(const std::shared_ptr<net::Connection>& conn) {
   u32 wid = 0;
   bool registered = false;
   const char* reason = "control_eof";
@@ -396,8 +385,8 @@ void Coordinator::markWorkerDead(u32 wid, const char* reason, bool kill) {
   if (kill && pid > 0) ::kill(pid, SIGKILL);
   // Shutting down our end unblocks the handler thread's recvFrame; it
   // re-enters markWorkerDead, which is now a no-op. The fd itself closes
-  // when the handler drops its shared_ptr (close here could recycle the
-  // descriptor under the still-blocked reader).
+  // when the last shared_ptr drops (close here could recycle the descriptor
+  // under the still-blocked reader).
   if (conn) conn->shutdownNow();
   schedWake_.notify_all();
   if (counted && aliveLeft == 0) {
@@ -547,8 +536,10 @@ void Coordinator::teardown() {
       // Peer already gone; the reap below handles it.
     }
   }
+  // The Shutdown frames are already queued at the workers. stop() shuts the
+  // read side of every control connection, which wakes each handler parked
+  // in recvFrame (one on a hung worker too), and joins them.
   control_->stop();
-  if (acceptThread_.joinable()) acceptThread_.join();
   {
     MutexLock lock(monMu_);
     monStop_ = true;
@@ -556,19 +547,6 @@ void Coordinator::teardown() {
   monWake_.notify_all();
   if (monitorThread_.joinable()) monitorThread_.join();
   reapChildren();
-  // Every worker process is gone; shutting down our control ends unblocks
-  // any handler thread still parked in recvFrame (hung workers never
-  // EOF'd). The fds close when the handlers drop their shared_ptrs.
-  for (const auto& c : conns) c->shutdownNow();
-  std::vector<std::thread> handlers;
-  {
-    MutexLock lock(mu_);
-    handlers = std::move(handlerThreads_);
-    handlerThreads_.clear();
-  }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
 }
 
 DistributedResult Coordinator::run() {
@@ -593,19 +571,6 @@ DistributedResult Coordinator::run() {
     result_.tasks_assigned.assign(static_cast<std::size_t>(config_.num_workers), 0);
   }
 
-  std::unique_ptr<obs::MetricsStream> metrics;
-  if (!config_.metrics_path.empty()) {
-    metrics =
-        std::make_unique<obs::MetricsStream>(config_.metrics_path, config_.sample_interval_ms);
-    obs::setActiveMetrics(metrics.get());
-  }
-  struct ActiveMetricsReset {
-    bool active;
-    ~ActiveMetricsReset() {
-      if (active) obs::setActiveMetrics(nullptr);
-    }
-  } metricsReset{metrics != nullptr};
-
   obs::GaugeRegistration aliveGauge =
       obs::processGauges().add(obs::gauge::kDistWorkersAlive, [this] {
         MutexLock lock(mu_);
@@ -620,8 +585,9 @@ DistributedResult Coordinator::run() {
         for (const TaskState& t : tasks_) n += t.phase != TaskPhase::kPublished ? 1 : 0;
         return n;
       });
-  obs::Sampler sampler(config_.sample_interval_ms, obs::processGauges(), nullptr, metrics.get());
-  sampler.start();
+  // After the dist.* gauges: the first and last samples see them.
+  obs::TelemetrySession telemetry(/*tracePath=*/{}, /*collectHistograms=*/false,
+                                  config_.metrics_path, config_.sample_interval_ms, /*tag=*/0);
 
   registerTransformCodecs();
   const auto codec = workload_.config.intermediate_codec == "null"
@@ -630,7 +596,8 @@ DistributedResult Coordinator::run() {
   codecPool_.emplace(hadoop::codecPoolThreads(workload_.config.codec_threads));
   server_.emplace(numTasks, numReducers);
   fetchPool_.emplace(std::max(2, config_.num_workers));
-  control_.emplace(controlSocketPath_);
+  control_.emplace(controlSocketPath_,
+                   [this](const std::shared_ptr<net::Connection>& conn) { serveControl(conn); });
 
   for (int i = 0; i < config_.num_workers; ++i) spawnWorker(static_cast<u32>(i));
 
@@ -640,7 +607,6 @@ DistributedResult Coordinator::run() {
   u64 mapEnd = 0;
   u64 jobEnd = 0;
   try {
-    acceptThread_ = std::thread([this] { acceptLoop(); });
     monitorThread_ = std::thread([this] { monitorLoop(); });
     schedulerThread_ = std::thread([this] { schedulerLoop(); });
 
@@ -679,13 +645,7 @@ DistributedResult Coordinator::run() {
   reduceErrors.rethrowIfSet();
   hadoop::foldJobEnd(*server_, jobStart, mapEnd, jobEnd, result_.job);
 
-  sampler.stop();
-  const auto rollups = sampler.rollups();
-  if (metrics != nullptr) metrics->writeSummary(rollups);
-  for (const auto& [name, roll] : rollups) {
-    result_.job.telemetry.gauges[name + ".max"] = roll.max;
-    result_.job.telemetry.gauges[name + ".mean"] = static_cast<u64>(roll.mean() + 0.5);
-  }
+  telemetry.finish(result_.job.telemetry);
   result_.job.telemetry.counters = result_.job.counters.snapshot();
   {
     MutexLock lock(mu_);

@@ -6,9 +6,9 @@
 //
 //   coordinator                              worker i (scishuffle_worker)
 //   ───────────                              ───────────────────────────
-//   control Listener  <── Hello/Heartbeat/TaskDone/TaskFailed ── control dial
+//   control Server    <── Hello/Heartbeat/TaskDone/TaskFailed ── control dial
 //                     ──── Assign/Shutdown ──────────────────►
-//   fetch pump        ──── FetchRequest ──► data Listener
+//   fetch pump        ──── FetchRequest ──► data Server
 //                     ◄─── FetchResponse ──  (segment store)
 //
 // Failure is a first-class event: a worker is declared dead on control-plane
@@ -41,8 +41,9 @@ struct DistributedConfig {
   /// or {"/path/to/scishuffle_cli", "worker"}. The coordinator appends
   /// --control/--data/--id/--workload/--workload-arg/--heartbeat-ms flags.
   std::vector<std::string> worker_command;
-  /// Directory for the run's sockets (and per-worker metrics). Created if
-  /// missing. Keep the path short: UNIX socket paths cap out around 100 bytes.
+  /// Directory for the run's sockets (per-worker metrics go to
+  /// worker_metrics_dir). Created if missing. Keep the path short: UNIX
+  /// socket paths cap out around 100 bytes.
   std::filesystem::path work_dir;
   u64 heartbeat_interval_ms = 20;
   /// A worker silent for this long is declared dead (SIGKILLed and its

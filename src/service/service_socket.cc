@@ -33,9 +33,11 @@ std::string statusLine(const JobStatus& s) {
 
 ServiceEndpoint::ServiceEndpoint(JobService& service, std::filesystem::path socketPath,
                                  SpecBuilder builder)
-    : service_(service), builder_(std::move(builder)), listener_(std::move(socketPath)) {
+    : service_(service),
+      builder_(std::move(builder)),
+      server_(std::move(socketPath),
+              [this](const std::shared_ptr<net::Connection>& conn) { serveConnection(*conn); }) {
   check(static_cast<bool>(builder_), "endpoint needs a spec builder");
-  acceptor_ = std::thread([this] { acceptLoop(); });
 }
 
 ServiceEndpoint::~ServiceEndpoint() { stop(); }
@@ -56,34 +58,13 @@ void ServiceEndpoint::requestShutdown() {
 void ServiceEndpoint::stop() {
   {
     MutexLock lock(mu_);
-    if (stopped_) return;
     stopped_ = true;
   }
   shutdownCv_.notify_all();
-  // Wakes the acceptor out of accept() and unlinks the socket path; mu_ is
-  // held across neither call.
-  listener_.stop();
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> conns;
-  {
-    MutexLock lock(mu_);
-    conns = std::move(conns_);
-  }
-  for (std::thread& t : conns) t.join();
+  server_.stop();  // mu_ is not held: a handler may be taking it
 }
 
-void ServiceEndpoint::acceptLoop() {
-  for (;;) {
-    net::Connection conn = listener_.accept();
-    if (!conn.valid()) return;  // listener stopped
-    MutexLock lock(mu_);
-    if (stopped_) return;  // accepted while stop() ran: dropped unanswered
-    conns_.emplace_back(
-        [this, c = std::move(conn)]() mutable { serveConnection(std::move(c)); });
-  }
-}
-
-void ServiceEndpoint::serveConnection(net::Connection conn) {
+void ServiceEndpoint::serveConnection(net::Connection& conn) {
   try {
     conn.setRecvTimeout(kRequestTimeoutMs);
     net::Frame frame;

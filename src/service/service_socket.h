@@ -13,7 +13,8 @@
 //   shutdown                           -> "ok"; serve loop drains and exits
 // Anything malformed -> "error <message>". A frame that fails its CRC or
 // header checks, has the wrong type, or never arrives closes the connection
-// without a reply; a client that leaves mid-request costs the server nothing.
+// without a reply. Each connection is served on a thread that is joined once
+// it finishes; stop() drops clients that are still silent.
 //
 // The endpoint knows nothing about building jobs: the host supplies a
 // SpecBuilder that turns the submit arguments into a JobSpec (the CLI's
@@ -23,7 +24,6 @@
 #include <filesystem>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/annotations.h"
@@ -57,11 +57,12 @@ class ServiceEndpoint {
   /// (service/signals.h) so Ctrl-C drains instead of killing the process.
   void requestShutdown();
 
-  /// Stops accepting, joins every connection thread, unlinks the socket.
-  /// Idempotent.
+  /// Stops accepting, unlinks the socket, drops connections still waiting
+  /// for a request and joins every connection thread (one inside `wait`
+  /// when its job ends). Idempotent.
   void stop();
 
-  const std::filesystem::path& socketPath() const { return listener_.socketPath(); }
+  const std::filesystem::path& socketPath() const { return server_.socketPath(); }
 
   /// Client side: one round trip — connect, send `line`, return the reply
   /// text. Throws IoError on connect/IO failure or when the endpoint closes
@@ -69,20 +70,18 @@ class ServiceEndpoint {
   static std::string request(const std::filesystem::path& socketPath, const std::string& line);
 
  private:
-  void acceptLoop();
-  void serveConnection(net::Connection conn);
+  void serveConnection(net::Connection& conn);
   std::string handleRequest(const std::string& line);
 
   JobService& service_;
   const SpecBuilder builder_;
-  net::Listener listener_;
 
   mutable Mutex mu_{lock_rank::kServiceEndpoint};
   CondVar shutdownCv_;
   bool shutdownRequested_ GUARDED_BY(mu_) = false;
   bool stopped_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> conns_ GUARDED_BY(mu_);
-  std::thread acceptor_;  // joined by stop()
+
+  net::Server server_;  // last: its handlers use everything above
 };
 
 }  // namespace scishuffle::service

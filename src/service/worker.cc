@@ -13,8 +13,7 @@
 #include "io/thread_pool.h"
 #include "net/protocol.h"
 #include "net/socket.h"
-#include "obs/metrics_stream.h"
-#include "obs/sampler.h"
+#include "obs/session.h"
 #include "service/workload.h"
 #include "transform/transform_codec.h"
 
@@ -50,7 +49,7 @@ class SegmentStore {
 /// Serves FetchRequest/FetchResponse exchanges on one reducer connection
 /// until the peer hangs up. Transport errors just end the connection — the
 /// reducer's retry policy redials.
-void serveFetchConnection(net::Connection conn, const SegmentStore& store,
+void serveFetchConnection(net::Connection& conn, const SegmentStore& store,
                           const std::atomic<bool>& hung) {
   try {
     net::Frame frame;
@@ -76,49 +75,6 @@ void serveFetchConnection(net::Connection conn, const SegmentStore& store,
     // Peer reset / injected fault mid-exchange; the connection is done.
   }
 }
-
-/// Owns the data-plane listener and its per-connection threads.
-class DataPlane {
- public:
-  DataPlane(const std::filesystem::path& socketPath, const SegmentStore& store,
-            const std::atomic<bool>& hung)
-      : listener_(socketPath), store_(store), hung_(hung) {
-    acceptor_ = std::thread([this] { acceptLoop(); });
-  }
-
-  ~DataPlane() {
-    listener_.stop();
-    if (acceptor_.joinable()) acceptor_.join();
-    std::vector<std::thread> conns;
-    {
-      MutexLock lock(mu_);
-      conns = std::move(conns_);
-    }
-    for (std::thread& t : conns) {
-      if (t.joinable()) t.join();
-    }
-  }
-
- private:
-  void acceptLoop() {
-    for (;;) {
-      net::Connection conn = listener_.accept();
-      if (!conn.valid()) return;  // listener stopped
-      auto shared = std::make_shared<net::Connection>(std::move(conn));
-      MutexLock lock(mu_);
-      conns_.emplace_back([this, shared] {
-        serveFetchConnection(std::move(*shared), store_, hung_);
-      });
-    }
-  }
-
-  net::Listener listener_;
-  const SegmentStore& store_;
-  const std::atomic<bool>& hung_;
-  std::thread acceptor_;
-  Mutex mu_{lock_rank::kDataPlane};
-  std::vector<std::thread> conns_ GUARDED_BY(mu_);
-};
 
 /// Liveness beacon on the shared control connection. Going "hung" silences
 /// it without closing the socket, so the coordinator's only signal is the
@@ -180,20 +136,15 @@ int runWorkerMain(const WorkerOptions& options) {
                          ? nullptr
                          : CodecRegistry::instance().create(workload.config.intermediate_codec);
 
-  std::unique_ptr<obs::MetricsStream> metrics;
-  std::unique_ptr<obs::Sampler> sampler;
-  if (!options.metrics_path.empty()) {
-    metrics = std::make_unique<obs::MetricsStream>(options.metrics_path,
-                                                   options.sample_interval_ms);
-    obs::setActiveMetrics(metrics.get());
-    sampler = std::make_unique<obs::Sampler>(options.sample_interval_ms, obs::processGauges(),
-                                             nullptr, metrics.get());
-    sampler->start();
-  }
+  obs::TelemetrySession telemetry(/*tracePath=*/{}, /*collectHistograms=*/false,
+                                  options.metrics_path, options.sample_interval_ms, /*tag=*/0);
 
   std::atomic<bool> hung{false};
   SegmentStore store;
-  DataPlane dataPlane(options.data_socket, store, hung);
+  net::Server dataPlane(options.data_socket,
+                        [&store, &hung](const std::shared_ptr<net::Connection>& conn) {
+                          serveFetchConnection(*conn, store, hung);
+                        });
   ThreadPool codecPool(hadoop::codecPoolThreads(workload.config.codec_threads));
 
   net::Connection control = net::connectUnix(options.control_socket);
@@ -257,8 +208,8 @@ int runWorkerMain(const WorkerOptions& options) {
     ++completed;
   }
 
-  if (sampler != nullptr) sampler->stop();
-  if (metrics != nullptr) obs::setActiveMetrics(nullptr);
+  obs::JobTelemetry unused;
+  telemetry.finish(unused);  // the summary line; a crash dummy's _Exit skips it
   return exitCode;
 }
 

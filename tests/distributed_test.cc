@@ -129,8 +129,14 @@ TEST(DistributedTest, WorkerKillMidShuffleRecovers) {
             static_cast<u64>(dist.worker_deaths));
   EXPECT_EQ(dist.job.counters.get(counter::kMapTasksReexecuted),
             static_cast<u64>(dist.tasks_reexecuted));
-  // The surviving worker streamed its own per-process metrics artifact.
-  EXPECT_TRUE(fs::exists(cfg.worker_metrics_dir / "worker-1.jsonl"));
+  // The surviving worker streamed its own per-process metrics artifact, and
+  // its clean exit ended the stream with a summary line.
+  const fs::path workerMetrics = cfg.worker_metrics_dir / "worker-1.jsonl";
+  EXPECT_TRUE(fs::exists(workerMetrics));
+  std::istringstream workerLines(slurp(workerMetrics));
+  std::string lastLine;
+  for (std::string line; std::getline(workerLines, line);) lastLine = line;
+  EXPECT_NE(lastLine.find("\"type\":\"summary\""), std::string::npos) << lastLine;
   const std::string metrics = slurp(cfg.metrics_path);
   EXPECT_NE(metrics.find("worker.spawned"), std::string::npos);
 

@@ -2,8 +2,10 @@
 // standalone runtime, the priority-then-FIFO admission order as a seeded
 // property, graceful shutdown with jobs in flight, queue-full rejection, the
 // socket front-end round trip (and its survival of abandoned and malformed
-// requests), a job cancelled mid-shuffle reaching a terminal state, and the
-// memory governor's control law.
+// requests, its thread count over many requests, and a stop that drops a
+// silent client at once but still answers requests already being served), a
+// job cancelled mid-shuffle reaching a terminal state, and the memory
+// governor's control law.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -512,6 +515,137 @@ TEST(JobServiceTest, MalformedRequestFrameIsDropped) {
 
   EXPECT_EQ(ServiceEndpoint::request(path, "status 1"), "error unknown job id");
   endpoint.stop();
+  service.shutdown();
+}
+
+/// Lines in /proc/self/maps (one per mapping), or -1 without procfs.
+long mappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  long lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Every connection runs on a thread of its own. A finished one must be
+// joined before the next starts, or each request leaves its stack (one
+// 8 MiB mapping plus a guard page) behind until stop().
+TEST(JobServiceTest, EndpointKeepsNoThreadPerFinishedRequest) {
+  if (mappingCount() < 0) GTEST_SKIP() << "no /proc/self/maps";
+  TempDir dir("svc_threads");
+  JobService service(ServiceConfig{});
+  ServiceEndpoint endpoint(service, dir.file("svc.sock"),
+                           [](const std::vector<std::string>&, JobSpec&, std::string& error) {
+                             error = "no specs here";
+                             return false;
+                           });
+  // Warm up first: a sanitizer runtime maps its per-thread bookkeeping over
+  // its first hundred or so threads, then stays flat.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(ServiceEndpoint::request(endpoint.socketPath(), "list"), "end");
+  }
+  const long before = mappingCount();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(ServiceEndpoint::request(endpoint.socketPath(), "list"), "end");
+  }
+  EXPECT_LT(mappingCount() - before, 64) << "mappings grew with finished requests";
+  endpoint.stop();
+  service.shutdown();
+}
+
+// A client that connects and never sends must not hold stop() for the
+// endpoint's request timeout.
+TEST(JobServiceTest, StopDropsASilentClient) {
+  TempDir dir("svc_silent");
+  JobService service(ServiceConfig{});
+  ServiceEndpoint endpoint(service, dir.file("svc.sock"),
+                           [](const std::vector<std::string>&, JobSpec&, std::string& error) {
+                             error = "no specs here";
+                             return false;
+                           });
+  net::Connection silent = net::connectUnix(endpoint.socketPath());
+  // Connections are accepted in order, so once this one is answered the
+  // silent one has a thread waiting for its request.
+  ASSERT_EQ(ServiceEndpoint::request(endpoint.socketPath(), "list"), "end");
+  const auto start = std::chrono::steady_clock::now();
+  endpoint.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  net::Frame frame;
+  EXPECT_FALSE(silent.recvFrame(frame)) << "the dropped client sees EOF";
+  service.shutdown();
+}
+
+// stop() drops clients that have not asked anything yet, but a client whose
+// request is already being served still gets its reply: `serve` stops the
+// endpoint before it drains, and a `submit --wait` client has to see its job
+// finish.
+TEST(JobServiceTest, StopStillAnswersAPendingWait) {
+  TempDir dir("svc_stop_wait");
+  ServiceConfig config;
+  config.max_concurrent_jobs = 1;
+  JobService service(config);
+  Gate gate;
+  std::atomic<bool> started{false};
+  const SpecBuilder builder = [&gate, &started](const std::vector<std::string>&, JobSpec& spec,
+                                                std::string&) {
+    spec = plugSpec(&gate, &started);
+    return true;
+  };
+  ServiceEndpoint endpoint(service, dir.file("svc.sock"), builder);
+  const std::filesystem::path path = endpoint.socketPath();
+
+  const std::string submitted = ServiceEndpoint::request(path, "submit normal plug");
+  ASSERT_EQ(submitted.rfind("ok id=", 0), 0u) << submitted;
+  const std::string id = submitted.substr(6);
+  awaitTrue(started);
+  net::Connection waiter = net::connectUnix(path);
+  waiter.sendFrame(net::ServiceRequestMsg{"wait " + id}.encode());
+  // Accepted in order: once `list` is answered the waiter has its thread.
+  ASSERT_NE(ServiceEndpoint::request(path, "list").find(id + " running"), std::string::npos);
+
+  std::thread stopper([&endpoint] { endpoint.stop(); });
+  // stop() unlinks the path first, then shuts the live connections down and
+  // joins them. Releasing the job before it gets that far only weakens the
+  // test; it cannot make a correct endpoint fail.
+  while (std::filesystem::exists(path)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  gate.release();
+
+  net::Frame reply;
+  const bool answered = waiter.recvFrame(reply);
+  stopper.join();
+  service.shutdown();
+  ASSERT_TRUE(answered) << "the waiting client lost its reply";
+  const std::string finalLine = net::ServiceReplyMsg::decode(reply).text;
+  EXPECT_NE(finalLine.find(" done "), std::string::npos) << finalLine;
+}
+
+// `serve` calls stop() the moment waitUntilShutdownRequested() returns,
+// which can be before the `shutdown` handler has sent its "ok". The reply
+// must still reach the client.
+TEST(JobServiceTest, ShutdownReplySurvivesAnImmediateStop) {
+  TempDir dir("svc_stop_shutdown");
+  JobService service(ServiceConfig{});
+  for (int round = 0; round < 50; ++round) {
+    ServiceEndpoint endpoint(service, dir.file("svc.sock"),
+                             [](const std::vector<std::string>&, JobSpec&, std::string& error) {
+                               error = "no specs here";
+                               return false;
+                             });
+    std::thread host([&endpoint] {
+      endpoint.waitUntilShutdownRequested();
+      endpoint.stop();
+    });
+    std::string reply;
+    try {
+      reply = ServiceEndpoint::request(endpoint.socketPath(), "shutdown");
+    } catch (const IoError& e) {
+      reply = e.what();
+      endpoint.requestShutdown();  // the host must not wait forever
+    }
+    host.join();
+    ASSERT_EQ(reply, "ok") << "round " << round;
+  }
   service.shutdown();
 }
 

@@ -1,8 +1,9 @@
 // Tests for the continuous-telemetry layer (ctest label: tsan): gauge
 // registry summing and RAII unregistration, sampler lifecycle (zero-interval
 // no-op, final-sample-on-stop, stop/teardown races), counter-event timestamp
-// monotonicity, the metrics JSONL round trip through `stat`, and the
-// disabled-path overhead smoke enforced by CI.
+// monotonicity, the metrics JSONL round trip through `stat`, the
+// disabled-path overhead smoke enforced by CI, and runJob's use of the
+// global telemetry slots.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -297,6 +298,25 @@ TEST(SamplerEndToEnd, RunJobStreamsMetricsAndMergesRollups) {
   off.num_reducers = 2;
   const auto quiet = hadoop::runJob(off, tasks, reduce);
   EXPECT_EQ(quiet.telemetry.gauges.count("process.rss_bytes.max"), 0u);
+}
+
+// A job that asks for no telemetry installs none, so it must leave whatever
+// the host installed in the global slots in place.
+TEST(SamplerEndToEnd, UntracedRunJobLeavesTheGlobalSlotsAlone) {
+  TraceRecorder recorder;
+  MetricsStream stream(tempFile("host.jsonl"), 0);
+  setActiveTrace(&recorder);
+  setActiveMetrics(&stream);
+  const hadoop::MapTask task{[](const hadoop::EmitFn& emit) { emit(Bytes{1}, Bytes{2}); }};
+  const hadoop::ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values,
+                                     const hadoop::EmitFn& emit) { emit(key, values.front()); };
+  hadoop::JobConfig config;
+  config.num_reducers = 1;
+  hadoop::runJob(config, {task}, reduce);
+  EXPECT_EQ(activeTrace(), &recorder);
+  EXPECT_EQ(activeMetrics(), &stream);
+  setActiveTrace(nullptr);
+  setActiveMetrics(nullptr);
 }
 
 }  // namespace
