@@ -56,7 +56,9 @@
 #include <filesystem>
 #include <iostream>
 #include <random>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "grid/ncfile.h"
@@ -66,6 +68,7 @@
 #include "hadoop/sequence_file.h"
 #include "io/streams.h"
 #include "io/primitives.h"
+#include "obs/json.h"
 #include "obs/stat.h"
 #include "scikey/slab_query.h"
 #include "scikey/sliding_query.h"
@@ -448,7 +451,7 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Fills `spec` from the shared workload registry (service/workload.h), so the
+/// Fills `spec` from the shared workload builder (service/workload.h), so the
 /// service front-end, the distributed coordinator and every forked worker all
 /// expand `<name> <args...>` to the identical deterministic job.
 bool buildWorkloadSpec(const std::vector<std::string>& args, service::JobSpec& spec,
@@ -543,9 +546,10 @@ int cmdServe(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Runs a registered workload across N forked worker processes: the CLI
-/// re-execs itself with the `worker` subcommand, so one binary is both
-/// coordinator and worker (docs/CLUSTER.md).
+/// Runs a named workload (service/workload.h) across N forked worker
+/// processes: the CLI re-execs itself with the `worker` subcommand, so one
+/// binary is both coordinator and worker (docs/CLUSTER.md). An unknown name
+/// throws before any worker is forked.
 int cmdDistrun(const std::vector<std::string>& args, const std::string& selfExe) {
   if (args.empty()) return usage();
   const std::string workloadName = args[0];
@@ -572,10 +576,6 @@ int cmdDistrun(const std::vector<std::string>& args, const std::string& selfExe)
     } else {
       workloadArgs.push_back(args[i]);
     }
-  }
-  if (!service::workloadRegistered(workloadName)) {
-    std::cerr << "unknown workload '" << workloadName << "'\n";
-    return 1;
   }
   if (config.work_dir.empty()) {
     config.work_dir = std::filesystem::temp_directory_path() /
@@ -675,14 +675,22 @@ int cmdSelftest() {
   }
   if (rc == 0) rc = cmdSlab({nc, "pressure", "sum", "1", "--combiner", "--report"});
   if (rc == 0) {
-    // Observability round trip: traced run must leave a non-empty Chrome
-    // trace file and a JSON report on stdout.
+    // Observability round trip: a traced run (through the job service) must
+    // leave a Chrome trace that holds the job's spans, and a JSON report on
+    // stdout.
     const auto trace = (dir / "trace.json").string();
     rc = cmdQuery({nc, "pressure", "median", "--aggregate", "--mappers", "4", "--reducers", "3",
                    "--trace", trace, "--json-report"});
     if (rc == 0) {
       FileSource t(trace);
-      check(!t.readAll().empty(), "trace file is empty");
+      const Bytes text = t.readAll();
+      const obs::JsonValue doc =
+          obs::parseJson(std::string_view(reinterpret_cast<const char*>(text.data()), text.size()));
+      std::set<std::string> names;
+      for (const obs::JsonValue& e : doc.at("traceEvents").array) names.insert(e.at("name").string);
+      for (const char* span : {"job", "map_task", "reduce_task"}) {
+        check(names.count(span) == 1, "trace file is missing a job, map_task or reduce_task span");
+      }
     }
   }
   if (rc == 0) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <thread>
 
@@ -14,7 +12,6 @@
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
 #include "io/clock.h"
-#include "io/task_tag.h"
 #include "io/thread_pool.h"
 #include "obs/metrics_stream.h"
 #include "obs/sampler.h"
@@ -30,14 +27,6 @@ namespace {
 bool cancelRequested(const JobContext* ctx) {
   return ctx != nullptr && ctx->cancelled != nullptr &&
          ctx->cancelled->load(std::memory_order_relaxed);
-}
-
-/// Reads a shuffle overflow file back into memory (reduce-side merge needs
-/// the bytes resident; the shuffle window did not).
-Bytes readOverflowFile(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  check(in.good(), "cannot open shuffle overflow file for merge");
-  return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
 
 /// Announces the job's ShuffleServer to the hosting service (the memory
@@ -345,6 +334,12 @@ int codecPoolThreads(int configured) {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
+std::unique_ptr<Codec> intermediateCodec(const std::string& name) {
+  if (name == "null") return nullptr;
+  registerTransformCodecs();
+  return CodecRegistry::instance().create(name);
+}
+
 void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* codecPool,
                     const ReduceFn& reduce, ShuffleServer& server, std::size_t numMaps,
                     int reducer, const JobContext* ctx, JobResult& result, Mutex& outputsMutex,
@@ -387,7 +382,7 @@ void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* cod
       segments[fetched->map_index] = std::move(fetched->segment);
     }
     for (auto& [mapIndex, file] : deferred) {
-      ShuffleServer::Fetched loaded{mapIndex, readOverflowFile(file), {}, 0};
+      ShuffleServer::Fetched loaded{mapIndex, readSegmentFile(file), {}, 0};
       if (verifySegments) {
         verifyAndRecoverSegment(config, server, codec, loaded, reducer, result.counters);
       }
@@ -445,19 +440,13 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce, const JobContext* ctx) {
   check(config.num_reducers >= 1, "need at least one reducer");
-  registerTransformCodecs();  // ensure codec names resolve
-  const auto codecPtr = config.intermediate_codec == "null"
-                            ? nullptr
-                            : CodecRegistry::instance().create(config.intermediate_codec);
+  const auto codecPtr = intermediateCodec(config.intermediate_codec);
 
-  const u64 tag = ctx != nullptr ? ctx->job_tag : 0;
-  // Every thread of this call tree (including pool work it submits — the
-  // ThreadPool propagates the tag) resolves per-job telemetry by this tag.
-  std::optional<ScopedTaskTag> tagScope;
-  if (tag != 0) tagScope.emplace(tag);
-
+  // Installed on this thread, and carried by the pools to every task this
+  // job submits, so concurrent jobs in one process keep their own telemetry.
   obs::TelemetrySession telemetry(config.trace_path, config.collect_histograms,
-                                  config.metrics_path, config.sample_interval_ms, tag);
+                                  config.metrics_path, config.sample_interval_ms,
+                                  obs::TelemetrySession::Install::kCallingThread);
   JobResult result;
   {
     obs::ScopedSpan jobSpan("job", "job");

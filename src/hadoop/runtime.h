@@ -7,7 +7,9 @@
 #include <exception>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hadoop/counters.h"
@@ -92,11 +94,6 @@ struct JobContext {
   /// Shared per-block codec pool. nullptr = the job owns a private pool
   /// sized by JobConfig::codec_threads (the standalone behavior).
   ThreadPool* codec_pool = nullptr;
-  /// Nonzero tag routes this job's spans and metric events to the recorder/
-  /// stream bound to the tag (io/task_tag.h + bindJobTrace/bindJobMetrics)
-  /// instead of the process-global slots, so concurrent jobs' telemetry
-  /// stays separated.
-  u64 job_tag = 0;
   /// Cooperative cancellation: polled at task boundaries; when it flips true
   /// the job stops scheduling work and runJob throws JobCancelledError.
   /// (The service additionally aborts the live ShuffleServer to unblock
@@ -153,6 +150,11 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
 /// (JobConfig::codec_threads, ServiceConfig::codec_threads): that many, or
 /// the hardware concurrency when it is 0.
 int codecPoolThreads(int configured);
+
+/// The codec JobConfig::intermediate_codec names, with the built-in and
+/// transform codecs registered; nullptr for "null" (segments stay raw).
+/// Throws std::out_of_range for an unknown name.
+std::unique_ptr<Codec> intermediateCodec(const std::string& name);
 
 /// First-error collection for pool tasks, which must not throw.
 class ErrorSlot {
@@ -213,8 +215,8 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce);
 
 /// Service entry point: same job, executed under a JobContext (shared codec
-/// pool, task-tag telemetry routing, cooperative cancel, governor-managed
-/// shuffle backpressure). `ctx` may be nullptr.
+/// pool, cooperative cancel, governor-managed shuffle backpressure). `ctx`
+/// may be nullptr.
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce, const JobContext* ctx);
 

@@ -29,13 +29,13 @@ void writeSegmentFile(const std::filesystem::path& p, const Bytes& seg) {
   check(out.good(), "short write to shuffle overflow file");
 }
 
+}  // namespace
+
 Bytes readSegmentFile(const std::filesystem::path& p) {
   std::ifstream in(p, std::ios::binary);
   check(in.good(), "cannot open shuffle overflow file for reading");
   return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
-
-}  // namespace
 
 ShuffleServer::ShuffleServer(std::size_t numMaps, int numReducers,
                              testing::FaultInjector* faults, bool retainSegments)

@@ -129,4 +129,7 @@ class ShuffleServer {
                                     // share one overflow directory
 };
 
+/// Reads an overflowed segment (Fetched::overflow_file) back into memory.
+Bytes readSegmentFile(const std::filesystem::path& p);
+
 }  // namespace scishuffle::hadoop

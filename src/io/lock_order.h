@@ -65,10 +65,6 @@ inline constexpr LockLevel kCoordinatorMonitor{45, "dist.coordinator_monitor"};
 //    registry that reads it; its own critical sections acquire nothing.
 inline constexpr LockLevel kShuffleServer{50, "shuffle.server"};
 
-// -- Per-task tag-binding registries (lookup only; released before use).
-inline constexpr LockLevel kTraceBindings{55, "obs.trace_bindings"};
-inline constexpr LockLevel kMetricsBindings{56, "obs.metrics_bindings"};
-
 // -- Leaf infrastructure: nothing is acquired while these are held, but they
 //    are acquired from inside higher layers' critical sections.
 inline constexpr LockLevel kThreadPool{60, "io.thread_pool"};
@@ -77,7 +73,6 @@ inline constexpr LockLevel kSignalGuard{62, "service.signals"};
 inline constexpr LockLevel kSegmentStore{63, "dist.segment_store"};
 inline constexpr LockLevel kHeartbeat{65, "dist.heartbeat"};
 inline constexpr LockLevel kNetConnectionSend{67, "net.connection_send"};
-inline constexpr LockLevel kWorkloadRegistry{68, "service.workload_registry"};
 
 // -- Telemetry leaves.
 inline constexpr LockLevel kHistogram{71, "obs.histogram"};

@@ -1,8 +1,7 @@
 // Minimal stream abstractions: a ByteSink accepts bytes, a ByteSource yields
 // them (and, when it holds them in memory, lends them in place through a
 // zero-copy window). Memory-backed and file-backed implementations are
-// provided, plus a counting decorator used by the shuffle to account
-// materialized bytes.
+// provided, plus a counting sink that discards what it is given.
 #pragma once
 
 #include <cstdio>
@@ -131,22 +130,6 @@ class FileSource final : public ByteSource {
     }
   };
   std::unique_ptr<std::FILE, Closer> file_;
-};
-
-/// Decorator that counts bytes flowing into an inner sink.
-class CountingSink final : public ByteSink {
- public:
-  explicit CountingSink(ByteSink& inner) : inner_(&inner) {}
-  void write(ByteSpan data) override {
-    count_ += data.size();
-    inner_->write(data);
-  }
-  void flush() override { inner_->flush(); }
-  u64 count() const { return count_; }
-
- private:
-  ByteSink* inner_;
-  u64 count_ = 0;
 };
 
 /// Sink that discards everything but keeps the byte count; handy for sizing.

@@ -1,41 +1,54 @@
-// Per-thread task attribution tag. The job service runs many jobs in one
+// Per-thread job telemetry sinks. The job service runs many jobs in one
 // process, and their map/reduce/codec work interleaves on shared thread
-// pools — so "which job does this thread belong to right now?" can no longer
-// be answered by process-global state. A task tag is a thread-local u64 (0 =
-// untagged) installed with ScopedTaskTag; ThreadPool::submit captures the
-// submitter's tag and restores it around task execution, so work inherits its
-// job's identity transitively across pool hops (map task -> spill -> codec
-// pool block). The obs layer resolves per-job trace recorders and metrics
-// streams through this tag (src/obs/trace.h, src/obs/metrics_stream.h).
+// pools, and two standalone runJob calls can overlap in one process too — so
+// "which job's recorder and stream does this span or event belong to?"
+// cannot be answered by process-global state. Each thread carries a pointer
+// to its running job's obs::JobSinks (nullptr = none), installed with
+// ScopedJobSinks; ThreadPool::submit captures the submitter's pointer and
+// installs it around the task, so work inherits its job's sinks transitively
+// across pool hops (map task -> spill -> codec pool block). activeTrace() and
+// emitEvent() read it (src/obs/trace.h, src/obs/metrics_stream.h) without a
+// lock.
+//
+// Lifetime: the pointer is raw. It stays valid because the JobSinks lives in
+// the job's obs::TelemetrySession, and every task a job submits finishes
+// before runJob returns: the map and reduce pools are waited, and
+// BlockCompressedWriter and BlockDecodeSource await their codec-pool futures
+// in their destructors. Work that could outlive the call that installed the
+// sinks must not be submitted from a thread that carries them.
 //
 // This lives in io (not obs) because ThreadPool must propagate it and obs
-// already links against io; a plain thread_local keeps the untagged fast path
-// at one TLS read.
+// already links against io; io only forward-declares the struct, and a plain
+// thread_local keeps the no-job path at one TLS read.
 #pragma once
-
-#include "io/common.h"
 
 namespace scishuffle {
 
+namespace obs {
+struct JobSinks;
+}  // namespace obs
+
 namespace detail {
-inline thread_local u64 t_task_tag = 0;
+inline thread_local const obs::JobSinks* t_job_sinks = nullptr;
 }  // namespace detail
 
-/// The calling thread's current task tag; 0 = untagged (no job context).
-inline u64 currentTaskTag() { return detail::t_task_tag; }
+/// The calling thread's job sinks; nullptr = no job telemetry installed.
+inline const obs::JobSinks* currentJobSinks() { return detail::t_job_sinks; }
 
-/// Installs `tag` as the calling thread's task tag for the scope and restores
-/// the previous tag on destruction (tags nest).
-class ScopedTaskTag {
+/// Installs `sinks` on the calling thread for the scope and restores the
+/// previous pointer on destruction (scopes nest).
+class ScopedJobSinks {
  public:
-  explicit ScopedTaskTag(u64 tag) : prev_(detail::t_task_tag) { detail::t_task_tag = tag; }
-  ~ScopedTaskTag() { detail::t_task_tag = prev_; }
+  explicit ScopedJobSinks(const obs::JobSinks* sinks) : prev_(detail::t_job_sinks) {
+    detail::t_job_sinks = sinks;
+  }
+  ~ScopedJobSinks() { detail::t_job_sinks = prev_; }
 
-  ScopedTaskTag(const ScopedTaskTag&) = delete;
-  ScopedTaskTag& operator=(const ScopedTaskTag&) = delete;
+  ScopedJobSinks(const ScopedJobSinks&) = delete;
+  ScopedJobSinks& operator=(const ScopedJobSinks&) = delete;
 
  private:
-  u64 prev_;
+  const obs::JobSinks* prev_;
 };
 
 }  // namespace scishuffle

@@ -20,12 +20,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  // Propagate the submitter's task tag: work enqueued from a tagged thread
-  // (a job's map task spilling onto the codec pool, say) executes under the
-  // same tag, so per-job trace/metrics routing survives pool hops.
-  if (const u64 tag = currentTaskTag(); tag != 0) {
-    task = [tag, inner = std::move(task)] {
-      ScopedTaskTag scope(tag);
+  // Carry the submitter's job sinks: work enqueued by a job's thread (a map
+  // task spilling onto the codec pool, say) writes to that job's recorder
+  // and stream. A thread without sinks submits the task unwrapped.
+  if (const obs::JobSinks* sinks = currentJobSinks(); sinks != nullptr) {
+    task = [sinks, inner = std::move(task)] {
+      ScopedJobSinks scope(sinks);
       inner();
     };
   }

@@ -27,7 +27,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Tasks must not throw; wrap exceptions yourself.
+  /// Enqueues a task. Tasks must not throw; wrap exceptions yourself. The
+  /// task runs with the submitter's job sinks installed (io/task_tag.h).
   void submit(std::function<void()> task);
 
   /// Enqueues a callable and returns a future for its result; exceptions

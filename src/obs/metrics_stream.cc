@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <sstream>
-#include <unordered_map>
 
 #include "io/clock.h"
 #include "io/task_tag.h"
 #include "obs/json.h"
+#include "obs/session.h"
 
 namespace scishuffle::obs {
 
@@ -15,34 +15,15 @@ namespace {
 
 std::atomic<MetricsStream*> g_active{nullptr};
 
-// Tag-keyed per-job streams (same shape as the trace bindings): the atomic
-// count keeps the disabled/single-job fast path at one relaxed load.
-std::atomic<std::size_t> g_boundStreams{0};
-
-struct MetricsBindings {
-  Mutex mu{lock_rank::kMetricsBindings};
-  std::unordered_map<u64, MetricsStream*> byTag GUARDED_BY(mu);
-};
-
-MetricsBindings& metricsBindings() {
-  static MetricsBindings bindings;
-  return bindings;
-}
-
-MetricsStream* boundStreamForThisThread() {
-  if (g_boundStreams.load(std::memory_order_acquire) == 0) return nullptr;
-  const u64 tag = currentTaskTag();
-  if (tag == 0) return nullptr;
-  MetricsBindings& b = metricsBindings();
-  MutexLock lock(b.mu);
-  const auto it = b.byTag.find(tag);
-  return it != b.byTag.end() ? it->second : nullptr;
+MetricsStream* jobStreamOfThisThread() {
+  const JobSinks* sinks = currentJobSinks();
+  return sinks != nullptr ? sinks->stream : nullptr;
 }
 
 }  // namespace
 
 MetricsStream* activeMetrics() {
-  MetricsStream* job = boundStreamForThisThread();
+  MetricsStream* job = jobStreamOfThisThread();
   return job != nullptr ? job : g_active.load(std::memory_order_acquire);
 }
 
@@ -50,26 +31,11 @@ void setActiveMetrics(MetricsStream* stream) {
   g_active.store(stream, std::memory_order_release);
 }
 
-void bindJobMetrics(u64 tag, MetricsStream* stream) {
-  check(tag != 0 && stream != nullptr, "bindJobMetrics needs a nonzero tag and a stream");
-  MetricsBindings& b = metricsBindings();
-  MutexLock lock(b.mu);
-  const bool inserted = b.byTag.emplace(tag, stream).second;
-  check(inserted, "task tag already has a bound metrics stream");
-  g_boundStreams.fetch_add(1, std::memory_order_release);
-}
-
-void unbindJobMetrics(u64 tag) {
-  MetricsBindings& b = metricsBindings();
-  MutexLock lock(b.mu);
-  if (b.byTag.erase(tag) != 0) g_boundStreams.fetch_sub(1, std::memory_order_release);
-}
-
 void emitEvent(const char* name, const char* site, u64 value) {
-  // A tagged job event is double-written on purpose: once to the job's own
-  // stream, once to the service-level export (the global stream), so both
-  // the per-job timeline and the whole-service timeline are complete.
-  MetricsStream* job = boundStreamForThisThread();
+  // A job event is double-written on purpose: once to the job's own stream,
+  // once to the service-level export (the global stream), so both the
+  // per-job timeline and the whole-service timeline are complete.
+  MetricsStream* job = jobStreamOfThisThread();
   if (job != nullptr) job->writeEvent(name, site, value);
   MetricsStream* global = g_active.load(std::memory_order_acquire);
   if (global != nullptr && global != job) global->writeEvent(name, site, value);

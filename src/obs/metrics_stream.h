@@ -8,11 +8,11 @@
 //              backpressure, wired from the PR 3 recovery machinery)
 //   summary  — final per-gauge max/mean rollups + event counts
 //
-// The runtime installs one stream as the process-wide *active* stream for
-// the duration of a job (mirroring the active TraceRecorder); emitEvent()
-// at instrumentation sites is a single relaxed atomic load and nothing else
-// while no stream is active, which keeps disabled-telemetry overhead inside
-// the tracing budget.
+// The runtime installs one stream as the *active* stream of the job's threads
+// for the duration of a job (mirroring the active TraceRecorder); emitEvent()
+// at instrumentation sites is one TLS read and one relaxed atomic load and
+// nothing else while no stream is active, which keeps disabled-telemetry
+// overhead inside the tracing budget.
 #pragma once
 
 #include <filesystem>
@@ -66,31 +66,23 @@ class MetricsStream {
 };
 
 /// The stream emitEvent() writes to; nullptr = metrics disabled. Resolution
-/// order mirrors activeTrace(): the stream bound to the calling thread's task
-/// tag (bindJobMetrics — per-job streams under the job service), else the
-/// process-global stream (setActiveMetrics — the single-job path, and the
-/// service-level export while a JobService runs). While no tag bindings
-/// exist, resolution is the legacy single relaxed atomic load.
+/// order mirrors activeTrace(): the stream of the job running on the calling
+/// thread (its obs::JobSinks, see io/task_tag.h), else the process-global
+/// stream (setActiveMetrics — the coordinator's and workers' path, and the
+/// service-level export while a JobService runs).
 MetricsStream* activeMetrics();
 
 /// Installs (or clears, with nullptr) the process-global stream. The caller
 /// owns the stream and must clear it before destruction; global installs do
 /// not nest. The job service installs its service-level stream here, so
-/// untagged threads (dispatcher, governor) and the service copy of every job
-/// event land in one file.
+/// threads no job owns (dispatcher, governor) and the service copy of every
+/// job event land in one file.
 void setActiveMetrics(MetricsStream* stream);
-
-/// Binds `stream` to task tag `tag` (see io/task_tag.h): events emitted under
-/// that tag are written to this per-job stream *and* to the global stream (the
-/// service-level export sees every job's events). `tag` must be nonzero and
-/// unbound; unbind before destroying the stream.
-void bindJobMetrics(u64 tag, MetricsStream* stream);
-void unbindJobMetrics(u64 tag);
 
 /// Emits a structured event (see obs::event for the taxonomy; `site` names
 /// the emitting location, normally a fault-injection site constant) to the
-/// tag-bound stream (if any) and the global stream. One relaxed atomic load
-/// and nothing else when disabled.
+/// calling thread's job stream (if any) and the global stream. No lock, and
+/// no write at all when disabled.
 void emitEvent(const char* name, const char* site, u64 value = 0);
 
 }  // namespace scishuffle::obs

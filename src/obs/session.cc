@@ -11,22 +11,23 @@ namespace scishuffle::obs {
 
 TelemetrySession::TelemetrySession(std::filesystem::path tracePath, bool collectHistograms,
                                    const std::filesystem::path& metricsPath,
-                                   u64 sampleIntervalMs, u64 tag)
+                                   u64 sampleIntervalMs, Install where)
     : tracePath_(std::move(tracePath)),
       collectHistograms_(collectHistograms),
-      tag_(tag),
       recorder_((!tracePath_.empty() || collectHistograms_) ? std::make_unique<TraceRecorder>()
                                                              : nullptr),
       stream_(metricsPath.empty() ? nullptr
                                   : std::make_unique<MetricsStream>(metricsPath, sampleIntervalMs)),
+      sinks_{recorder_.get(), stream_.get()},
       sampler_(sampleIntervalMs, processGauges(), recorder_.get(), stream_.get()) {
   sampler_.start();
-  if (tag_ != 0) {
-    if (recorder_ != nullptr) bindJobTrace(tag_, recorder_.get());
-    if (stream_ != nullptr) bindJobMetrics(tag_, stream_.get());
+  if (recorder_ == nullptr && stream_ == nullptr) return;
+  if (where == Install::kCallingThread) {
+    threadInstall_.emplace(&sinks_);
   } else {
     if (recorder_ != nullptr) setActiveTrace(recorder_.get());
     if (stream_ != nullptr) setActiveMetrics(stream_.get());
+    installedGlobally_ = true;
   }
 }
 
@@ -36,15 +37,11 @@ TelemetrySession::~TelemetrySession() {
 }
 
 void TelemetrySession::uninstall() {
-  if (!installed_) return;
-  installed_ = false;
-  if (tag_ != 0) {
-    if (recorder_ != nullptr) unbindJobTrace(tag_);
-    if (stream_ != nullptr) unbindJobMetrics(tag_);
-  } else {
-    if (recorder_ != nullptr) setActiveTrace(nullptr);
-    if (stream_ != nullptr) setActiveMetrics(nullptr);
-  }
+  threadInstall_.reset();
+  if (!installedGlobally_) return;
+  installedGlobally_ = false;
+  if (recorder_ != nullptr) setActiveTrace(nullptr);
+  if (stream_ != nullptr) setActiveMetrics(nullptr);
 }
 
 void TelemetrySession::finish(JobTelemetry& out) {

@@ -5,33 +5,53 @@
 //
 // The constructor makes only what was asked for (a recorder when there is a
 // trace path or histograms are collected, a stream when there is a metrics
-// path), installs it — in the process-global slots for tag 0, bound to the
-// task tag otherwise — and starts the sampler. finish() stops the sampler,
-// writes the stream's summary line, uninstalls, folds the spans and writes
-// the Chrome trace. A session destroyed without finish() (the error path)
-// stops the sampler and uninstalls but writes no summary, so the stream of a
-// failed run ends without one, like a crashed run's.
+// path), installs it — on the calling thread for a job, whose pool tasks
+// inherit it (io/task_tag.h), or in the process-global slots — and starts
+// the sampler. A session that made nothing installs nothing. finish() stops
+// the sampler, writes the stream's summary line, uninstalls, folds the spans
+// and writes the Chrome trace. A session destroyed without finish() (the
+// error path) stops the sampler and uninstalls but writes no summary, so the
+// stream of a failed run ends without one, like a crashed run's.
 #pragma once
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "io/common.h"
+#include "io/task_tag.h"
 #include "obs/sampler.h"
 
 namespace scishuffle::obs {
 
 struct JobTelemetry;
 
+/// The sinks of the job running on a thread. A pointer to one travels with
+/// the job's threads across pool hops (io/task_tag.h); activeTrace() and
+/// emitEvent() read it. A null member falls back to the process-global slot.
+struct JobSinks {
+  TraceRecorder* recorder = nullptr;
+  MetricsStream* stream = nullptr;
+};
+
 class TelemetrySession {
  public:
+  /// Where the session installs the recorder and stream it made.
+  enum class Install {
+    kCallingThread,  // a job (runJob): its threads and the pool work they submit
+    kGlobal,         // the coordinator and workers, whose events come from
+                     // threads no job owns (control handlers, monitor, scheduler)
+  };
+
   /// `tracePath`: Chrome trace written by finish(), empty = none.
   /// `collectHistograms`: fold the spans into JobTelemetry histograms.
   /// `metricsPath`: scishuffle.metrics.v1 JSONL, empty = none.
   /// `sampleIntervalMs`: 0 = no sampler thread and no samples.
-  /// `tag`: the task tag to bind to (io/task_tag.h); 0 = the global slots.
+  /// Construct, finish() and destroy on one thread: kCallingThread installs
+  /// on the constructing thread and uninstalls on the finishing one.
   TelemetrySession(std::filesystem::path tracePath, bool collectHistograms,
-                   const std::filesystem::path& metricsPath, u64 sampleIntervalMs, u64 tag);
+                   const std::filesystem::path& metricsPath, u64 sampleIntervalMs,
+                   Install where);
   ~TelemetrySession();
 
   TelemetrySession(const TelemetrySession&) = delete;
@@ -48,11 +68,12 @@ class TelemetrySession {
 
   const std::filesystem::path tracePath_;
   const bool collectHistograms_;
-  const u64 tag_;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<MetricsStream> stream_;
-  Sampler sampler_;  // after the sinks it writes to
-  bool installed_ = true;
+  const JobSinks sinks_;  // after the sinks it points to
+  Sampler sampler_;       // after the sinks it writes to
+  std::optional<ScopedJobSinks> threadInstall_;
+  bool installedGlobally_ = false;
 };
 
 }  // namespace scishuffle::obs

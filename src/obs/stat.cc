@@ -1,195 +1,19 @@
 #include "obs/stat.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/sampler.h"
 
 namespace scishuffle::obs {
 
 namespace {
-
-// ---- Minimal JSON value parser --------------------------------------------
-// The stream is machine-written one-object-per-line, but `stat` accepts
-// user-supplied files, so this is a real (small) recursive parser rather
-// than string matching. Failure = std::nullopt-style bool return; the
-// caller tolerates bad lines.
-
-struct JVal {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool boolean = false;
-  double num = 0;
-  std::string str;
-  std::vector<JVal> arr;
-  std::map<std::string, JVal> obj;
-
-  const JVal* find(const std::string& key) const {
-    if (kind != kObj) return nullptr;
-    const auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-  u64 asU64(u64 fallback = 0) const {
-    if (kind != kNum || num < 0) return fallback;
-    return static_cast<u64>(num);
-  }
-};
-
-class JsonLineParser {
- public:
-  explicit JsonLineParser(const std::string& text) : s_(text) {}
-
-  bool parse(JVal& out) {
-    skipWs();
-    if (!parseValue(out)) return false;
-    skipWs();
-    return pos_ == s_.size();  // trailing garbage = not a clean JSON line
-  }
-
- private:
-  void skipWs() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parseValue(JVal& out) {
-    skipWs();
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return parseObject(out);
-      case '[': return parseArray(out);
-      case '"': out.kind = JVal::kStr; return parseString(out.str);
-      case 't':
-        out.kind = JVal::kBool;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JVal::kBool;
-        out.boolean = false;
-        return literal("false");
-      case 'n': out.kind = JVal::kNull; return literal("null");
-      default: return parseNumber(out);
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string_view(word).size();
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool parseNumber(JVal& out) {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '-' || s_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      out.num = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    out.kind = JVal::kNum;
-    return true;
-  }
-
-  bool parseString(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
-          // The writer only escapes ASCII control characters; anything else
-          // is preserved verbatim, so a one-byte cast is faithful here.
-          out += static_cast<char>(code & 0x7f);
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool parseObject(JVal& out) {
-    if (!eat('{')) return false;
-    out.kind = JVal::kObj;
-    skipWs();
-    if (eat('}')) return true;
-    for (;;) {
-      skipWs();
-      std::string key;
-      if (!parseString(key)) return false;
-      skipWs();
-      if (!eat(':')) return false;
-      JVal v;
-      if (!parseValue(v)) return false;
-      out.obj.emplace(std::move(key), std::move(v));
-      skipWs();
-      if (eat(',')) continue;
-      return eat('}');
-    }
-  }
-
-  bool parseArray(JVal& out) {
-    if (!eat('[')) return false;
-    out.kind = JVal::kArr;
-    skipWs();
-    if (eat(']')) return true;
-    for (;;) {
-      JVal v;
-      if (!parseValue(v)) return false;
-      out.arr.push_back(std::move(v));
-      skipWs();
-      if (eat(',')) continue;
-      return eat(']');
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 // ---- Rendering helpers -----------------------------------------------------
 
@@ -224,31 +48,43 @@ MetricsSummary summarizeMetricsJsonl(std::istream& in) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    JVal v;
-    if (!JsonLineParser(line).parse(v) || v.kind != JVal::kObj) {
-      ++summary.skipped_lines;
-      continue;
-    }
-    const JVal* type = v.find("type");
-    if (type == nullptr || type->kind != JVal::kStr) {
-      ++summary.skipped_lines;
-      continue;
-    }
-    if (type->str == "header") {
-      if (const JVal* schema = v.find("schema")) summary.schema = schema->str;
-      if (const JVal* interval = v.find("interval_ms")) summary.interval_ms = interval->asU64();
-      continue;
-    }
-    const u64 ts = v.find("ts_us") != nullptr ? v.find("ts_us")->asU64() : 0;
-    if (type->str == "sample") {
-      const JVal* gauges = v.find("gauges");
-      if (gauges == nullptr || gauges->kind != JVal::kObj) {
-        ++summary.skipped_lines;
+    // A line is read whole before any of it is counted: one that fails to
+    // parse, or has a field of the wrong type, is skipped entirely.
+    std::string type;
+    u64 ts = 0;
+    std::vector<std::pair<std::string, u64>> gauges;
+    std::string eventName;
+    try {
+      const JsonValue v = parseJson(line);
+      const JsonValue& typeField = v.at("type");
+      checkFormat(typeField.kind == JsonValue::Kind::kString, "metrics line type is not a string");
+      type = typeField.string;
+      if (const JsonValue* tsField = v.find("ts_us")) ts = tsField->asU64();
+      if (type == "header") {
+        if (const JsonValue* interval = v.find("interval_ms")) {
+          summary.interval_ms = interval->asU64();
+        }
+        if (const JsonValue* schema = v.find("schema")) summary.schema = schema->string;
         continue;
       }
+      if (type == "sample") {
+        const JsonValue& gaugeField = v.at("gauges");
+        checkFormat(gaugeField.kind == JsonValue::Kind::kObject, "sample gauges are not an object");
+        for (const auto& [name, value] : gaugeField.object) {
+          gauges.emplace_back(name, value.asU64());
+        }
+      } else if (type == "event") {
+        const JsonValue& nameField = v.at("name");
+        checkFormat(nameField.kind == JsonValue::Kind::kString, "event name is not a string");
+        eventName = nameField.string;
+      }
+    } catch (const FormatError&) {
+      ++summary.skipped_lines;
+      continue;
+    }
+    if (type == "sample") {
       ++summary.samples;
-      for (const auto& [name, val] : gauges->obj) {
-        const u64 value = val.asU64();
+      for (const auto& [name, value] : gauges) {
         sampleValues[name].push_back(value);
         sums[name] += value;
         GaugeTimeline& t = summary.gauges[name];
@@ -257,15 +93,10 @@ MetricsSummary summarizeMetricsJsonl(std::istream& in) {
           t.peak_ts_us = ts;
         }
       }
-    } else if (type->str == "event") {
-      const JVal* name = v.find("name");
-      if (name == nullptr || name->kind != JVal::kStr) {
-        ++summary.skipped_lines;
-        continue;
-      }
+    } else if (type == "event") {
       ++summary.events;
-      ++summary.event_counts[name->str];
-    } else if (type->str == "summary") {
+      ++summary.event_counts[eventName];
+    } else if (type == "summary") {
       continue;  // recomputed from the raw lines, never trusted
     } else {
       ++summary.skipped_lines;

@@ -33,12 +33,14 @@ struct MetricsSummary {
   u64 last_ts_us = 0;    // ts of the last sample/event line
   std::map<std::string, GaugeTimeline> gauges;
   std::map<std::string, u64> event_counts;
-  u64 skipped_lines = 0;  // unparseable or unknown-type lines (tolerated)
+  u64 skipped_lines = 0;  // malformed, mistyped or unknown-type lines (tolerated)
 };
 
-/// Parses a metrics stream line by line. Unparseable lines are counted in
-/// skipped_lines rather than failing the whole file, so a truncated live
-/// stream (job still running, or killed mid-write) still summarizes.
+/// Parses a metrics stream line by line with obs::parseJson. A line that is
+/// not strict JSON, or whose type, ts_us, gauge values or event name has the
+/// wrong type, is counted in skipped_lines rather than failing the whole
+/// file, so a truncated live stream (job still running, or killed mid-write)
+/// still summarizes.
 MetricsSummary summarizeMetricsJsonl(std::istream& in);
 
 /// Throws std::runtime_error when the file cannot be opened.

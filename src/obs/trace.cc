@@ -7,6 +7,7 @@
 #include "io/clock.h"
 #include "io/task_tag.h"
 #include "obs/json.h"
+#include "obs/session.h"
 
 namespace scishuffle::obs {
 
@@ -14,52 +15,17 @@ namespace {
 
 std::atomic<TraceRecorder*> g_active{nullptr};
 
-// Tag-keyed recorder bindings for concurrent jobs. The atomic count keeps
-// the disabled/single-job fast path at one relaxed load: the map's mutex is
-// only ever touched while at least one job binding exists.
-std::atomic<std::size_t> g_boundTraces{0};
-
-struct TraceBindings {
-  Mutex mu{lock_rank::kTraceBindings};
-  std::unordered_map<u64, TraceRecorder*> byTag GUARDED_BY(mu);
-};
-
-TraceBindings& traceBindings() {
-  static TraceBindings bindings;
-  return bindings;
-}
-
 }  // namespace
 
 TraceRecorder* activeTrace() {
-  if (g_boundTraces.load(std::memory_order_acquire) != 0) {
-    if (const u64 tag = currentTaskTag(); tag != 0) {
-      TraceBindings& b = traceBindings();
-      MutexLock lock(b.mu);
-      const auto it = b.byTag.find(tag);
-      if (it != b.byTag.end()) return it->second;
-    }
+  if (const JobSinks* sinks = currentJobSinks(); sinks != nullptr && sinks->recorder != nullptr) {
+    return sinks->recorder;
   }
   return g_active.load(std::memory_order_acquire);
 }
 
 void setActiveTrace(TraceRecorder* recorder) {
   g_active.store(recorder, std::memory_order_release);
-}
-
-void bindJobTrace(u64 tag, TraceRecorder* recorder) {
-  check(tag != 0 && recorder != nullptr, "bindJobTrace needs a nonzero tag and a recorder");
-  TraceBindings& b = traceBindings();
-  MutexLock lock(b.mu);
-  const bool inserted = b.byTag.emplace(tag, recorder).second;
-  check(inserted, "task tag already has a bound trace recorder");
-  g_boundTraces.fetch_add(1, std::memory_order_release);
-}
-
-void unbindJobTrace(u64 tag) {
-  TraceBindings& b = traceBindings();
-  MutexLock lock(b.mu);
-  if (b.byTag.erase(tag) != 0) g_boundTraces.fetch_sub(1, std::memory_order_release);
 }
 
 TraceRecorder::TraceRecorder() : epochUs_(steadyNowUs()) {}

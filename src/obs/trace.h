@@ -1,9 +1,10 @@
 // Span tracing for the shuffle data path. A TraceRecorder collects completed
 // spans (name, category, thread, start, duration, numeric args) from any
-// thread; the runtime installs one as the process-wide *active* recorder for
-// the duration of a job, and instrumentation sites open ScopedSpans that are
-// no-ops (one relaxed atomic load) while no recorder is active — which is
-// what keeps disabled-tracing overhead under the 2% budget.
+// thread; the runtime installs one as the *active* recorder of the job's
+// threads for the duration of a job, and instrumentation sites open
+// ScopedSpans that are no-ops (one TLS read and one relaxed atomic load)
+// while no recorder is active — which is what keeps disabled-tracing
+// overhead under the 2% budget.
 //
 // Export is Chrome trace_event JSON ("ph":"X" complete events), loadable in
 // chrome://tracing or https://ui.perfetto.dev. Timestamps are steady-clock
@@ -82,28 +83,21 @@ class TraceRecorder {
 };
 
 /// The recorder instrumentation sites write to; nullptr = tracing disabled.
-/// Resolution order: the recorder bound to the calling thread's task tag
-/// (bindJobTrace — concurrent jobs under the job service), else the
-/// process-global recorder (setActiveTrace — the single-job path). While no
-/// tag bindings exist, resolution is the legacy single relaxed atomic load.
+/// Resolution order: the recorder of the job running on the calling thread
+/// (its obs::JobSinks, installed by the job's TelemetrySession and carried
+/// across pool hops, see io/task_tag.h), else the process-global recorder
+/// (setActiveTrace). One TLS read and one relaxed atomic load; no lock.
 TraceRecorder* activeTrace();
 
 /// Installs (or clears, with nullptr) the process-global recorder — the
-/// single-job path and the task-tag fallback. The caller owns the recorder
-/// and must clear it before destruction; global installs do not nest.
+/// distributed coordinator's and workers' path, and the fallback for threads
+/// that carry no job recorder. The caller owns the recorder and must clear it
+/// before destruction; global installs do not nest.
 void setActiveTrace(TraceRecorder* recorder);
-
-/// Binds `recorder` to task tag `tag` (see io/task_tag.h): instrumentation
-/// running under that tag — including pool work the tagged thread submitted —
-/// records here instead of the global recorder. The job service binds one
-/// recorder per concurrent job. `tag` must be nonzero and unbound; the caller
-/// owns the recorder and must unbind before destroying it.
-void bindJobTrace(u64 tag, TraceRecorder* recorder);
-void unbindJobTrace(u64 tag);
 
 /// RAII span against the active recorder (or an explicit one): records
 /// [construction, destruction) on destruction. When tracing is disabled the
-/// constructor is a single relaxed atomic load and everything else no-ops.
+/// constructor is activeTrace()'s two loads and everything else no-ops.
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, const char* category)

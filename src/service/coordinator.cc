@@ -33,7 +33,6 @@
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "service/workload.h"
-#include "transform/transform_codec.h"
 
 namespace scishuffle::service {
 
@@ -587,12 +586,10 @@ DistributedResult Coordinator::run() {
       });
   // After the dist.* gauges: the first and last samples see them.
   obs::TelemetrySession telemetry(/*tracePath=*/{}, /*collectHistograms=*/false,
-                                  config_.metrics_path, config_.sample_interval_ms, /*tag=*/0);
+                                  config_.metrics_path, config_.sample_interval_ms,
+                                  obs::TelemetrySession::Install::kGlobal);
 
-  registerTransformCodecs();
-  const auto codec = workload_.config.intermediate_codec == "null"
-                         ? nullptr
-                         : CodecRegistry::instance().create(workload_.config.intermediate_codec);
+  const auto codec = hadoop::intermediateCodec(workload_.config.intermediate_codec);
   codecPool_.emplace(hadoop::codecPoolThreads(workload_.config.codec_threads));
   server_.emplace(numTasks, numReducers);
   fetchPool_.emplace(std::max(2, config_.num_workers));

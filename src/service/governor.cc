@@ -25,6 +25,7 @@ MemoryGovernor::MemoryGovernor(Config config, obs::GaugeRegistry* registry,
     : config_(config),
       sampler_(config.interval_ms, checkedRegistry(registry), /*recorder=*/nullptr, stream,
                [this](const std::map<std::string, u64>& gauges) { onSample(gauges); }) {
+  check(config_.budget_bytes != 0, "governor budget must be nonzero");
   // At interval 0 the sampler never samples, and a governor without
   // readings would admit blindly.
   check(config_.interval_ms != 0, "governor interval must be nonzero");
@@ -46,9 +47,7 @@ void MemoryGovernor::attach(hadoop::ShuffleServer& server) {
   {
     MutexLock lock(mu_);
     fleet_.push_back(&server);
-    if (config_.budget_bytes != 0) {
-      limit = throttled_ ? config_.min_pending_limit_bytes : config_.base_pending_limit_bytes;
-    }
+    limit = throttled_ ? config_.min_pending_limit_bytes : config_.base_pending_limit_bytes;
   }
   if (limit != 0) server.setPendingBytesLimit(limit);
 }
@@ -64,7 +63,6 @@ void MemoryGovernor::detach(hadoop::ShuffleServer& server) {
 }
 
 bool MemoryGovernor::admissionOk(std::size_t runningJobs) const {
-  if (config_.budget_bytes == 0) return true;
   MutexLock lock(mu_);
   if (throttled_) return false;
   // Each in-flight job may still grow toward its reserve; count all of them
@@ -103,21 +101,18 @@ void MemoryGovernor::onSample(const std::map<std::string, u64>& gauges) {
     MutexLock lock(mu_);
     lastRss_ = rss;
     if (rss > peakRss_) peakRss_ = rss;
-    if (config_.budget_bytes != 0) {
-      const bool over =
-          static_cast<double>(rss) >
-          static_cast<double>(config_.budget_bytes) * config_.soft_watermark;
-      startedThrottling = over && !throttled_;
-      clearedThrottling = !over && throttled_;
-      if (startedThrottling) ++throttles_;
-      throttled_ = over;
-      // Applied every tick (idempotent), not just on transitions: a server
-      // attached between ticks already got the current limit from attach(),
-      // and re-asserting costs one short leaf lock per job.
-      const u64 limit =
-          throttled_ ? config_.min_pending_limit_bytes : config_.base_pending_limit_bytes;
-      for (hadoop::ShuffleServer* server : fleet_) server->setPendingBytesLimit(limit);
-    }
+    const bool over =
+        static_cast<double>(rss) > static_cast<double>(config_.budget_bytes) * kSoftWatermark;
+    startedThrottling = over && !throttled_;
+    clearedThrottling = !over && throttled_;
+    if (startedThrottling) ++throttles_;
+    throttled_ = over;
+    // Applied every tick (idempotent), not just on transitions: a server
+    // attached between ticks already got the current limit from attach(),
+    // and re-asserting costs one short leaf lock per job.
+    const u64 limit =
+        throttled_ ? config_.min_pending_limit_bytes : config_.base_pending_limit_bytes;
+    for (hadoop::ShuffleServer* server : fleet_) server->setPendingBytesLimit(limit);
   }
   if (startedThrottling) {
     obs::emitEvent(obs::event::kServiceGovernorThrottle, "governor", rss);

@@ -41,8 +41,8 @@ namespace scishuffle::service {
 class MemoryGovernor {
  public:
   struct Config {
-    /// Aggregate RSS budget. 0 disables control entirely: admissionOk() is
-    /// always true and attached servers are left unbounded.
+    /// Aggregate RSS budget; must be nonzero (the service runs without a
+    /// governor when it has no budget).
     u64 budget_bytes = 0;
     /// Sampling cadence; must be nonzero.
     u64 interval_ms = 5;
@@ -54,10 +54,11 @@ class MemoryGovernor {
     u64 min_pending_limit_bytes = 1ull << 20;
     /// Steady-state limit applied when pressure clears; 0 = unbounded.
     u64 base_pending_limit_bytes = 0;
-    /// Throttling starts at budget * soft_watermark — before the budget is
-    /// breached, not after.
-    double soft_watermark = 0.8;
   };
+
+  /// Throttling starts at budget * kSoftWatermark — before the budget is
+  /// breached, not after.
+  static constexpr double kSoftWatermark = 0.8;
 
   /// `registry` is sampled every tick; `stream` (optional) receives one
   /// sample line per tick — the service-level scishuffle.metrics.v1 export.
@@ -83,16 +84,16 @@ class MemoryGovernor {
   void detach(hadoop::ShuffleServer& server);
 
   /// True when the last sampled RSS leaves headroom for one more job under
-  /// the budget (always true with no budget). `runningJobs` scales the
-  /// reserve: jobs already dispatched but still ramping claim their reserve
-  /// too, so a burst of admissions at a low-RSS instant cannot overshoot the
-  /// budget before the next sample lands. Always false while throttled. The
-  /// dispatcher's running==0 escape, not this accessor, prevents deadlock.
+  /// the budget. `runningJobs` scales the reserve: jobs already dispatched
+  /// but still ramping claim their reserve too, so a burst of admissions at
+  /// a low-RSS instant cannot overshoot the budget before the next sample
+  /// lands. Always false while throttled. The dispatcher's running==0
+  /// escape, not this accessor, prevents deadlock.
   bool admissionOk(std::size_t runningJobs = 0) const;
 
   /// The control law, run once per sample: the hook the governor's sampler
   /// calls with each gauge map (obs::SampleFn). Records process.rss_bytes,
-  /// enters or leaves throttling at budget * soft_watermark, and re-asserts
+  /// enters or leaves throttling at budget * kSoftWatermark, and re-asserts
   /// the matching pending-bytes limit on every attached server. Public so a
   /// test can drive the law with synthetic readings.
   void onSample(const std::map<std::string, u64>& gauges);

@@ -54,8 +54,8 @@ JobService::JobService(ServiceConfig config) : config_(std::move(config)) {
   if (!config_.metrics_path.empty()) {
     metrics_ =
         std::make_unique<obs::MetricsStream>(config_.metrics_path, config_.governor_interval_ms);
-    // Service-level export: untagged threads (dispatcher, governor) and the
-    // service copy of every tagged job event land here. One service per
+    // Service-level export: threads no job owns (dispatcher, governor) and
+    // the service copy of every job event land here. One service per
     // process — the global metrics slot does not nest.
     obs::setActiveMetrics(metrics_.get());
   }
@@ -344,9 +344,6 @@ void JobService::execute(const std::shared_ptr<Job>& job) {
 
   hadoop::JobContext ctx;
   ctx.codec_pool = codecPool_.get();
-  // runJob tags its call tree with the job id: every span/metric event
-  // emitted on the job's behalf (pool hops included) resolves to this job.
-  ctx.job_tag = job->id;
   ctx.cancelled = &job->cancel;
   ctx.attach_shuffle = [this, jobPtr](hadoop::ShuffleServer& server) {
     // Backpressure seeds first: the governor's attach may tighten the limit.
@@ -373,20 +370,12 @@ void JobService::execute(const std::shared_ptr<Job>& job) {
     if (governor_ != nullptr) governor_->detach(server);
   };
 
-  hadoop::JobConfig cfg = job->spec.config;  // copy: clamp service quotas on
-  if (config_.max_map_slots_per_job > 0) {
-    cfg.map_slots = std::min(cfg.map_slots, config_.max_map_slots_per_job);
-  }
-  if (config_.max_reduce_slots_per_job > 0) {
-    cfg.reduce_slots = std::min(cfg.reduce_slots, config_.max_reduce_slots_per_job);
-  }
-
   JobState finalState = JobState::kDone;
   std::optional<hadoop::JobResult> result;
   std::exception_ptr failure;
   std::string error;
   try {
-    result = hadoop::runJob(cfg, job->spec.map_tasks, job->spec.reduce, &ctx);
+    result = hadoop::runJob(job->spec.config, job->spec.map_tasks, job->spec.reduce, &ctx);
   } catch (const hadoop::JobCancelledError&) {
     finalState = JobState::kCancelled;
   } catch (const std::exception& e) {

@@ -12,9 +12,10 @@
 //        service outright)
 //        v
 //   runner (ThreadPool, max_concurrent_jobs slots): calls hadoop::runJob with
-//        a JobContext — shared codec pool, the job id as task tag
-//        (io/task_tag.h) so per-job trace/metrics route by tag, cooperative
-//        cancel, governor-managed shuffle backpressure (docs/SERVICE.md).
+//        a JobContext — shared codec pool, cooperative cancel,
+//        governor-managed shuffle backpressure (docs/SERVICE.md); runJob
+//        installs the job's trace/metrics sinks on the runner thread, and
+//        the pools carry them into the job's tasks (io/task_tag.h).
 //
 // Thread model: every Job record and the queue live behind one service mutex
 // (annotated; -Wthread-safety proves the discipline). Lock order:
@@ -96,9 +97,6 @@ struct ServiceConfig {
   u64 job_reserve_bytes = 64ull << 20;
   /// Codec pool shared by every job; 0 = hardware concurrency.
   int codec_threads = 0;
-  /// Per-job slot quotas clamped onto each JobConfig; 0 = no cap.
-  int max_map_slots_per_job = 0;
-  int max_reduce_slots_per_job = 0;
   /// Where governor-evicted shuffle segments spill; required for the
   /// governor's backpressure to have anywhere to push bytes.
   std::filesystem::path overflow_dir;

@@ -15,7 +15,6 @@
 #include "net/socket.h"
 #include "obs/session.h"
 #include "service/workload.h"
-#include "transform/transform_codec.h"
 
 namespace scishuffle::service {
 
@@ -131,13 +130,11 @@ class HeartbeatThread {
 
 int runWorkerMain(const WorkerOptions& options) {
   Workload workload = buildWorkload(options.workload, options.workload_args);
-  registerTransformCodecs();
-  const auto codec = workload.config.intermediate_codec == "null"
-                         ? nullptr
-                         : CodecRegistry::instance().create(workload.config.intermediate_codec);
+  const auto codec = hadoop::intermediateCodec(workload.config.intermediate_codec);
 
   obs::TelemetrySession telemetry(/*tracePath=*/{}, /*collectHistograms=*/false,
-                                  options.metrics_path, options.sample_interval_ms, /*tag=*/0);
+                                  options.metrics_path, options.sample_interval_ms,
+                                  obs::TelemetrySession::Install::kGlobal);
 
   std::atomic<bool> hung{false};
   SegmentStore store;

@@ -1,25 +1,13 @@
 #include "service/workload.h"
 
-#include <map>
 #include <stdexcept>
 
-#include "io/annotations.h"
 #include "io/primitives.h"
 #include "io/streams.h"
 
 namespace scishuffle::service {
 
 namespace {
-
-Mutex& registryMutex() {
-  static Mutex mu{lock_rank::kWorkloadRegistry};
-  return mu;
-}
-
-std::map<std::string, WorkloadFactory>& registry() REQUIRES(registryMutex()) {
-  static std::map<std::string, WorkloadFactory> factories;
-  return factories;
-}
 
 /// The synthetic word-count job every front-end (CLI serve, distrun, tests,
 /// bench) shares: `wordcount <maps> <words-per-map> [codec]`. Everything is
@@ -68,38 +56,11 @@ Workload buildWordcount(const std::vector<std::string>& args) {
   return w;
 }
 
-void registerBuiltinsLocked() REQUIRES(registryMutex()) {
-  static bool done = false;
-  if (done) return;
-  done = true;
-  registry().emplace("wordcount", buildWordcount);
-}
-
 }  // namespace
 
-void registerWorkload(const std::string& name, WorkloadFactory factory) {
-  MutexLock lock(registryMutex());
-  registerBuiltinsLocked();
-  registry()[name] = std::move(factory);
-}
-
 Workload buildWorkload(const std::string& name, const std::vector<std::string>& args) {
-  WorkloadFactory factory;
-  {
-    MutexLock lock(registryMutex());
-    registerBuiltinsLocked();
-    const auto it = registry().find(name);
-    if (it == registry().end())
-      throw std::invalid_argument("unknown workload: " + name);
-    factory = it->second;
-  }
-  return factory(args);
-}
-
-bool workloadRegistered(const std::string& name) {
-  MutexLock lock(registryMutex());
-  registerBuiltinsLocked();
-  return registry().count(name) != 0;
+  if (name == "wordcount") return buildWordcount(args);
+  throw std::invalid_argument("unknown workload: " + name);
 }
 
 }  // namespace scishuffle::service

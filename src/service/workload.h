@@ -9,7 +9,6 @@
 // worker's tasks on a survivor bit-identical to an in-process runJob.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,18 +24,9 @@ struct Workload {
   hadoop::ReduceFn reduce;
 };
 
-/// Builds a Workload from whitespace-split arguments (e.g. {"4", "50000",
-/// "gzipish"}). Throws std::invalid_argument on bad arguments.
-using WorkloadFactory = std::function<Workload(const std::vector<std::string>& args)>;
-
-/// Registers a factory under `name`, replacing any previous one. Thread-safe.
-void registerWorkload(const std::string& name, WorkloadFactory factory);
-
-/// Expands (name, args); registers the built-ins on first use. Throws
-/// std::invalid_argument for unknown names or bad arguments.
+/// Expands (name, args), with args whitespace-split (e.g. {"4", "50000",
+/// "gzipish"}). The one workload is `wordcount <maps> <words-per-map>
+/// [codec]`. Throws std::invalid_argument for unknown names or bad arguments.
 Workload buildWorkload(const std::string& name, const std::vector<std::string>& args);
-
-/// True when `name` resolves (after built-in registration).
-bool workloadRegistered(const std::string& name);
 
 }  // namespace scishuffle::service

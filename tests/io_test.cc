@@ -175,16 +175,6 @@ TEST(StreamsTest, ConsumedTracksBytesHandedOut) {
   EXPECT_EQ(src.consumed(), 100u);
 }
 
-TEST(StreamsTest, CountingSinkCounts) {
-  Bytes buf;
-  MemorySink inner(buf);
-  CountingSink counting(inner);
-  counting.write(testing::randomBytes(123, 1));
-  counting.write(testing::randomBytes(77, 2));
-  EXPECT_EQ(counting.count(), 200u);
-  EXPECT_EQ(buf.size(), 200u);
-}
-
 TEST(StreamsTest, ReadExactThrowsOnTruncation) {
   const Bytes data(10, 0);
   MemorySource src(data);

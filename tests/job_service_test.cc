@@ -4,8 +4,8 @@
 // socket front-end round trip (and its survival of abandoned and malformed
 // requests, its thread count over many requests, and a stop that drops a
 // silent client at once but still answers requests already being served), a
-// job cancelled mid-shuffle reaching a terminal state, and the memory
-// governor's control law.
+// job cancelled mid-shuffle reaching a terminal state, overlapping jobs
+// keeping their own trace files, and the memory governor's control law.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,8 +17,10 @@
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "io/streams.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "obs/json.h"
 #include "proptest.h"
 #include "service/governor.h"
 #include "service/job_service.h"
@@ -649,6 +652,59 @@ TEST(JobServiceTest, ShutdownReplySurvivesAnImmediateStop) {
   service.shutdown();
 }
 
+// Two overlapping jobs, each with its own trace file: every file holds
+// exactly its own job's map_task spans and one reduce_task span per reducer.
+TEST(JobServiceTest, ConcurrentJobsKeepSeparateTraces) {
+  TempDir dir("svc_traces");
+  ServiceConfig config;
+  config.max_concurrent_jobs = 2;
+  JobService service(config);
+  Gate gate;
+  std::atomic<int> parked{0};
+  const auto gatedSpec = [&](const std::string& name, int maps, int reducers) {
+    JobSpec spec;
+    spec.name = name;
+    spec.config.num_reducers = reducers;
+    spec.config.trace_path = dir.file(name + ".json");
+    for (int m = 0; m < maps; ++m) {
+      spec.map_tasks.push_back(hadoop::MapTask{[&gate, &parked, m](const hadoop::EmitFn& emit) {
+        parked.fetch_add(1);
+        gate.wait();
+        for (int i = 0; i < 50; ++i) emit(toBytes("w" + std::to_string((i + m) % 7)), encodeI64(1));
+      }});
+    }
+    spec.reduce = kSumReduce;
+    return spec;
+  };
+  const SubmitResult two = service.submit(gatedSpec("two", 2, 2));
+  const SubmitResult five = service.submit(gatedSpec("five", 5, 3));
+  ASSERT_TRUE(two.accepted && five.accepted);
+  // Two map slots per job: both jobs hold parked tasks, so they overlap.
+  while (parked.load() < 4) std::this_thread::yield();
+  gate.release();
+  EXPECT_EQ(service.wait(two.id).state, JobState::kDone);
+  EXPECT_EQ(service.wait(five.id).state, JobState::kDone);
+  service.shutdown();
+
+  const auto spanCounts = [&dir](const std::string& name) {
+    std::ifstream in(dir.file(name + ".json"));
+    std::stringstream text;
+    text << in.rdbuf();
+    const obs::JsonValue doc = obs::parseJson(text.str());
+    std::map<std::string, int> counts;
+    for (const obs::JsonValue& e : doc.at("traceEvents").array) ++counts[e.at("name").string];
+    return counts;
+  };
+  std::map<std::string, int> counts = spanCounts("two");
+  EXPECT_EQ(counts["job"], 1);
+  EXPECT_EQ(counts["map_task"], 2);
+  EXPECT_EQ(counts["reduce_task"], 2);
+  counts = spanCounts("five");
+  EXPECT_EQ(counts["job"], 1);
+  EXPECT_EQ(counts["map_task"], 5);
+  EXPECT_EQ(counts["reduce_task"], 3);
+}
+
 // The governor's control law, driven through the hook its sampler calls with
 // synthetic readings: no real RSS, no sampling thread.
 TEST(MemoryGovernorTest, ControlLawFollowsSampledRss) {
@@ -702,9 +758,14 @@ TEST(MemoryGovernorTest, ControlLawFollowsSampledRss) {
   EXPECT_EQ(governor.peakRssBytes(), 90 * kMiB);
   governor.detach(server);
 
-  // At interval 0 its sampler would never sample: rejected up front.
-  cfg.interval_ms = 0;
-  EXPECT_THROW({ MemoryGovernor rejected(cfg, &registry, /*stream=*/nullptr); }, std::logic_error);
+  // At interval 0 its sampler would never sample, and a zero budget leaves
+  // nothing to govern: both are rejected up front.
+  MemoryGovernor::Config noInterval = cfg;
+  noInterval.interval_ms = 0;
+  EXPECT_THROW({ MemoryGovernor rejected(noInterval, &registry, nullptr); }, std::logic_error);
+  MemoryGovernor::Config noBudget = cfg;
+  noBudget.budget_bytes = 0;
+  EXPECT_THROW({ MemoryGovernor rejected(noBudget, &registry, nullptr); }, std::logic_error);
 }
 
 TEST(JobServiceTest, PriorityNamesRoundTrip) {

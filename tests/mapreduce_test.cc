@@ -429,16 +429,13 @@ const GoldenMapOutput kGoldenMapOutputs[] = {
 };
 
 TEST(MapOutputGoldenTest, SegmentDigestsAreUnchanged) {
-  registerBuiltinCodecs();
   const std::vector<MapOutputCase> cases = mapOutputCases();
   ASSERT_EQ(std::size(kGoldenMapOutputs), cases.size());
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const MapOutputCase& tc = cases[c];
     const GoldenMapOutput& golden = kGoldenMapOutputs[c];
     ASSERT_STREQ(golden.name, tc.name);
-    const auto codec = tc.config.intermediate_codec == "null"
-                           ? nullptr
-                           : CodecRegistry::instance().create(tc.config.intermediate_codec);
+    const auto codec = intermediateCodec(tc.config.intermediate_codec);
     const MapTaskExecution exec = executeMapTask(tc.config, codec.get(), nullptr, tc.task, 0);
     ASSERT_EQ(exec.output.segments.size(), std::size(golden.segment_digests));
     for (std::size_t p = 0; p < exec.output.segments.size(); ++p) {

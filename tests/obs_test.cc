@@ -19,9 +19,6 @@
 namespace scishuffle::obs {
 namespace {
 
-using testing::JsonParser;
-using testing::JsonValue;
-
 // ---------------------------------------------------------------- JsonWriter
 
 TEST(JsonWriterTest, RoundTripsThroughParser) {
@@ -41,7 +38,7 @@ TEST(JsonWriterTest, RoundTripsThroughParser) {
   w.endObject();
   ASSERT_TRUE(w.done());
 
-  const JsonValue v = JsonParser::parse(os.str());
+  const JsonValue v = parseJson(os.str());
   EXPECT_EQ(v.at("text").string, "he said \"hi\"\n\ttab");
   // 2^64-1 is not exactly representable in a double; just check magnitude.
   EXPECT_GT(v.at("big").number, 1.8e19);
@@ -60,7 +57,7 @@ TEST(JsonWriterTest, EscapesControlCharacters) {
   w.kv("ctl", std::string("a\x01" "b"));
   w.endObject();
   EXPECT_NE(os.str().find("\\u0001"), std::string::npos);
-  EXPECT_NO_THROW(JsonParser::parse(os.str()));
+  EXPECT_NO_THROW(parseJson(os.str()));
 }
 
 TEST(JsonWriterTest, DoublesRoundTripExactly) {
@@ -76,7 +73,7 @@ TEST(JsonWriterTest, DoublesRoundTripExactly) {
     w.beginArray();
     w.value(d);
     w.endArray();
-    const JsonValue v = JsonParser::parse(os.str());
+    const JsonValue v = parseJson(os.str());
     ASSERT_EQ(v.array.size(), 1u) << os.str();
     EXPECT_EQ(v.array[0].number, d) << "emitted: " << os.str();
   }
@@ -97,7 +94,7 @@ TEST(JsonWriterTest, DoublesAreLocaleIndependentAndFiniteOnly) {
   const std::string text = os.str();
   EXPECT_NE(text.find("3.5"), std::string::npos);
   EXPECT_EQ(text.find("3,5"), std::string::npos);  // never a comma separator
-  const JsonValue v = JsonParser::parse(text);
+  const JsonValue v = parseJson(text);
   ASSERT_EQ(v.array.size(), 4u);
   EXPECT_EQ(v.array[1].kind, JsonValue::Kind::kNull);
   EXPECT_EQ(v.array[2].kind, JsonValue::Kind::kNull);
@@ -113,9 +110,44 @@ TEST(JsonWriterTest, BoolsRoundTrip) {
   w.endObject();
   EXPECT_NE(os.str().find("true"), std::string::npos);
   EXPECT_NE(os.str().find("false"), std::string::npos);
-  const JsonValue v = JsonParser::parse(os.str());
+  const JsonValue v = parseJson(os.str());
   EXPECT_TRUE(v.at("yes").boolean);
   EXPECT_FALSE(v.at("no").boolean);
+}
+
+// ---------------------------------------------------------------- reader
+
+TEST(JsonReaderTest, RejectsMalformedNumbers) {
+  for (const char* bad : {"[1.2.3]", "[1-2]", "[1e5e5]", "[+7]", "[01]", "[1.]", "[.5]", "[1e]",
+                          "[-]", "[1e999]"}) {
+    EXPECT_THROW(parseJson(bad), FormatError) << bad;
+  }
+  const JsonValue v = parseJson("[0, -0.5, 10, 1e5, 2E-3, -12e+2]");
+  ASSERT_EQ(v.array.size(), 6u);
+  EXPECT_EQ(v.array[1].number, -0.5);
+  EXPECT_EQ(v.array[3].asU64(), 100000u);
+  EXPECT_EQ(v.array[5].number, -1200.0);
+  EXPECT_THROW(v.array[1].asU64(), FormatError);  // negative and fractional
+}
+
+TEST(JsonReaderTest, RejectsMalformedDocumentsAndNamesTheOffset) {
+  for (const char* bad : {"", "{} x", "{\"a\":1,\"a\":2}", "[\"tab\there\"]", "[\"\\q\"]",
+                          "[\"\\u0100\"]", "[\"open]", "{\"a\" 1}", "[1,]", "[nul]",
+                          "[true false]"}) {
+    EXPECT_THROW(parseJson(bad), FormatError) << bad;
+  }
+  try {
+    parseJson("{\"a\":[1,2,oops]}");
+    FAIL() << "accepted a bad value";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 10"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(parseJson(std::string(300, '[') + std::string(300, ']')), FormatError);
+  // \u00XX is the byte XX: what JsonWriter writes for a control character.
+  const JsonValue v = parseJson("{\"s\":\"a\\u0001b\\u0041\"}");
+  EXPECT_EQ(v.at("s").string, std::string("a\x01" "bA"));
+  EXPECT_FALSE(v.has("t"));
+  EXPECT_THROW(v.at("t"), FormatError);
 }
 
 // ---------------------------------------------------------------- tracing
@@ -207,7 +239,7 @@ TEST(TraceTest, ChromeTraceExportIsValidAndComplete) {
 
   std::ostringstream os;
   recorder.writeChromeTrace(os);
-  const JsonValue doc = JsonParser::parse(os.str());
+  const JsonValue doc = parseJson(os.str());
   EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
   const auto& events = doc.at("traceEvents").array;
   ASSERT_EQ(events.size(), 2u);
@@ -304,7 +336,7 @@ TEST(HistogramTest, SnapshotJsonParses) {
   std::ostringstream os;
   JsonWriter w(os);
   h.snapshot().writeJson(w);
-  const JsonValue v = JsonParser::parse(os.str());
+  const JsonValue v = parseJson(os.str());
   EXPECT_EQ(v.at("name").string, "spill_us");
   EXPECT_EQ(v.at("unit").string, "us");
   EXPECT_EQ(v.at("count").number, 2.0);
@@ -361,7 +393,7 @@ TEST(TelemetryTest, WriteJsonParses) {
   std::ostringstream os;
   JsonWriter w(os);
   t.writeJson(w);
-  const JsonValue v = JsonParser::parse(os.str());
+  const JsonValue v = parseJson(os.str());
   EXPECT_EQ(v.at("span_count").number, 1.0);
   EXPECT_EQ(v.at("counters").at("MAP_OUTPUT_RECORDS").number, 30.0);
   EXPECT_EQ(v.at("gauges").at("threads").number, 4.0);

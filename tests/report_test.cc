@@ -10,13 +10,14 @@
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "obs/json.h"
 #include "testing_support.h"
 
 namespace scishuffle::hadoop {
 namespace {
 
-using scishuffle::testing::JsonParser;
-using scishuffle::testing::JsonValue;
+using scishuffle::obs::JsonValue;
+using scishuffle::obs::parseJson;
 
 JobResult runTinyJob(bool withCombiner,
                      const std::function<void(JobConfig&)>& tweak = {}) {
@@ -92,7 +93,7 @@ TEST(ReportTest, PerTaskStatsArePopulated) {
 
 TEST(ReportJsonTest, ParsesAndCountersMatchSnapshot) {
   const auto result = runTinyJob(false);
-  const JsonValue doc = JsonParser::parse(jobReportJson(result));
+  const JsonValue doc = parseJson(jobReportJson(result));
   EXPECT_EQ(doc.at("schema").string, "scishuffle.job_report.v1");
 
   // Every counter in the report equals the live Counters snapshot, and the
@@ -115,7 +116,7 @@ TEST(ReportJsonTest, ParsesAndCountersMatchSnapshot) {
 
 TEST(ReportJsonTest, PipelinedTimingReportsOverlap) {
   const auto result = runTinyJob(false);
-  const JsonValue doc = JsonParser::parse(jobReportJson(result));
+  const JsonValue doc = parseJson(jobReportJson(result));
   const JsonValue& timings = doc.at("timings");
   // Pipelined, shuffle_us spans firstPublish..lastFetch and the overlap
   // field records how much of that ran concurrently with the map phase.
@@ -142,7 +143,7 @@ TEST(ReportJsonTest, HistogramsAppearWhenCollected) {
   EXPECT_NE(report.find("histograms ("), std::string::npos);
   EXPECT_NE(report.find("map_task_us"), std::string::npos);
   // ...and the JSON report carries the same data under telemetry.
-  const JsonValue doc = JsonParser::parse(jobReportJson(result));
+  const JsonValue doc = parseJson(jobReportJson(result));
   EXPECT_GT(doc.at("telemetry").at("histograms").array.size(), 0u);
   EXPECT_EQ(doc.at("telemetry").at("span_count").asU64(), result.telemetry.span_count);
 }
@@ -167,7 +168,7 @@ TEST(ReportTraceTest, TraceFileCoversEveryStageCategory) {
   std::ifstream in(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const JsonValue doc = JsonParser::parse(buffer.str());
+  const JsonValue doc = parseJson(buffer.str());
   std::set<std::string> categories;
   for (const JsonValue& e : doc.at("traceEvents").array) {
     categories.insert(e.at("cat").string);

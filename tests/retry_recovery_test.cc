@@ -14,6 +14,7 @@
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "obs/json.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
 
@@ -23,8 +24,8 @@ namespace {
 using scishuffle::testing::FaultKind;
 using scishuffle::testing::FaultPlan;
 using scishuffle::testing::FaultRule;
-using scishuffle::testing::JsonParser;
-using scishuffle::testing::JsonValue;
+using scishuffle::obs::JsonValue;
+using scishuffle::obs::parseJson;
 namespace site = scishuffle::testing::site;
 
 // ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ TEST(RecoveryAcceptanceTest, CorruptBlockAndDroppedFetchHealBitIdentically) {
   EXPECT_EQ(countsOf(faulted), countsOf(baseline));
 
   // The recovery counters surface in the JSON report...
-  const JsonValue doc = JsonParser::parse(jobReportJson(faulted));
+  const JsonValue doc = parseJson(jobReportJson(faulted));
   EXPECT_GE(doc.at("counters").at(counter::kShuffleFetchRetries).asU64(), 1u);
   EXPECT_GE(doc.at("counters").at(counter::kBlocksCorruptDetected).asU64(), 1u);
   EXPECT_GE(doc.at("counters").at(counter::kSegmentsRefetched).asU64(), 1u);

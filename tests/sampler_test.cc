@@ -1,15 +1,18 @@
 // Tests for the continuous-telemetry layer (ctest label: tsan): gauge
 // registry summing and RAII unregistration, sampler lifecycle (zero-interval
 // no-op, final-sample-on-stop, stop/teardown races), counter-event timestamp
-// monotonicity, the metrics JSONL round trip through `stat`, the
-// disabled-path overhead smoke enforced by CI, and runJob's use of the
+// monotonicity, the metrics JSONL round trip through `stat` (and the lines it
+// skips), the disabled-path overhead smoke enforced by CI, concurrent
+// standalone jobs keeping their own telemetry, and runJob's use of the
 // global telemetry slots.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -213,11 +216,15 @@ TEST(MetricsStreamTest, TruncatedFileSummarizesWithSkippedLines) {
   }
   {
     std::ofstream out(path, std::ios::app);
+    // Gauge values off the JSON number grammar: each line is skipped whole.
+    for (const char* bad : {"1.2.3", "1-2", "+7"}) {
+      out << "{\"type\":\"sample\",\"ts_us\":50,\"gauges\":{\"g\":" << bad << "}}\n";
+    }
     out << "{\"type\":\"sample\",\"ts_us\":99,\"gau";  // crash mid-line
   }
   const MetricsSummary summary = summarizeMetricsFile(path);
   EXPECT_EQ(summary.samples, 2u);
-  EXPECT_EQ(summary.skipped_lines, 1u);
+  EXPECT_EQ(summary.skipped_lines, 4u);
   EXPECT_EQ(summary.gauges.at("g").peak, 9u);
 }
 
@@ -298,6 +305,65 @@ TEST(SamplerEndToEnd, RunJobStreamsMetricsAndMergesRollups) {
   off.num_reducers = 2;
   const auto quiet = hadoop::runJob(off, tasks, reduce);
   EXPECT_EQ(quiet.telemetry.gauges.count("process.rss_bytes.max"), 0u);
+}
+
+// Two standalone jobs overlap in one process: B runs start to finish while
+// A's only map task is parked. Each job's spans reach its own recorder, also
+// those A records after B has finished.
+TEST(SamplerEndToEnd, ConcurrentStandaloneJobsKeepTheirOwnTelemetry) {
+  const hadoop::ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values,
+                                     const hadoop::EmitFn& emit) { emit(key, values.front()); };
+  const auto emitWords = [](const hadoop::EmitFn& emit) {
+    for (int i = 0; i < 100; ++i) emit(Bytes{static_cast<u8>('a' + i % 5)}, Bytes{1});
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  const hadoop::MapTask parkedTask{[&](const hadoop::EmitFn& emit) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+    emitWords(emit);
+  }};
+
+  hadoop::JobConfig configA;
+  configA.num_reducers = 2;
+  configA.collect_histograms = true;
+  hadoop::JobResult a;
+  std::thread jobA([&] { a = hadoop::runJob(configA, {parkedTask}, reduce); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  hadoop::JobConfig configB;
+  configB.num_reducers = 3;
+  configB.collect_histograms = true;
+  const hadoop::JobResult b =
+      hadoop::runJob(configB, std::vector<hadoop::MapTask>(3, hadoop::MapTask{emitWords}), reduce);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  jobA.join();
+
+  const auto count = [](const hadoop::JobResult& r, const char* name) -> u64 {
+    const HistogramSnapshot* h = r.telemetry.findHistogram(name);
+    return h != nullptr ? h->count : 0;
+  };
+  for (const char* name : {"spill_us", "sort_us", "segment_publish_us"}) {
+    EXPECT_GT(count(a, name), 0u) << name;
+  }
+  EXPECT_EQ(count(a, "job_us"), 1u);
+  EXPECT_EQ(count(a, "map_task_us"), 1u);
+  EXPECT_EQ(count(a, "reduce_task_us"), 2u);
+  EXPECT_EQ(count(b, "job_us"), 1u);
+  EXPECT_EQ(count(b, "map_task_us"), 3u);
+  EXPECT_EQ(count(b, "reduce_task_us"), 3u);
 }
 
 // A job that asks for no telemetry installs none, so it must leave whatever

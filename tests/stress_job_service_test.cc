@@ -3,11 +3,13 @@
 // seeded fault plans, under a memory governor. Every job's output must be
 // bit-identical to the reference evaluation (hadoop/reference.h), the
 // governor's observed RSS must stay under its budget, and each job's metrics
-// stream lands as a JSONL file (CI uploads the directory as an artifact).
+// stream lands as a JSONL file (CI uploads the directory as an artifact)
+// holding its own recovery events, which the service stream repeats.
 // Seeded via SCISHUFFLE_PROP_SEED so a failure replays exactly.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -17,6 +19,8 @@
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "obs/sampler.h"
+#include "obs/stat.h"
 #include "service/job_service.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
@@ -218,6 +222,33 @@ TEST(StressJobServiceTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
     if (std::filesystem::exists(path)) {
       EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
     }
+  }
+
+  // Recovery events reach the stream of the job that raised them, and only
+  // it: a clean job's stream holds none, and the service stream holds each
+  // exactly as often as the job streams together.
+  const auto countOf = [](const obs::MetricsSummary& s, const char* name) -> u64 {
+    const auto it = s.event_counts.find(name);
+    return it != s.event_counts.end() ? it->second : 0;
+  };
+  const char* const recoveryEvents[] = {
+      obs::event::kShuffleFetchRetry, obs::event::kShufflePublishRetry,
+      obs::event::kShuffleCorruptionDetected, obs::event::kShuffleSegmentRefetch,
+      obs::event::kTaskRetry};
+  std::map<std::string, u64> jobTotals;
+  for (int job = 0; job < kJobs; ++job) {
+    const obs::MetricsSummary stream =
+        obs::summarizeMetricsFile(metricsDir / ("job_" + std::to_string(job) + ".jsonl"));
+    for (const char* name : recoveryEvents) {
+      jobTotals[name] += countOf(stream, name);
+      if (!pending[static_cast<std::size_t>(job)].faulted) {
+        EXPECT_EQ(countOf(stream, name), 0u) << "clean job " << job << " holds " << name;
+      }
+    }
+  }
+  const obs::MetricsSummary serviceStream = obs::summarizeMetricsFile(config.metrics_path);
+  for (const char* name : recoveryEvents) {
+    EXPECT_EQ(countOf(serviceStream, name), jobTotals[name]) << name;
   }
 }
 

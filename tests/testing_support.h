@@ -1,7 +1,8 @@
-// Shared helpers for scishuffle tests: deterministic data generators that
-// mimic the byte patterns the paper cares about, plus a strict little JSON
-// parser for validating the JSON artifacts the observability layer emits
-// (trace files, jobReportJson, BENCH_*.json).
+// Shared helpers for scishuffle tests: a temporary directory, the property
+// seed, and deterministic data generators that mimic the byte patterns the
+// paper cares about. Tests read the JSON artifacts the program emits (trace
+// files, jobReportJson, metrics lines) with the program's own strict reader,
+// obs::parseJson (src/obs/json.h).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,10 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
-#include <memory>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -128,190 +126,6 @@ inline Bytes gridWalkTriples(i32 nx, i32 ny, i32 nz) {
   }
   return out;
 }
-
-// ---------------------------------------------------------------- JSON
-
-/// Parsed JSON value. Numbers are kept as doubles (every number the project
-/// emits fits exactly in a double or only needs approximate checks).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool has(const std::string& key) const { return object.count(key) > 0; }
-  const JsonValue& at(const std::string& key) const {
-    const auto it = object.find(key);
-    if (it == object.end()) throw std::out_of_range("no JSON key: " + key);
-    return it->second;
-  }
-  u64 asU64() const { return static_cast<u64>(number); }
-};
-
-/// Strict recursive-descent parser; throws std::runtime_error on any syntax
-/// error or trailing garbage. No \uXXXX decoding (the project never emits
-/// non-ASCII) — the escape is preserved verbatim.
-class JsonParser {
- public:
-  static JsonValue parse(const std::string& text) {
-    JsonParser p(text);
-    const JsonValue v = p.parseValue();
-    p.skipWs();
-    if (p.pos_ != p.text_.size()) throw std::runtime_error("trailing JSON garbage");
-    return v;
-  }
-
- private:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  void skipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) throw std::runtime_error("unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error(std::string("expected '") + c + "' at offset " +
-                               std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  bool consumeLiteral(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (text_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) throw std::runtime_error("unterminated JSON string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) throw std::runtime_error("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            if (pos_ + 4 > text_.size()) throw std::runtime_error("truncated \\u escape");
-            out += "\\u" + text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          default: throw std::runtime_error("bad escape");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        throw std::runtime_error("raw control character in JSON string");
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonValue parseValue() {
-    skipWs();
-    JsonValue v;
-    const char c = peek();
-    if (c == '{') {
-      ++pos_;
-      v.kind = JsonValue::Kind::kObject;
-      skipWs();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        skipWs();
-        std::string key = parseString();
-        skipWs();
-        expect(':');
-        if (!v.object.emplace(std::move(key), parseValue()).second) {
-          throw std::runtime_error("duplicate JSON object key");
-        }
-        skipWs();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      v.kind = JsonValue::Kind::kArray;
-      skipWs();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        v.array.push_back(parseValue());
-        skipWs();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.string = parseString();
-      return v;
-    }
-    if (consumeLiteral("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consumeLiteral("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      return v;
-    }
-    if (consumeLiteral("null")) return v;
-    // Number.
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error("invalid JSON value");
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::stod(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 /// Key stream with a variable-name prefix per key, like Fig. 2's
 /// "windspeed1" records.
