@@ -26,13 +26,6 @@
 //   scishuffle_cli inspect <file>                           stride detection report
 //   scishuffle_cli faultdemo [--out report.json] [--metrics-out m.jsonl]
 //                                                           faulted run + recovery
-//   scishuffle_cli serve --socket <path> [--max-jobs N] [--queue-cap N]
-//                  [--budget-mb M] [--overflow-dir d] [--shuffle-limit-mb L]
-//                  [--metrics-out m.jsonl] [--codec-threads T]
-//                                        long-running job service (docs/SERVICE.md);
-//                                        SIGTERM/SIGINT drains, a second signal
-//                                        cancels the queue and finishes only the
-//                                        running jobs
 //   scishuffle_cli distrun <workload> [args...] [--workers N] [--workdir d]
 //                  [--metrics-out m.jsonl] [--sample-interval MS]
 //                                        run a workload across N forked worker
@@ -40,11 +33,6 @@
 //   scishuffle_cli worker --control <sock> --data <sock> --id N --workload W ...
 //                                        one worker process (normally spawned by
 //                                        the coordinator, not by hand)
-//   scishuffle_cli submit <socket> [--wait] [--priority P] wordcount <maps> <words> [codec]
-//                                        submit a job to a running service
-//   scishuffle_cli jobs <socket>         list every job the service has seen
-//   scishuffle_cli cancel <socket> <id>  cancel a queued or running job
-//   scishuffle_cli shutdown <socket>     drain the service and stop it
 //   scishuffle_cli selftest                                 end-to-end smoke test
 //
 // faultdemo runs the canonical fault-injection scenario from docs/FAULTS.md:
@@ -73,11 +61,7 @@
 #include "scikey/slab_query.h"
 #include "scikey/sliding_query.h"
 #include "service/coordinator.h"
-#include "service/job_service.h"
-#include "service/service_socket.h"
-#include "service/signals.h"
 #include "service/worker.h"
-#include "service/workload.h"
 #include "testing/fault_injector.h"
 #include "transform/stride_model.h"
 #include "transform/transform_codec.h"
@@ -88,8 +72,8 @@ namespace {
 
 int usage() {
   std::cerr << "usage: scishuffle_cli "
-               "<gen|info|query|slab|stat|codec|decodec|inspect|faultdemo|serve|submit|jobs|"
-               "cancel|shutdown|distrun|worker|selftest> ...\n"
+               "<gen|info|query|slab|stat|codec|decodec|inspect|faultdemo|distrun|worker|"
+               "selftest> ...\n"
                "see the header of examples/scishuffle_cli.cpp for details\n";
   return 2;
 }
@@ -110,22 +94,6 @@ void reportMetricsPath(const hadoop::JobConfig& job) {
     std::cerr << "wrote metrics to " << job.metrics_path
               << " (summarize with scishuffle_cli stat)\n";
   }
-}
-
-/// The interactive single-job commands (query/slab) are thin clients of the
-/// scheduler: a one-slot JobService runs the prepared job, so the CLI always
-/// exercises the same dispatch/runner path as the long-running service.
-hadoop::JobResult runViaService(std::string name, hadoop::JobConfig config,
-                                std::vector<hadoop::MapTask> tasks, hadoop::ReduceFn reduce) {
-  service::JobSpec spec;
-  spec.name = std::move(name);
-  spec.priority = service::Priority::kInteractive;
-  spec.config = std::move(config);
-  spec.map_tasks = std::move(tasks);
-  spec.reduce = std::move(reduce);
-  service::ServiceConfig svc;
-  svc.max_concurrent_jobs = 1;
-  return service::runOneJob(std::move(spec), svc);
 }
 
 int cmdGen(const std::vector<std::string>& args) {
@@ -218,8 +186,7 @@ int cmdQuery(const std::vector<std::string>& args) {
   const scikey::PreparedJob prepared = aggregate
                                            ? buildAggregateSlidingJob(input, query, job)
                                            : buildSimpleSlidingJob(input, query, job);
-  const auto result =
-      runViaService("query:" + args[1], prepared.job, prepared.map_tasks, prepared.reduce);
+  const auto result = hadoop::runJob(prepared.job, prepared.map_tasks, prepared.reduce);
 
   if (jsonReport) {
     std::cout << hadoop::jobReportJson(result);
@@ -299,8 +266,7 @@ int cmdSlab(const std::vector<std::string>& args) {
 
   resolveSamplerInterval(job, sampleIntervalMs);
   const auto prepared = buildAggregateSlabJob(input, query, job);
-  const auto result =
-      runViaService("slab:" + args[1], prepared.job, prepared.map_tasks, prepared.reduce);
+  const auto result = hadoop::runJob(prepared.job, prepared.map_tasks, prepared.reduce);
   if (jsonReport) {
     std::cout << hadoop::jobReportJson(result);
   } else {
@@ -451,101 +417,6 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Fills `spec` from the shared workload builder (service/workload.h), so the
-/// service front-end, the distributed coordinator and every forked worker all
-/// expand `<name> <args...>` to the identical deterministic job.
-bool buildWorkloadSpec(const std::vector<std::string>& args, service::JobSpec& spec,
-                       std::string& error) {
-  if (args.empty()) {
-    error = "usage: <workload> <args...> (e.g. wordcount <maps> <words-per-map> [codec])";
-    return false;
-  }
-  try {
-    service::Workload workload =
-        service::buildWorkload(args[0], {args.begin() + 1, args.end()});
-    spec.name = args[0];
-    for (std::size_t i = 1; i < args.size(); ++i) spec.name += (i == 1 ? "-" : "x") + args[i];
-    spec.config = std::move(workload.config);
-    spec.map_tasks = std::move(workload.map_tasks);
-    spec.reduce = std::move(workload.reduce);
-    return true;
-  } catch (const std::invalid_argument& e) {
-    error = e.what();
-    return false;
-  }
-}
-
-int cmdServe(const std::vector<std::string>& args) {
-  std::filesystem::path socketPath;
-  service::ServiceConfig config;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto next = [&]() -> const std::string& {
-      check(i + 1 < args.size(), "flag needs a value");
-      return args[++i];
-    };
-    if (args[i] == "--socket") {
-      socketPath = next();
-    } else if (args[i] == "--max-jobs") {
-      config.max_concurrent_jobs = std::stoi(next());
-    } else if (args[i] == "--queue-cap") {
-      config.queue_capacity = std::stoul(next());
-    } else if (args[i] == "--budget-mb") {
-      config.memory_budget_bytes = static_cast<u64>(std::stoull(next())) << 20;
-    } else if (args[i] == "--overflow-dir") {
-      config.overflow_dir = next();
-    } else if (args[i] == "--shuffle-limit-mb") {
-      config.shuffle_pending_limit_bytes = static_cast<u64>(std::stoull(next())) << 20;
-    } else if (args[i] == "--metrics-out") {
-      config.metrics_path = next();
-    } else if (args[i] == "--codec-threads") {
-      config.codec_threads = std::stoi(next());
-    } else {
-      std::cerr << "unknown flag " << args[i] << "\n";
-      return usage();
-    }
-  }
-  if (socketPath.empty()) {
-    std::cerr << "serve requires --socket <path>\n";
-    return usage();
-  }
-  if (config.memory_budget_bytes != 0 && config.overflow_dir.empty()) {
-    // The governor needs somewhere to push shuffle bytes when it throttles.
-    config.overflow_dir = std::filesystem::temp_directory_path() / "scishuffle_overflow";
-  }
-
-  service::JobService svc(config);
-  service::ServiceEndpoint endpoint(svc, socketPath, buildWorkloadSpec);
-  // SIGTERM/SIGINT drains (finish everything already admitted); a second
-  // signal escalates by cancelling the queue, so the drain below only has the
-  // running jobs left to wait for.
-  service::ShutdownSignalGuard signals(
-      [&endpoint] { endpoint.requestShutdown(); },
-      [&svc] {
-        const std::size_t cancelled = svc.cancelAllQueued();
-        std::cerr << "second signal: cancelled " << cancelled
-                  << " queued job(s), finishing only the running ones\n";
-      });
-  std::cerr << "serving on " << socketPath << " (max " << config.max_concurrent_jobs
-            << " concurrent jobs"
-            << (config.memory_budget_bytes != 0
-                    ? ", budget " + std::to_string(config.memory_budget_bytes >> 20) + " MiB"
-                    : std::string())
-            << ")\n";
-  endpoint.waitUntilShutdownRequested();
-  endpoint.stop();
-  svc.shutdown(service::JobService::Shutdown::kDrainQueued);
-  std::size_t done = 0;
-  for (const auto& s : svc.list()) {
-    if (s.state == service::JobState::kDone) ++done;
-  }
-  std::cerr << "service drained: " << done << " job(s) completed\n";
-  if (!config.metrics_path.empty()) {
-    std::cerr << "wrote service metrics to " << config.metrics_path
-              << " (summarize with scishuffle_cli stat)\n";
-  }
-  return 0;
-}
-
 /// Runs a named workload (service/workload.h) across N forked worker
 /// processes: the CLI re-execs itself with the `worker` subcommand, so one
 /// binary is both coordinator and worker (docs/CLUSTER.md). An unknown name
@@ -607,58 +478,6 @@ int cmdDistrun(const std::vector<std::string>& args, const std::string& selfExe)
   return 0;
 }
 
-int cmdSubmit(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const std::filesystem::path socketPath = args[0];
-  bool waitForResult = false;
-  std::string priority = "normal";
-  std::size_t i = 1;
-  for (; i < args.size(); ++i) {
-    if (args[i] == "--wait") {
-      waitForResult = true;
-    } else if (args[i] == "--priority") {
-      check(i + 1 < args.size(), "flag needs a value");
-      priority = args[++i];
-    } else {
-      break;
-    }
-  }
-  if (i >= args.size()) return usage();
-  std::string line = "submit " + priority;
-  for (; i < args.size(); ++i) line += " " + args[i];
-  const std::string response = service::ServiceEndpoint::request(socketPath, line);
-  std::cout << response << "\n";
-  if (response.rfind("ok id=", 0) != 0) return 1;
-  if (waitForResult) {
-    const std::string id = response.substr(6);
-    const std::string final = service::ServiceEndpoint::request(socketPath, "wait " + id);
-    std::cout << final << "\n";
-    if (final.find(" done ") == std::string::npos) return 1;
-  }
-  return 0;
-}
-
-int cmdJobs(const std::vector<std::string>& args) {
-  if (args.size() != 1) return usage();
-  std::cout << service::ServiceEndpoint::request(args[0], "list") << "\n";
-  return 0;
-}
-
-int cmdCancel(const std::vector<std::string>& args) {
-  if (args.size() != 2) return usage();
-  const std::string response =
-      service::ServiceEndpoint::request(args[0], "cancel " + args[1]);
-  std::cout << response << "\n";
-  return response == "ok" ? 0 : 1;
-}
-
-int cmdShutdown(const std::vector<std::string>& args) {
-  if (args.size() != 1) return usage();
-  const std::string response = service::ServiceEndpoint::request(args[0], "shutdown");
-  std::cout << response << "\n";
-  return response == "ok" ? 0 : 1;
-}
-
 int cmdSelftest() {
   const auto dir = std::filesystem::temp_directory_path() / "scishuffle_cli_selftest";
   std::filesystem::create_directories(dir);
@@ -675,9 +494,8 @@ int cmdSelftest() {
   }
   if (rc == 0) rc = cmdSlab({nc, "pressure", "sum", "1", "--combiner", "--report"});
   if (rc == 0) {
-    // Observability round trip: a traced run (through the job service) must
-    // leave a Chrome trace that holds the job's spans, and a JSON report on
-    // stdout.
+    // Observability round trip: a traced run must leave a Chrome trace that
+    // holds the job's spans, and a JSON report on stdout.
     const auto trace = (dir / "trace.json").string();
     rc = cmdQuery({nc, "pressure", "median", "--aggregate", "--mappers", "4", "--reducers", "3",
                    "--trace", trace, "--json-report"});
@@ -715,32 +533,6 @@ int cmdSelftest() {
   if (rc == 0) rc = cmdInspect({nc});
   if (rc == 0) rc = cmdFaultDemo({"--metrics-out", (dir / "fault_metrics.jsonl").string()});
   if (rc == 0) {
-    // Service round trip, in-process: a two-slot scheduler behind the UNIX
-    // socket protocol must admit, run and report a wordcount job.
-    const auto socketPath = dir / "svc.sock";
-    service::ServiceConfig config;
-    config.max_concurrent_jobs = 2;
-    service::JobService svc(config);
-    service::ServiceEndpoint endpoint(svc, socketPath, buildWorkloadSpec);
-    const std::string submitted =
-        service::ServiceEndpoint::request(socketPath, "submit normal wordcount 3 200");
-    check(submitted.rfind("ok id=", 0) == 0, ("service submit failed: " + submitted).c_str());
-    const std::string id = submitted.substr(6);
-    const std::string finalLine = service::ServiceEndpoint::request(socketPath, "wait " + id);
-    check(finalLine.find(" done ") != std::string::npos,
-          ("service job did not finish: " + finalLine).c_str());
-    const std::string listing = service::ServiceEndpoint::request(socketPath, "list");
-    check(listing.find("wordcount-3x200") != std::string::npos, "service list missing job");
-    check(service::ServiceEndpoint::request(socketPath, "cancel 999") != "ok",
-          "cancel of unknown job must fail");
-    check(service::ServiceEndpoint::request(socketPath, "shutdown") == "ok",
-          "service shutdown refused");
-    endpoint.waitUntilShutdownRequested();
-    endpoint.stop();
-    svc.shutdown();
-    std::cout << "service round trip OK: " << finalLine << "\n";
-  }
-  if (rc == 0) {
     // The SequenceFile we wrote must parse.
     FileSource s(seq);
     const Bytes file = s.readAll();
@@ -771,13 +563,8 @@ int main(int argc, char** argv) {
     if (cmd == "decodec") return cmdCodec(args, true);
     if (cmd == "inspect") return cmdInspect(args);
     if (cmd == "faultdemo") return cmdFaultDemo(args);
-    if (cmd == "serve") return cmdServe(args);
     if (cmd == "distrun") return cmdDistrun(args, argv[0]);
     if (cmd == "worker") return service::workerMainFromArgs(args);
-    if (cmd == "submit") return cmdSubmit(args);
-    if (cmd == "jobs") return cmdJobs(args);
-    if (cmd == "cancel") return cmdCancel(args);
-    if (cmd == "shutdown") return cmdShutdown(args);
     if (cmd == "selftest") return cmdSelftest();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -45,7 +45,7 @@ class BlockCompressedWriter {
                                  std::size_t blockBytes = kBlockFrameDefaultBlockBytes,
                                  ThreadPool* pool = nullptr);
 
-  /// An abandoned writer (a job cancelled mid-spill, an exception between
+  /// An abandoned writer (a map attempt that throws mid-spill, between
   /// write() and close()) joins its in-flight compression tasks, which
   /// capture `this`.
   ~BlockCompressedWriter();

@@ -46,9 +46,6 @@ inline constexpr const char* kSegmentsRefetched = "SEGMENTS_REFETCHED";
 inline constexpr const char* kKeySplitsRouting = "KEY_SPLITS_ROUTING";
 inline constexpr const char* kKeySplitsOverlap = "KEY_SPLITS_OVERLAP";
 inline constexpr const char* kAggregateFlushes = "AGGREGATE_FLUSHES";
-// Memory-governor backpressure: segments the shuffle spilled to the overflow
-// directory instead of keeping resident (docs/SERVICE.md).
-inline constexpr const char* kShuffleSegmentsOverflowed = "SHUFFLE_SEGMENTS_OVERFLOWED";
 // Distributed runtime (src/service/coordinator.h): workers the coordinator
 // declared dead (heartbeat timeout, control-plane EOF, or exhausted fetch
 // retries) and map tasks re-executed on a survivor because their owner died

@@ -24,29 +24,6 @@ namespace scishuffle::hadoop {
 
 namespace {
 
-bool cancelRequested(const JobContext* ctx) {
-  return ctx != nullptr && ctx->cancelled != nullptr &&
-         ctx->cancelled->load(std::memory_order_relaxed);
-}
-
-/// Announces the job's ShuffleServer to the hosting service (the memory
-/// governor adjusts its pending-bytes limit, cancel() aborts it). Declared
-/// right after the server so detach runs before the server is destroyed.
-struct FleetAttachGuard {
-  FleetAttachGuard(const JobContext* ctx, ShuffleServer& server) : ctx_(ctx), server_(server) {
-    if (ctx_ != nullptr && ctx_->attach_shuffle) ctx_->attach_shuffle(server_);
-  }
-  ~FleetAttachGuard() {
-    if (ctx_ != nullptr && ctx_->detach_shuffle) ctx_->detach_shuffle(server_);
-  }
-  FleetAttachGuard(const FleetAttachGuard&) = delete;
-  FleetAttachGuard& operator=(const FleetAttachGuard&) = delete;
-
- private:
-  const JobContext* ctx_;
-  ShuffleServer& server_;
-};
-
 /// Registers a ThreadPool's queue-depth/active-workers gauges for the pool's
 /// lifetime; every live pool registers under the same names, so the sampler
 /// reads the process-wide totals. Declare directly after the pool: the
@@ -128,7 +105,7 @@ std::optional<MapOutput> runMapTaskWithRetries(const JobConfig& config, const Co
 /// while late map tasks are still running. Per-block codec work (spill-side
 /// compression, reduce-side decode-ahead) fans out across a shared pool.
 JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                       const ReduceFn& reduce, const Codec* codec, const JobContext* ctx) {
+                       const ReduceFn& reduce, const Codec* codec) {
   JobResult result;
   result.map_tasks.resize(mapTasks.size());
   result.reduce_tasks.resize(static_cast<std::size_t>(config.num_reducers));
@@ -136,29 +113,17 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
   Mutex outputsMutex{lock_rank::kJobOutputs};
   ErrorSlot errors;
 
-  // Codec pool: the hosting service shares one pool across its concurrent
-  // jobs (and registers its gauges once); a standalone job owns a private one.
-  std::optional<ThreadPool> ownedCodecPool;
-  std::optional<PoolGauges> ownedCodecPoolGauges;
-  ThreadPool* codecPoolPtr = ctx != nullptr ? ctx->codec_pool : nullptr;
-  if (codecPoolPtr == nullptr) {
-    ownedCodecPool.emplace(codecPoolThreads(config.codec_threads));
-    ownedCodecPoolGauges.emplace(*ownedCodecPool);
-    codecPoolPtr = &*ownedCodecPool;
-  }
-  ThreadPool& codecPool = *codecPoolPtr;
+  ThreadPool codecPool(codecPoolThreads(config.codec_threads));
+  PoolGauges codecPoolGauges(codecPool);
   // Retry needs pristine copies to re-fetch; without it, keep today's pure
   // move semantics (no segment copies on the happy path).
   ShuffleServer server(mapTasks.size(), config.num_reducers, config.fault_injector,
                        /*retainSegments=*/config.shuffle_retry.enabled);
-  FleetAttachGuard fleet(ctx, server);
   obs::GaugeRegistration shuffleSegments = obs::processGauges().add(
       obs::gauge::kShuffleInflightSegments,
       [&server] { return static_cast<u64>(server.pendingSegments()); });
   obs::GaugeRegistration shuffleBytes = obs::processGauges().add(
       obs::gauge::kShufflePendingBytes, [&server] { return server.pendingBytes(); });
-  obs::GaugeRegistration shuffleOverflow = obs::processGauges().add(
-      obs::gauge::kShuffleOverflowBytes, [&server] { return server.overflowBytes(); });
 
   const u64 jobStart = steadyNowUs();
 
@@ -167,7 +132,7 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
   PoolGauges reducePoolGauges(reducePool);
   for (int r = 0; r < config.num_reducers; ++r) {
     reducePool.submit([&, r] {
-      fetchAndReduce(config, codec, &codecPool, reduce, server, mapTasks.size(), r, ctx, result,
+      fetchAndReduce(config, codec, &codecPool, reduce, server, mapTasks.size(), r, result,
                      outputsMutex, errors);
     });
   }
@@ -178,13 +143,6 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
     PoolGauges mapPoolGauges(mapPool);
     for (std::size_t m = 0; m < mapTasks.size(); ++m) {
       mapPool.submit([&, m] {
-        if (cancelRequested(ctx)) {
-          // Cancelled before this task started: record it so the shuffle
-          // aborts (fetchers are blocked waiting on publishes that will
-          // never come) and stop scheduling work.
-          errors.record(std::make_exception_ptr(JobCancelledError()));
-          return;
-        }
         auto output = runMapTaskWithRetries(config, codec, &codecPool, mapTasks[m], m,
                                             result.map_tasks[m], result.counters, errors);
         if (!output.has_value()) return;
@@ -211,18 +169,14 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
     mapPool.wait();
   }
   const u64 mapEnd = steadyNowUs();
-  if (errors.any() || cancelRequested(ctx)) {
-    // A map never published (failure or cancellation); unblock fetchers.
+  if (errors.any()) {
+    // A map never published; unblock fetchers.
     server.abort();
     obs::emitEvent(obs::event::kShuffleAbort, testing::site::kShufflePublish);
   }
 
   reducePool.wait();
   foldJobEnd(server, jobStart, mapEnd, steadyNowUs(), result);
-
-  // Cancellation outranks whatever secondary error the teardown produced
-  // (aborted fetchers record runtime_errors into the slot).
-  if (cancelRequested(ctx)) throw JobCancelledError();
   errors.rethrowIfSet();
   return result;
 }
@@ -342,16 +296,12 @@ std::unique_ptr<Codec> intermediateCodec(const std::string& name) {
 
 void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* codecPool,
                     const ReduceFn& reduce, ShuffleServer& server, std::size_t numMaps,
-                    int reducer, const JobContext* ctx, JobResult& result, Mutex& outputsMutex,
-                    ErrorSlot& errors) {
+                    int reducer, JobResult& result, Mutex& outputsMutex, ErrorSlot& errors) {
   const bool verifySegments = config.shuffle_retry.enabled;
   try {
     // Slotted by map index, so the merge sees one deterministic order
     // whatever the arrival order.
     std::vector<Bytes> segments(numMaps);
-    // Overflowed segments stay on disk through the shuffle window and
-    // materialize right before the merge (which needs them resident).
-    std::vector<std::pair<std::size_t, std::filesystem::path>> deferred;
     u64 shuffled = 0;
     for (;;) {
       // The span covers the blocking wait too: fetch-wait time is the
@@ -368,12 +318,6 @@ void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* cod
       if (!fetched) break;
       span.arg("reducer", static_cast<u64>(reducer));
       span.arg("map", fetched->map_index);
-      if (!fetched->overflow_file.empty()) {
-        span.arg("bytes", fetched->overflow_bytes);
-        shuffled += fetched->overflow_bytes;
-        deferred.emplace_back(fetched->map_index, std::move(fetched->overflow_file));
-        continue;
-      }
       span.arg("bytes", fetched->segment.size());
       if (verifySegments) {
         verifyAndRecoverSegment(config, server, codec, *fetched, reducer, result.counters);
@@ -381,17 +325,9 @@ void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* cod
       shuffled += fetched->segment.size();
       segments[fetched->map_index] = std::move(fetched->segment);
     }
-    for (auto& [mapIndex, file] : deferred) {
-      ShuffleServer::Fetched loaded{mapIndex, readSegmentFile(file), {}, 0};
-      if (verifySegments) {
-        verifyAndRecoverSegment(config, server, codec, loaded, reducer, result.counters);
-      }
-      segments[mapIndex] = std::move(loaded.segment);
-    }
     ReduceTaskStats& stats = result.reduce_tasks[static_cast<std::size_t>(reducer)];
     result.counters.add(counter::kReduceShuffleBytes, shuffled);
     stats.shuffled_bytes = shuffled;
-    if (cancelRequested(ctx)) return;  // cancelled: skip the merge/reduce
 
     ReduceTaskExecution exec = executeReduceTask(config, codec, codecPool, reduce, segments,
                                                  reducer, &result.counters);
@@ -420,9 +356,6 @@ void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 j
     result.timings.shuffle_overlap_us =
         std::min(lastFetch, mapEndUs) - std::min(firstPublish, mapEndUs);
   }
-  if (const u64 overflowed = server.overflowSegments(); overflowed != 0) {
-    result.counters.add(counter::kShuffleSegmentsOverflowed, overflowed);
-  }
   u64 maxResidentPeak = 0;
   for (const ReduceTaskStats& t : result.reduce_tasks) {
     maxResidentPeak = std::max(maxResidentPeak, t.merge_resident_peak_bytes);
@@ -434,11 +367,6 @@ void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 j
 
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce) {
-  return runJob(config, mapTasks, reduce, nullptr);
-}
-
-JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                 const ReduceFn& reduce, const JobContext* ctx) {
   check(config.num_reducers >= 1, "need at least one reducer");
   const auto codecPtr = intermediateCodec(config.intermediate_codec);
 
@@ -452,7 +380,7 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
     obs::ScopedSpan jobSpan("job", "job");
     jobSpan.arg("map_tasks", mapTasks.size());
     jobSpan.arg("reducers", static_cast<u64>(config.num_reducers));
-    result = runPipelined(config, mapTasks, reduce, codecPtr.get(), ctx);
+    result = runPipelined(config, mapTasks, reduce, codecPtr.get());
   }
   telemetry.finish(result.telemetry);
   result.telemetry.counters = result.counters.snapshot();

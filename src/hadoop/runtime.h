@@ -3,12 +3,9 @@
 // the full data path of the paper's Fig. 1, steps 1-7.
 #pragma once
 
-#include <atomic>
 #include <exception>
-#include <filesystem>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -80,33 +77,6 @@ struct JobResult {
   obs::JobTelemetry telemetry;
 };
 
-/// Thrown by runJob when JobContext::cancelled flipped true before the job
-/// finished (and by JobService::takeResult for a cancelled job).
-struct JobCancelledError : std::runtime_error {
-  JobCancelledError() : std::runtime_error("job cancelled") {}
-};
-
-/// Execution context a hosting service (src/service/) threads through runJob
-/// so concurrent jobs share infrastructure instead of each building their
-/// own. All fields optional; a default JobContext (or the 3-arg overload)
-/// reproduces the standalone single-job behavior exactly.
-struct JobContext {
-  /// Shared per-block codec pool. nullptr = the job owns a private pool
-  /// sized by JobConfig::codec_threads (the standalone behavior).
-  ThreadPool* codec_pool = nullptr;
-  /// Cooperative cancellation: polled at task boundaries; when it flips true
-  /// the job stops scheduling work and runJob throws JobCancelledError.
-  /// (The service additionally aborts the live ShuffleServer to unblock
-  /// fetchers immediately.)
-  const std::atomic<bool>* cancelled = nullptr;
-  /// Called with the job's live ShuffleServer right after construction /
-  /// right before destruction — the service seeds the overflow directory and
-  /// pending-bytes limit here, and the memory governor attaches to adjust
-  /// the limit while the job runs.
-  std::function<void(ShuffleServer&)> attach_shuffle;
-  std::function<void(ShuffleServer&)> detach_shuffle;
-};
-
 /// One map task's materialized result: the per-reducer segments plus the
 /// stats and counter deltas the caller folds into its job-level aggregates.
 /// The building block both the in-process runtime and the multi-process
@@ -147,7 +117,7 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
                                       Counters* retryCounters = nullptr);
 
 /// Threads in a codec pool configured with `configured` threads
-/// (JobConfig::codec_threads, ServiceConfig::codec_threads): that many, or
+/// (JobConfig::codec_threads): that many, or
 /// the hardware concurrency when it is 0.
 int codecPoolThreads(int configured);
 
@@ -190,20 +160,17 @@ class ErrorSlot {
 /// and the distributed coordinator: block-fetches the reducer's segment from
 /// each of `numMaps` maps as `server` receives it (under
 /// config.shuffle_retry, which also decode-scans and re-fetches them when
-/// enabled; overflowed segments read back from disk after the shuffle
-/// window), then runs executeReduceTask
-/// over them slotted by map index and folds its stats, counters and output
-/// into `result`. Writes to result.outputs hold `outputsMutex`. A cancel
-/// request in `ctx` (may be nullptr) skips the reduce. Never throws: errors,
-/// including a shuffle aborted by a failed map, land in `errors`.
+/// enabled), then runs executeReduceTask over them slotted by map index and
+/// folds its stats, counters and output into `result`. Writes to
+/// result.outputs hold `outputsMutex`. Never throws: errors, including a
+/// shuffle aborted by a failed map, land in `errors`.
 void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* codecPool,
                     const ReduceFn& reduce, ShuffleServer& server, std::size_t numMaps,
-                    int reducer, const JobContext* ctx, JobResult& result, Mutex& outputsMutex,
-                    ErrorSlot& errors);
+                    int reducer, JobResult& result, Mutex& outputsMutex, ErrorSlot& errors);
 
 /// End-of-job fold shared by runJob and the distributed coordinator: phase
 /// timings from the job's start, last-map-end and end clock readings plus
-/// the server's first-publish..last-fetch window, the overflow counter, and
+/// the server's first-publish..last-fetch window, and
 /// REDUCE_MERGE_RESIDENT_PEAK_BYTES as the max over reduce tasks instead of
 /// the sum the per-task counters accumulated (see counters.h).
 void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 jobEndUs,
@@ -213,11 +180,5 @@ void foldJobEnd(const ShuffleServer& server, u64 jobStartUs, u64 mapEndUs, u64 j
 /// combiner run concurrently across tasks.
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce);
-
-/// Service entry point: same job, executed under a JobContext (shared codec
-/// pool, cooperative cancel, governor-managed shuffle backpressure). `ctx`
-/// may be nullptr.
-JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                 const ReduceFn& reduce, const JobContext* ctx);
 
 }  // namespace scishuffle::hadoop

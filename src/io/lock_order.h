@@ -55,21 +55,17 @@ namespace lock_rank {
 // -- Outermost: registries that invoke component callbacks under their lock.
 inline constexpr LockLevel kGaugeRegistry{10, "obs.gauge_registry"};
 
-// -- Service/control plane: owns fleets, calls down into them under its lock.
-inline constexpr LockLevel kJobService{20, "service.jobs"};
-inline constexpr LockLevel kGovernor{30, "service.governor"};
+// -- Control plane: the distributed coordinator's scheduling state.
 inline constexpr LockLevel kCoordinator{40, "dist.coordinator"};
 inline constexpr LockLevel kCoordinatorMonitor{45, "dist.coordinator_monitor"};
 
-// -- Data plane: the shuffle server sits below its governors and the gauge
-//    registry that reads it; its own critical sections acquire nothing.
+// -- Data plane: the shuffle server sits below the gauge registry that reads
+//    it; its own critical sections acquire nothing.
 inline constexpr LockLevel kShuffleServer{50, "shuffle.server"};
 
 // -- Leaf infrastructure: nothing is acquired while these are held, but they
 //    are acquired from inside higher layers' critical sections.
 inline constexpr LockLevel kThreadPool{60, "io.thread_pool"};
-inline constexpr LockLevel kServiceEndpoint{61, "service.endpoint"};
-inline constexpr LockLevel kSignalGuard{62, "service.signals"};
 inline constexpr LockLevel kSegmentStore{63, "dist.segment_store"};
 inline constexpr LockLevel kHeartbeat{65, "dist.heartbeat"};
 inline constexpr LockLevel kNetConnectionSend{67, "net.connection_send"};

@@ -477,7 +477,7 @@ void Scheduler::joinThread(int tid) {
   me.st = Impl::St::kBlockedJoin;
   me.joinTarget = tid;
   me.lastOp = "join()";
-  // canThrow=false: joins run from destructors (JobService, ThreadPool). On
+  // canThrow=false: joins run from destructors (Sampler, ThreadPool). On
   // abort the real join below still completes because every child unwinds.
   s.blockAndScheduleLocked(lk, self, /*canThrow=*/false);
   me.joinTarget = -1;

@@ -26,11 +26,10 @@
 //     held-at file:line sets) and fails the schedule — an explored deadlock
 //     is a test failure with a replayable seed, not a hang.
 //
-// Threads that block in the OS (socket accept/read loops in net/, service
-// endpoints, the signal watcher) must NOT be managed: they would hold the
-// token across a real block. They keep raw std::thread; model-check tests
-// exercise the in-process components whose threads all use
-// scishuffle::Thread.
+// Threads that block in the OS (socket accept/read loops in net/) must NOT
+// be managed: they would hold the token across a real block. They keep raw
+// std::thread; model-check tests exercise the in-process components whose
+// threads all use scishuffle::Thread.
 #pragma once
 
 #include <cstdint>

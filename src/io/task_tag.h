@@ -1,14 +1,14 @@
-// Per-thread job telemetry sinks. The job service runs many jobs in one
-// process, and their map/reduce/codec work interleaves on shared thread
-// pools, and two standalone runJob calls can overlap in one process too — so
-// "which job's recorder and stream does this span or event belong to?"
+// Per-thread job telemetry sinks. Two standalone runJob calls can overlap
+// in one process, each running its map/reduce/codec work on pool threads —
+// so "which job's recorder and stream does this span or event belong to?"
 // cannot be answered by process-global state. Each thread carries a pointer
 // to its running job's obs::JobSinks (nullptr = none), installed with
 // ScopedJobSinks; ThreadPool::submit captures the submitter's pointer and
 // installs it around the task, so work inherits its job's sinks transitively
 // across pool hops (map task -> spill -> codec pool block). activeTrace() and
-// emitEvent() read it (src/obs/trace.h, src/obs/metrics_stream.h) without a
-// lock.
+// activeMetrics() read it (src/obs/trace.h, src/obs/metrics_stream.h) without
+// a lock, and fall back to the process-global slot only on a thread that
+// carries no job: a span or event lands in one place, never in two.
 //
 // Lifetime: the pointer is raw. It stays valid because the JobSinks lives in
 // the job's obs::TelemetrySession, and every task a job submits finishes

@@ -1,18 +1,17 @@
 // scishuffle::Thread — std::thread with model-check scheduler integration.
 //
 // Components whose worker threads only synchronize through io/annotations.h
-// primitives (ThreadPool workers, the obs Sampler, the MemoryGovernor tick
-// thread, the JobService dispatcher) spawn with this wrapper. Outside a
-// model-check run it is a zero-cost shim over std::thread. When a
+// primitives (ThreadPool workers, the obs Sampler) spawn with this wrapper.
+// Outside a model-check run it is a zero-cost shim over std::thread. When a
 // deterministic scheduler is installed (testing/schedule.h), the child
 // registers before the constructor returns — so the candidate set never
 // depends on an OS wall-clock race — parks until scheduled, reports any
 // escaping exception as a schedule failure, and join() blocks through the
 // scheduler instead of holding the token across an OS wait.
 //
-// Threads that block in the OS (socket accept/read loops, the signal
-// watcher) must stay raw std::thread: they cannot hand the token back while
-// parked in a syscall. See io/model_sched.h.
+// Threads that block in the OS (socket accept/read loops) must stay raw
+// std::thread: they cannot hand the token back while parked in a syscall.
+// See io/model_sched.h.
 #pragma once
 
 #include <chrono>

@@ -20,7 +20,7 @@ void storeU32(Bytes& out, u32 v) {
 
 bool validType(u8 t) {
   return t >= static_cast<u8>(FrameType::kHello) &&
-         t <= static_cast<u8>(FrameType::kServiceReply);
+         t <= static_cast<u8>(FrameType::kFetchError);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Length-prefixed binary frames for the coordinator/worker transport and the
-// job service's control endpoint.
+// Length-prefixed binary frames for the coordinator/worker transport.
 //
 // Wire layout (little-endian, mirroring the SBF1 block-frame discipline):
 //
@@ -21,7 +20,8 @@
 namespace scishuffle::net {
 
 /// Control- and data-plane message tags. The numeric values are wire format;
-/// append only.
+/// append only. Values 10 and 11 (the retired job-service request and reply)
+/// are never reused.
 enum class FrameType : u8 {
   kHello = 1,         // worker -> coordinator: id + data-plane socket path
   kAssign = 2,        // coordinator -> worker: run this map task
@@ -32,8 +32,6 @@ enum class FrameType : u8 {
   kFetchRequest = 7,  // reducer -> worker data plane
   kFetchResponse = 8, // worker data plane -> reducer: one segment
   kFetchError = 9,    // worker data plane -> reducer: structured refusal
-  kServiceRequest = 10,  // CLI -> job service endpoint: one text request
-  kServiceReply = 11,    // job service endpoint -> CLI: the reply text
 };
 
 struct Frame {

@@ -201,38 +201,6 @@ FetchErrorMsg FetchErrorMsg::decode(const Frame& frame) {
   return m;
 }
 
-Frame ServiceRequestMsg::encode() const {
-  Frame f{FrameType::kServiceRequest, {}};
-  MemorySink sink(f.payload);
-  writeText(sink, line);
-  return f;
-}
-
-ServiceRequestMsg ServiceRequestMsg::decode(const Frame& frame) {
-  checkType(frame, FrameType::kServiceRequest, "ServiceRequestMsg");
-  MemorySource src = bodySource(frame);
-  ServiceRequestMsg m;
-  m.line = readBodyText(src);
-  checkDrained(src, "ServiceRequestMsg");
-  return m;
-}
-
-Frame ServiceReplyMsg::encode() const {
-  Frame f{FrameType::kServiceReply, {}};
-  MemorySink sink(f.payload);
-  writeText(sink, text);
-  return f;
-}
-
-ServiceReplyMsg ServiceReplyMsg::decode(const Frame& frame) {
-  checkType(frame, FrameType::kServiceReply, "ServiceReplyMsg");
-  MemorySource src = bodySource(frame);
-  ServiceReplyMsg m;
-  m.text = readBodyText(src);
-  checkDrained(src, "ServiceReplyMsg");
-  return m;
-}
-
 Frame shutdownFrame() { return Frame{FrameType::kShutdown, {}}; }
 
 }  // namespace scishuffle::net

@@ -1,10 +1,9 @@
 // Message bodies carried inside net/frame.h frames: the coordinator/worker
-// control plane (hello, assign, done, heartbeat, shutdown), the reduce-side
-// data plane (fetch request/response) and the job service's control endpoint
-// (text request/reply). Each struct encodes to one frame and
-// decodes with full validation — a frame of the wrong type or with trailing
-// garbage is a FormatError, so transport corruption that survives the CRC
-// still cannot reach the runtime as a half-parsed message.
+// control plane (hello, assign, done, heartbeat, shutdown) and the
+// reduce-side data plane (fetch request/response). Each struct encodes to
+// one frame and decodes with full validation — a frame of the wrong type or
+// with trailing garbage is a FormatError, so transport corruption that
+// survives the CRC still cannot reach the runtime as a half-parsed message.
 #pragma once
 
 #include <map>
@@ -91,24 +90,6 @@ struct FetchErrorMsg {
 
   Frame encode() const;
   static FetchErrorMsg decode(const Frame& frame);
-};
-
-/// CLI -> job service endpoint: one request line of the text protocol in
-/// docs/SERVICE.md (`submit ...`, `status <id>`, `list`, ...).
-struct ServiceRequestMsg {
-  std::string line;
-
-  Frame encode() const;
-  static ServiceRequestMsg decode(const Frame& frame);
-};
-
-/// Job service endpoint -> CLI: the reply text, one or more lines without a
-/// trailing newline.
-struct ServiceReplyMsg {
-  std::string text;
-
-  Frame encode() const;
-  static ServiceReplyMsg decode(const Frame& frame);
 };
 
 /// A bare kShutdown frame (no body) asks the worker to drain and exit.

@@ -1,6 +1,5 @@
 // UNIX-domain stream transport carrying net/frame.h frames between
-// processes: the coordinator and its workers (control and data planes), and
-// the job service endpoint and its CLI clients (service/service_socket.h).
+// processes: the coordinator and its workers (control and data planes).
 //
 // Connection::sendFrame / recvFrame move whole frames with CRC verification
 // (sends never raise SIGPIPE: a departed peer is an IoError), Server accepts

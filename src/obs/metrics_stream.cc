@@ -15,15 +15,11 @@ namespace {
 
 std::atomic<MetricsStream*> g_active{nullptr};
 
-MetricsStream* jobStreamOfThisThread() {
-  const JobSinks* sinks = currentJobSinks();
-  return sinks != nullptr ? sinks->stream : nullptr;
-}
-
 }  // namespace
 
 MetricsStream* activeMetrics() {
-  MetricsStream* job = jobStreamOfThisThread();
+  const JobSinks* sinks = currentJobSinks();
+  MetricsStream* job = sinks != nullptr ? sinks->stream : nullptr;
   return job != nullptr ? job : g_active.load(std::memory_order_acquire);
 }
 
@@ -32,13 +28,7 @@ void setActiveMetrics(MetricsStream* stream) {
 }
 
 void emitEvent(const char* name, const char* site, u64 value) {
-  // A job event is double-written on purpose: once to the job's own stream,
-  // once to the service-level export (the global stream), so both the
-  // per-job timeline and the whole-service timeline are complete.
-  MetricsStream* job = jobStreamOfThisThread();
-  if (job != nullptr) job->writeEvent(name, site, value);
-  MetricsStream* global = g_active.load(std::memory_order_acquire);
-  if (global != nullptr && global != job) global->writeEvent(name, site, value);
+  if (MetricsStream* stream = activeMetrics()) stream->writeEvent(name, site, value);
 }
 
 MetricsStream::MetricsStream(const std::filesystem::path& path, u64 intervalMs)

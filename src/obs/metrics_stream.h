@@ -68,21 +68,18 @@ class MetricsStream {
 /// The stream emitEvent() writes to; nullptr = metrics disabled. Resolution
 /// order mirrors activeTrace(): the stream of the job running on the calling
 /// thread (its obs::JobSinks, see io/task_tag.h), else the process-global
-/// stream (setActiveMetrics — the coordinator's and workers' path, and the
-/// service-level export while a JobService runs).
+/// stream (setActiveMetrics — the coordinator's and workers' path).
 MetricsStream* activeMetrics();
 
 /// Installs (or clears, with nullptr) the process-global stream. The caller
 /// owns the stream and must clear it before destruction; global installs do
-/// not nest. The job service installs its service-level stream here, so
-/// threads no job owns (dispatcher, governor) and the service copy of every
-/// job event land in one file.
+/// not nest.
 void setActiveMetrics(MetricsStream* stream);
 
 /// Emits a structured event (see obs::event for the taxonomy; `site` names
-/// the emitting location, normally a fault-injection site constant) to the
-/// calling thread's job stream (if any) and the global stream. No lock, and
-/// no write at all when disabled.
+/// the emitting location, normally a fault-injection site constant) to
+/// activeMetrics() alone: a job's events stay in the job's stream. No lock,
+/// and no write at all when disabled.
 void emitEvent(const char* name, const char* site, u64 value = 0);
 
 }  // namespace scishuffle::obs

@@ -95,21 +95,19 @@ GaugeRegistry& processGauges() {
 // ---- Sampler ---------------------------------------------------------------
 
 Sampler::Sampler(u64 intervalMs, GaugeRegistry& registry, TraceRecorder* recorder,
-                 MetricsStream* stream, SampleFn onSample)
+                 MetricsStream* stream)
     : intervalMs_(intervalMs),
       epochUs_(steadyNowUs()),
       registry_(&registry),
       recorder_(recorder),
-      stream_(stream),
-      onSample_(std::move(onSample)) {}
+      stream_(stream) {}
 
 Sampler::~Sampler() { stop(); }
 
 void Sampler::start() {
   if (intervalMs_ == 0) return;  // sampling disabled: no thread, no samples
-  // The t≈0 baseline lands before start() returns, so whatever start()'s
-  // caller does next (the governor's first admission decision) already sees
-  // a real reading.
+  // The t≈0 baseline lands before start() returns, so even a run that ends
+  // before the first interval has its starting reading.
   takeSample();
   MutexLock lock(mutex_);
   check(!running_, "sampler already running");
@@ -173,20 +171,17 @@ void Sampler::takeSample() {
   }
   if (recorder_ != nullptr) recorder_->recordCounters(gauges);
 
-  {
-    MutexLock lock(mutex_);
-    ++samples_;
-    for (const auto& [name, value] : gauges) {
-      GaugeRollup& r = rollups_[name];
-      r.sum += value;
-      ++r.samples;
-      if (r.samples == 1 || value > r.max) {
-        r.max = value;
-        r.peak_ts_us = ts;
-      }
+  MutexLock lock(mutex_);
+  ++samples_;
+  for (const auto& [name, value] : gauges) {
+    GaugeRollup& r = rollups_[name];
+    r.sum += value;
+    ++r.samples;
+    if (r.samples == 1 || value > r.max) {
+      r.max = value;
+      r.peak_ts_us = ts;
     }
   }
-  if (onSample_) onSample_(gauges);
 }
 
 }  // namespace scishuffle::obs

@@ -7,10 +7,8 @@
 //   * the active TraceRecorder as "ph":"C" counter events (memory-over-time
 //     under the spans in chrome://tracing / Perfetto),
 //   * the active MetricsStream as scishuffle.metrics.v1 JSONL lines, and
-//   * per-gauge max/mean rollups merged into JobResult::telemetry.
-// A per-sample callback turns the same readings into control: the job
-// service's memory governor (src/service/governor.h) runs its throttle law
-// from one (docs/OBSERVABILITY.md, "Continuous telemetry").
+//   * per-gauge max/mean rollups merged into JobResult::telemetry
+// (docs/OBSERVABILITY.md, "Continuous telemetry").
 //
 // Thread model: gauge callbacks run on the sampler thread, so they must be
 // thread-safe and non-blocking — components expose relaxed atomic mirrors
@@ -55,13 +53,6 @@ inline constexpr const char* kThreadPoolActiveWorkers = "threadpool.active_worke
 // Stage-resident bytes: map-side sort buffers and reduce-side merge inputs.
 inline constexpr const char* kSpillBufferedBytes = "stage.spill.buffered_bytes";
 inline constexpr const char* kMergeResidentBytes = "stage.merge.resident_bytes";
-// ShuffleServer: bytes spilled to the overflow directory instead of held in
-// the in-memory queues (governor backpressure; docs/SERVICE.md).
-inline constexpr const char* kShuffleOverflowBytes = "shuffle.overflow_bytes";
-// Job service (src/service): jobs currently executing / waiting in the
-// admission queue.
-inline constexpr const char* kServiceJobsRunning = "service.jobs_running";
-inline constexpr const char* kServiceJobsQueued = "service.jobs_queued";
 // Distributed coordinator (src/service/coordinator.h): workers currently
 // believed alive, and map tasks not yet published (pending + assigned).
 inline constexpr const char* kDistWorkersAlive = "dist.workers_alive";
@@ -78,13 +69,6 @@ inline constexpr const char* kShuffleSegmentRefetch = "shuffle.segment_refetch";
 inline constexpr const char* kShuffleBackpressureWait = "shuffle.backpressure_wait";
 inline constexpr const char* kShuffleAbort = "shuffle.abort";
 inline constexpr const char* kTaskRetry = "task.retry";
-// Job-service lifecycle + governor (docs/SERVICE.md). Values carry the job
-// id (admit/reject/cancel) or the sampled RSS (throttle).
-inline constexpr const char* kShuffleOverflowSpill = "shuffle.overflow_spill";
-inline constexpr const char* kServiceJobAdmit = "service.job_admit";
-inline constexpr const char* kServiceJobReject = "service.job_reject";
-inline constexpr const char* kServiceJobCancel = "service.job_cancel";
-inline constexpr const char* kServiceGovernorThrottle = "service.governor_throttle";
 // Worker lifecycle in the distributed coordinator. Values carry the worker
 // id (spawn/lost) or the re-executed map index (task_reexec); the site field
 // says *why* a worker was declared lost (docs/CLUSTER.md).
@@ -177,25 +161,18 @@ struct GaugeRollup {
   }
 };
 
-/// Called once per sample with the gauge map (process.rss_bytes included),
-/// after the rollups took it. Runs on whichever thread took the sample —
-/// start()'s caller, the sampler thread, or stop()'s caller — and outside
-/// the sampler's lock, so it may take locks ranked below obs.sampler.
-using SampleFn = std::function<void(const std::map<std::string, u64>& gauges)>;
-
 /// The background sampler thread. Construction is passive; start() takes the
 /// t≈0 sample on the caller's thread, then spawns the thread that samples
 /// once per interval (a no-op at interval 0, so a default config never pays
 /// for a thread or a sample); stop() joins it and takes one final sample —
 /// every run with the sampler on therefore records at least two samples
 /// (t≈0 and job end), and stop() is idempotent and safe to race with the
-/// destructor. The recorder, stream and callback may each be null; rollups
-/// accumulate regardless so telemetry summaries work even when nothing is
-/// exported.
+/// destructor. The recorder and stream may each be null; rollups accumulate
+/// regardless so telemetry summaries work even when nothing is exported.
 class Sampler {
  public:
   Sampler(u64 intervalMs, GaugeRegistry& registry, TraceRecorder* recorder,
-          MetricsStream* stream, SampleFn onSample = {});
+          MetricsStream* stream);
   ~Sampler();
 
   Sampler(const Sampler&) = delete;
@@ -220,7 +197,6 @@ class Sampler {
   GaugeRegistry* registry_;
   TraceRecorder* recorder_;
   MetricsStream* stream_;
-  const SampleFn onSample_;
 
   mutable Mutex mutex_{lock_rank::kSampler};
   CondVar wake_;

@@ -1,7 +1,6 @@
 // One run's telemetry: the span recorder, the metrics JSONL stream and the
-// gauge sampler that every process role sets up the same way — a standalone
-// runJob, a job under the job service, the distributed coordinator and each
-// of its workers.
+// gauge sampler that every process role sets up the same way — runJob, the
+// distributed coordinator and each of its workers.
 //
 // The constructor makes only what was asked for (a recorder when there is a
 // trace path or histograms are collected, a stream when there is a metrics

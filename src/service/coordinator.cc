@@ -613,8 +613,7 @@ DistributedResult Coordinator::run() {
     for (int r = 0; r < numReducers; ++r) {
       reducePool.submit([&, r] {
         hadoop::fetchAndReduce(workload_.config, codec.get(), &*codecPool_, workload_.reduce,
-                               *server_, numTasks, r, /*ctx=*/nullptr, result_.job, outputsMutex,
-                               reduceErrors);
+                               *server_, numTasks, r, result_.job, outputsMutex, reduceErrors);
       });
     }
 

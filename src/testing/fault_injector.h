@@ -34,7 +34,6 @@ inline constexpr const char* kDfsWrite = "dfs.write";
 inline constexpr const char* kShufflePublish = "shuffle.publish";
 inline constexpr const char* kShuffleFetch = "shuffle.fetch";
 inline constexpr const char* kBlockDecode = "block.decode";
-inline constexpr const char* kServiceAdmit = "service.admit";
 }  // namespace site
 
 enum class FaultKind {

@@ -52,6 +52,14 @@ TEST(LintCounters, DuplicateReportNameIsReported) {
   EXPECT_TRUE(hasDiagnostic(diags, "counters.h", "mapped by both kMapOutputRecords"));
 }
 
+TEST(LintCounters, StaleCounterTableRowIsReported) {
+  const auto diags = lint::checkCounters(fixture("stale_counter_row"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/OBSERVABILITY.md", "`RETIRED_SEGMENTS`"));
+  EXPECT_TRUE(hasDiagnostic(diags, "OBSERVABILITY.md", "names no constant in src/hadoop/counters.h"));
+  EXPECT_EQ(diags[0].line, 6);  // the stale counter row
+}
+
 TEST(LintFormats, StaleDocVersionIsReportedAgainstTheDoc) {
   const auto diags = lint::checkFormats(fixture("stale_version"));
   ASSERT_EQ(diags.size(), 1u);
@@ -117,6 +125,16 @@ TEST(LintFaultSites, TreeWithoutTransportLayerStillLints) {
   for (const auto& d : diags) {
     EXPECT_EQ(d.file.find("net/socket.h"), std::string::npos) << lint::formatDiagnostic(d);
   }
+}
+
+TEST(LintFaultSites, StaleSiteTableRowIsReported) {
+  // Sites of both headers are declared; only the row whose site neither
+  // header declares is stale.
+  const auto diags = lint::checkFaultSites(fixture("stale_fault_site_row"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_TRUE(hasDiagnostic(diags, "docs/FAULTS.md", "\"retired.admit\""));
+  EXPECT_TRUE(hasDiagnostic(diags, "FAULTS.md", "names no site constant"));
+  EXPECT_EQ(diags[0].line, 6);  // the stale site row
 }
 
 TEST(LintSimdKernels, UndocumentedKernelIsReported) {

@@ -6,10 +6,9 @@
 // The harness tests come first — a seeded racy struct proves the explorer
 // finds schedule-dependent assertion failures and that a printed seed
 // replays the exact failing interleaving. Then the real subsystems: the
-// shuffle server's publish/fetch/teardown under bounded-exhaustive DFS, the
-// job service's two shutdown modes, a 500-schedule PCT soak of the
-// governor-squeeze control loop, and 500 schedules of governor teardown
-// racing fleet changes and admission.
+// shuffle server's publish/fetch/teardown and abort under bounded-exhaustive
+// DFS, and 500 PCT schedules of the telemetry sampler's stop() racing a
+// gauge registration.
 #include <gtest/gtest.h>
 
 #ifndef SCISHUFFLE_MODEL_CHECK
@@ -20,6 +19,7 @@ TEST(ModelCheckTest, RequiresModelCheckBuild) {
 
 #else  // SCISHUFFLE_MODEL_CHECK
 
+#include <chrono>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -30,8 +30,6 @@ TEST(ModelCheckTest, RequiresModelCheckBuild) {
 #include "io/annotations.h"
 #include "io/thread.h"
 #include "obs/sampler.h"
-#include "service/governor.h"
-#include "service/job_service.h"
 #include "testing/schedule.h"
 
 namespace scishuffle {
@@ -264,154 +262,39 @@ TEST(ModelCheckShuffleTest, AbortWakesBlockedFetcher) {
   EXPECT_FALSE(result.failed) << result.failure;
 }
 
-service::JobSpec tinyJob(const std::string& name) {
-  service::JobSpec spec;
-  spec.name = name;
-  spec.priority = service::Priority::kNormal;
-  spec.config.num_reducers = 1;
-  spec.config.map_slots = 1;
-  spec.config.reduce_slots = 1;
-  spec.config.codec_threads = 1;
-  spec.config.intermediate_codec = "null";
-  spec.map_tasks.push_back(hadoop::MapTask{[](const hadoop::EmitFn& emit) {
-    const Bytes k = bytesOf("k");
-    const Bytes v = bytesOf("v");
-    emit(k, v);
-  }});
-  spec.reduce = [](const Bytes& key, std::vector<Bytes>& values, const hadoop::EmitFn& emit) {
-    emit(key, values.front());
-  };
-  return spec;
+/// Parks the calling thread in a timed wait. Under model check a timed wait
+/// ends only once no thread can run, so every parked thread, the sampler's
+/// tick wait included, wakes at the same point and the schedule then
+/// interleaves them.
+void parkUntilNothingRuns() {
+  Mutex mu;  // test-local: unranked
+  CondVar cv;
+  MutexLock lock(mu);
+  cv.wait_for(lock, std::chrono::milliseconds(1));
 }
 
-void runServiceShutdownBody(service::JobService::Shutdown mode) {
-  service::ServiceConfig cfg;
-  cfg.max_concurrent_jobs = 1;
-  cfg.queue_capacity = 4;
-  cfg.codec_threads = 1;
-  service::JobService service(cfg);
-  const service::SubmitResult first = service.submit(tinyJob("mc-a"));
-  const service::SubmitResult second = service.submit(tinyJob("mc-b"));
-  if (!first.accepted || !second.accepted) throw std::logic_error("admission rejected");
-  service.shutdown(mode);
-  for (u64 id : {first.id, second.id}) {
-    const service::JobStatus status = service.wait(id);
-    if (!service::isTerminal(status.state)) throw std::logic_error("non-terminal after shutdown");
-    if (mode == service::JobService::Shutdown::kDrainQueued) {
-      // Drain runs everything already admitted to completion.
-      if (status.state != service::JobState::kDone) {
-        throw std::logic_error(std::string("drained job ended ") +
-                               service::jobStateName(status.state));
-      }
-    } else {
-      // Cancel mode: a job is either already running (finishes kDone) or
-      // still queued (must flip to kCancelled) — nothing else.
-      if (status.state != service::JobState::kDone &&
-          status.state != service::JobState::kCancelled) {
-        throw std::logic_error(std::string("cancelled-queue job ended ") +
-                               service::jobStateName(status.state));
-      }
-    }
-  }
-}
-
-TEST(ModelCheckServiceTest, ShutdownDrainQueuedUnderExploration) {
-  ExploreOptions opts;
-  opts.max_schedules = 12;
-  opts.seed = 11;
-  const ExploreResult result = explore(
-      [] { runServiceShutdownBody(service::JobService::Shutdown::kDrainQueued); }, opts);
-  EXPECT_FALSE(result.failed) << "seed " << result.failing_seed << ": " << result.failure;
-  EXPECT_EQ(result.schedules_run, 12);
-}
-
-TEST(ModelCheckServiceTest, ShutdownCancelQueuedUnderExploration) {
-  ExploreOptions opts;
-  opts.max_schedules = 12;
-  opts.seed = 23;
-  const ExploreResult result = explore(
-      [] { runServiceShutdownBody(service::JobService::Shutdown::kCancelQueued); }, opts);
-  EXPECT_FALSE(result.failed) << "seed " << result.failing_seed << ": " << result.failure;
-}
-
-TEST(ModelCheckServiceTest, GovernorSqueezePctSoak) {
-  // 500 seeded PCT schedules of the squeeze control loop: two publishers
-  // race the governor's attach/tick/squeeze/detach path with a budget small
-  // enough that the process's real RSS sits near the soft watermark, so the
-  // tick's setPendingBytesLimit squeeze (governor.mu_ -> server.mutex_)
-  // interleaves with publish/fetch under server.mutex_. Under model check
-  // the governor's timed wait fires only as deadlock rescue, so ticks land
-  // at schedule-chosen points instead of on a wall clock.
+TEST(ModelCheckObsTest, SamplerStopRacesGaugeRegistration) {
+  // 500 seeded PCT schedules of sampler teardown: a 1 ms sampler tick,
+  // stop() (join, then the final sample) and another Thread dropping a
+  // gauge registration all wake together, so stop() can begin while a tick
+  // is sampling the registry and the registry can change under either.
+  // start() and stop() each owe a sample, and once stop() returns no sample
+  // may land.
   auto body = [] {
     obs::GaugeRegistry registry;
-    service::MemoryGovernor::Config gcfg;
-    gcfg.budget_bytes = 64ull << 20;
-    gcfg.interval_ms = 1;
-    gcfg.job_reserve_bytes = 16ull << 20;
-    gcfg.min_pending_limit_bytes = 1ull << 10;
-    service::MemoryGovernor governor(gcfg, &registry, /*stream=*/nullptr);
-    hadoop::ShuffleServer server(/*numMaps=*/2, /*numReducers=*/1);
-    governor.attach(server);
-    governor.start();
-    Thread p0([&server] { server.publish(0, {bytesOf("squeezed-0")}); });
-    Thread p1([&server] { server.publish(1, {bytesOf("squeezed-1")}); });
-    for (int i = 0; i < 2; ++i) {
-      std::optional<hadoop::ShuffleServer::Fetched> f = server.fetch(0);
-      if (!f.has_value()) throw std::logic_error("segment lost under squeeze");
-    }
-    p0.join();
-    p1.join();
-    governor.stop();
-    governor.detach(server);
-    // stop() takes a final sample, so every schedule observes >= 1 tick, and
-    // a throttled governor must never report admission headroom.
-    if (governor.sampleCount() == 0) throw std::logic_error("governor never sampled");
-    if (governor.throttled() && governor.admissionOk()) {
-      throw std::logic_error("throttled governor admitted a job");
-    }
-  };
-  ExploreOptions opts;
-  opts.max_schedules = 500;
-  opts.seed = 1234;
-  const ExploreResult result = explore(body, opts);
-  EXPECT_FALSE(result.failed) << "seed " << result.failing_seed << ": " << result.failure;
-  EXPECT_EQ(result.schedules_run, 500);
-}
-
-TEST(ModelCheckServiceTest, GovernorStopRacesAttachAndAdmission) {
-  // 500 seeded PCT schedules of governor teardown: stop() joins the sampling
-  // thread and runs the final sample's squeeze over the fleet
-  // (governor.mu_ -> server.mutex_) while, from two other Threads, a
-  // short-lived job's server attaches, detaches and dies, and a dispatcher
-  // asks for admission. Once stop() returns no sample may land, and a
-  // throttled governor must never report admission headroom.
-  auto body = [] {
-    obs::GaugeRegistry registry;
-    service::MemoryGovernor::Config gcfg;
-    gcfg.budget_bytes = 64ull << 20;
-    gcfg.interval_ms = 1;
-    gcfg.job_reserve_bytes = 16ull << 20;
-    gcfg.min_pending_limit_bytes = 1ull << 10;
-    service::MemoryGovernor governor(gcfg, &registry, /*stream=*/nullptr);
-    hadoop::ShuffleServer first(/*numMaps=*/1, /*numReducers=*/1);
-    governor.attach(first);
-    governor.start();
-    Thread attacher([&governor] {
-      hadoop::ShuffleServer second(/*numMaps=*/1, /*numReducers=*/1);
-      governor.attach(second);
-      governor.detach(second);
+    obs::GaugeRegistration base = registry.add("test.base", [] { return u64{1}; });
+    obs::Sampler sampler(/*intervalMs=*/1, registry, /*recorder=*/nullptr, /*stream=*/nullptr);
+    sampler.start();
+    Thread churn([&registry] {
+      obs::GaugeRegistration transient = registry.add("test.churn", [] { return u64{2}; });
+      parkUntilNothingRuns();
     });
-    Thread admitter([&governor] { (void)governor.admissionOk(1); });
-    governor.stop();
-    const u64 samples = governor.sampleCount();
-    attacher.join();
-    admitter.join();
-    governor.detach(first);
+    parkUntilNothingRuns();
+    sampler.stop();
+    const u64 samples = sampler.sampleCount();
+    churn.join();
     if (samples < 2) throw std::logic_error("start() and stop() each owe a sample");
-    if (governor.sampleCount() != samples) throw std::logic_error("sampled after stop()");
-    if (governor.throttled() && governor.admissionOk()) {
-      throw std::logic_error("throttled governor admitted a job");
-    }
+    if (sampler.sampleCount() != samples) throw std::logic_error("sampled after stop()");
   };
   ExploreOptions opts;
   opts.max_schedules = 500;

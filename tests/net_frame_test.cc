@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
+#include "io/crc32.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "proptest.h"
@@ -30,8 +32,7 @@ TEST(NetFrameTest, RoundTripAllTypesAndSizes) {
       net::FrameType::kTaskDone,     net::FrameType::kTaskFailed,
       net::FrameType::kHeartbeat,    net::FrameType::kShutdown,
       net::FrameType::kFetchRequest, net::FrameType::kFetchResponse,
-      net::FrameType::kFetchError,   net::FrameType::kServiceRequest,
-      net::FrameType::kServiceReply,
+      net::FrameType::kFetchError,
   };
   const std::size_t sizes[] = {0, 1, 7, 64, 4096};
   u32 seed = 1;
@@ -67,6 +68,28 @@ TEST(NetFrameTest, RejectsAdversarialGarbage) {
     // Any of the adversarial shapes must be rejected with a structured error;
     // "SNF1" plus a matching CRC32 does not arise from noise.
     EXPECT_THROW(decodeFrame(junk, out), FormatError) << "iteration " << i;
+  }
+}
+
+TEST(NetFrameTest, RetiredTypesAreRejected) {
+  // Types 10 and 11 carried the retired job-service request and reply. A
+  // frame that names one is malformed even with a valid CRC, and the values
+  // are never reused.
+  for (const u8 retired : {u8{10}, u8{11}}) {
+    Bytes wire = encodeFrame(makeFrame(net::FrameType::kFetchError, 16, retired));
+    wire[4] = retired;
+    const u32 crc = crc32(ByteSpan(wire.data(), wire.size() - 4));
+    for (int i = 0; i < 4; ++i) wire[wire.size() - 4 + i] = static_cast<u8>(crc >> (8 * i));
+    net::Frame out;
+    try {
+      decodeFrame(wire, out);
+      ADD_FAILURE() << "retired frame type " << int{retired} << " decoded";
+    } catch (const net::FrameTruncatedError&) {
+      ADD_FAILURE() << "retired frame type " << int{retired} << " misread as truncation";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("frame type out of range"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -137,7 +160,6 @@ TEST(NetProtocolTest, MessageDecodersSurviveAdversarialPayloads) {
       net::FrameType::kTaskDone,     net::FrameType::kTaskFailed,
       net::FrameType::kHeartbeat,    net::FrameType::kFetchRequest,
       net::FrameType::kFetchResponse, net::FrameType::kFetchError,
-      net::FrameType::kServiceRequest, net::FrameType::kServiceReply,
   };
   for (int i = 0; i < 400; ++i) {
     net::Frame f;
@@ -156,38 +178,11 @@ TEST(NetProtocolTest, MessageDecodersSurviveAdversarialPayloads) {
         case net::FrameType::kFetchRequest: (void)net::FetchRequestMsg::decode(f); break;
         case net::FrameType::kFetchResponse: (void)net::FetchResponseMsg::decode(f); break;
         case net::FrameType::kFetchError: (void)net::FetchErrorMsg::decode(f); break;
-        case net::FrameType::kServiceRequest: (void)net::ServiceRequestMsg::decode(f); break;
-        case net::FrameType::kServiceReply: (void)net::ServiceReplyMsg::decode(f); break;
         default: break;
       }
     } catch (const FormatError&) {
       // structured rejection: exactly the contract
     }
-  }
-}
-
-TEST(NetProtocolTest, ServiceMessagesRoundTripAndValidate) {
-  const net::Frame request = net::ServiceRequestMsg{"submit normal wordcount 8 300000"}.encode();
-  EXPECT_EQ(request.type, net::FrameType::kServiceRequest);
-  EXPECT_EQ(net::ServiceRequestMsg::decode(request).line, "submit normal wordcount 8 300000");
-  const net::Frame reply = net::ServiceReplyMsg{"1 done normal wc wait_us=3\nend"}.encode();
-  EXPECT_EQ(reply.type, net::FrameType::kServiceReply);
-  EXPECT_EQ(net::ServiceReplyMsg::decode(reply).text, "1 done normal wc wait_us=3\nend");
-
-  // Same validation as every other message: wrong type, trailing bytes, and
-  // a text length past the body (checked before anything is allocated).
-  EXPECT_THROW(net::ServiceReplyMsg::decode(request), FormatError);
-  EXPECT_THROW(net::ServiceRequestMsg::decode(reply), FormatError);
-  net::Frame trailing = request;
-  trailing.payload.push_back(0);
-  EXPECT_THROW(net::ServiceRequestMsg::decode(trailing), FormatError);
-  net::Frame forged = net::ServiceRequestMsg{"status 1"}.encode();
-  forged.payload[0] = 0x7f;  // vint 127, but only 8 bytes follow
-  try {
-    (void)net::ServiceRequestMsg::decode(forged);
-    ADD_FAILURE() << "forged text length decoded";
-  } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("text length exceeds"), std::string::npos) << e.what();
   }
 }
 

@@ -3,8 +3,8 @@
 // no-op, final-sample-on-stop, stop/teardown races), counter-event timestamp
 // monotonicity, the metrics JSONL round trip through `stat` (and the lines it
 // skips), the disabled-path overhead smoke enforced by CI, concurrent
-// standalone jobs keeping their own telemetry, and runJob's use of the
-// global telemetry slots.
+// standalone jobs keeping their own telemetry and trace files, and runJob's
+// use of the global telemetry slots.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -20,10 +21,13 @@
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "obs/json.h"
 #include "obs/metrics_stream.h"
 #include "obs/sampler.h"
 #include "obs/stat.h"
 #include "obs/trace.h"
+#include "testing/fault_injector.h"
+#include "testing_support.h"
 
 namespace scishuffle::obs {
 namespace {
@@ -99,26 +103,16 @@ TEST(SamplerTest, ZeroIntervalIsAHardNoOp) {
 TEST(SamplerTest, RecordsAtLeastTwoSamplesAndRollups) {
   GaugeRegistry registry;
   auto g = registry.add("test.constant", [] { return u64{7}; });
-  std::atomic<u64> callbacks{0};
-  std::atomic<u64> callbackRss{0};
-  Sampler sampler(1, registry, nullptr, nullptr, [&](const std::map<std::string, u64>& gauges) {
-    callbacks.fetch_add(1);
-    const auto rss = gauges.find(gauge::kProcessRssBytes);
-    callbackRss.store(rss != gauges.end() ? rss->second : 0);
-  });
+  Sampler sampler(1, registry, nullptr, nullptr);
   sampler.start();
   EXPECT_TRUE(sampler.running());
   // The t≈0 baseline is taken before start() returns.
   EXPECT_GE(sampler.sampleCount(), 1u);
-  EXPECT_GE(callbacks.load(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   sampler.stop();
   EXPECT_FALSE(sampler.running());
   // t≈0 baseline sample plus the final sample in stop().
   EXPECT_GE(sampler.sampleCount(), 2u);
-  // One callback per sample, each with the RSS reading the sampler injects.
-  EXPECT_EQ(callbacks.load(), sampler.sampleCount());
-  EXPECT_GT(callbackRss.load(), 0u);
 
   const auto rollups = sampler.rollups();
   ASSERT_EQ(rollups.count("test.constant"), 1u);
@@ -126,9 +120,10 @@ TEST(SamplerTest, RecordsAtLeastTwoSamplesAndRollups) {
   EXPECT_EQ(r.max, 7u);
   EXPECT_DOUBLE_EQ(r.mean(), 7.0);
   EXPECT_EQ(r.samples, sampler.sampleCount());
-  // The sampler injects the RSS gauge itself.
+  // The sampler injects the RSS gauge itself, into every sample.
   ASSERT_EQ(rollups.count(gauge::kProcessRssBytes), 1u);
   EXPECT_GT(rollups.at(gauge::kProcessRssBytes).max, 0u);
+  EXPECT_EQ(rollups.at(gauge::kProcessRssBytes).samples, sampler.sampleCount());
 }
 
 TEST(SamplerTest, StopIsIdempotentAndRacesSafelyWithTeardown) {
@@ -309,7 +304,9 @@ TEST(SamplerEndToEnd, RunJobStreamsMetricsAndMergesRollups) {
 
 // Two standalone jobs overlap in one process: B runs start to finish while
 // A's only map task is parked. Each job's spans reach its own recorder, also
-// those A records after B has finished.
+// those A records after B has finished. Each job's events reach its own
+// stream alone: A's injected fetch fault leaves its retry in A's stream, not
+// in clean B's, and the host's global stream hears from neither job.
 TEST(SamplerEndToEnd, ConcurrentStandaloneJobsKeepTheirOwnTelemetry) {
   const hadoop::ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values,
                                      const hadoop::EmitFn& emit) { emit(key, values.front()); };
@@ -330,9 +327,19 @@ TEST(SamplerEndToEnd, ConcurrentStandaloneJobsKeepTheirOwnTelemetry) {
     emitWords(emit);
   }};
 
+  MetricsStream global(tempFile("concurrent_global.jsonl"), 0);
+  setActiveMetrics(&global);
+
+  testing::FaultPlan plan;
+  plan.seed = 7;
+  plan.rules.push_back({testing::site::kShuffleFetch, testing::FaultKind::kThrowIo});
+  testing::FaultInjector faults(plan);
   hadoop::JobConfig configA;
   configA.num_reducers = 2;
   configA.collect_histograms = true;
+  configA.metrics_path = tempFile("concurrent_a.jsonl");
+  configA.fault_injector = &faults;
+  configA.shuffle_retry.enabled = true;
   hadoop::JobResult a;
   std::thread jobA([&] { a = hadoop::runJob(configA, {parkedTask}, reduce); });
   {
@@ -342,6 +349,7 @@ TEST(SamplerEndToEnd, ConcurrentStandaloneJobsKeepTheirOwnTelemetry) {
   hadoop::JobConfig configB;
   configB.num_reducers = 3;
   configB.collect_histograms = true;
+  configB.metrics_path = tempFile("concurrent_b.jsonl");
   const hadoop::JobResult b =
       hadoop::runJob(configB, std::vector<hadoop::MapTask>(3, hadoop::MapTask{emitWords}), reduce);
   {
@@ -350,6 +358,7 @@ TEST(SamplerEndToEnd, ConcurrentStandaloneJobsKeepTheirOwnTelemetry) {
   }
   cv.notify_all();
   jobA.join();
+  setActiveMetrics(nullptr);
 
   const auto count = [](const hadoop::JobResult& r, const char* name) -> u64 {
     const HistogramSnapshot* h = r.telemetry.findHistogram(name);
@@ -364,6 +373,71 @@ TEST(SamplerEndToEnd, ConcurrentStandaloneJobsKeepTheirOwnTelemetry) {
   EXPECT_EQ(count(b, "job_us"), 1u);
   EXPECT_EQ(count(b, "map_task_us"), 3u);
   EXPECT_EQ(count(b, "reduce_task_us"), 3u);
+
+  EXPECT_GE(a.counters.get(hadoop::counter::kShuffleFetchRetries), 1u);
+  const MetricsSummary streamA = summarizeMetricsFile(configA.metrics_path);
+  ASSERT_EQ(streamA.event_counts.count(event::kShuffleFetchRetry), 1u);
+  EXPECT_EQ(streamA.event_counts.at(event::kShuffleFetchRetry),
+            a.counters.get(hadoop::counter::kShuffleFetchRetries));
+  const MetricsSummary streamB = summarizeMetricsFile(configB.metrics_path);
+  EXPECT_EQ(streamB.event_counts.count(event::kShuffleFetchRetry), 0u);
+  EXPECT_TRUE(global.eventCounts().empty()) << "a job event reached the global stream";
+}
+
+// Two standalone jobs overlap in one process, each writing its own trace
+// file: the first two map tasks of each job wait until all four run, so both
+// jobs record spans at once. Every file holds exactly its own job's spans.
+TEST(SamplerEndToEnd, ConcurrentStandaloneJobsWriteSeparateTraceFiles) {
+  const testing::TempDir dir("sampler_traces");
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;
+  bool overlapped = true;
+  const auto tracedJob = [&](const std::string& name, int maps, int reducers) {
+    hadoop::JobConfig config;
+    config.num_reducers = reducers;
+    config.map_slots = 2;
+    config.trace_path = dir.file(name + ".json");
+    std::vector<hadoop::MapTask> tasks;
+    for (int m = 0; m < maps; ++m) {
+      tasks.push_back(hadoop::MapTask{[&, m](const hadoop::EmitFn& emit) {
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          ++running;
+          cv.notify_all();
+          if (!cv.wait_for(lock, std::chrono::seconds(30), [&] { return running >= 4; })) {
+            overlapped = false;
+          }
+        }
+        for (int i = 0; i < 50; ++i) emit(Bytes{static_cast<u8>('a' + (i + m) % 7)}, Bytes{1});
+      }});
+    }
+    const hadoop::ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values,
+                                       const hadoop::EmitFn& emit) { emit(key, values.front()); };
+    hadoop::runJob(config, tasks, reduce);
+  };
+  std::thread two([&] { tracedJob("two", 2, 2); });
+  tracedJob("five", 5, 3);
+  two.join();
+  EXPECT_TRUE(overlapped) << "the two jobs never ran map tasks at once";
+
+  const auto spanCounts = [&dir](const std::string& name) {
+    std::ifstream in(dir.file(name + ".json"));
+    std::stringstream text;
+    text << in.rdbuf();
+    const JsonValue doc = parseJson(text.str());
+    std::map<std::string, int> counts;
+    for (const JsonValue& e : doc.at("traceEvents").array) ++counts[e.at("name").string];
+    return counts;
+  };
+  std::map<std::string, int> counts = spanCounts("two");
+  EXPECT_EQ(counts["job"], 1);
+  EXPECT_EQ(counts["map_task"], 2);
+  EXPECT_EQ(counts["reduce_task"], 2);
+  counts = spanCounts("five");
+  EXPECT_EQ(counts["job"], 1);
+  EXPECT_EQ(counts["map_task"], 5);
+  EXPECT_EQ(counts["reduce_task"], 3);
 }
 
 // A job that asks for no telemetry installs none, so it must leave whatever

@@ -1,18 +1,26 @@
-// Randomized soak (ctest label: stress): 200 word-count jobs across random
+// Randomized soaks (ctest label: stress): word-count jobs across random
 // codec x fault-plan combinations, each asserting bit-identical output
-// against the reference evaluator (hadoop/reference.h). Every job derives
-// from SCISHUFFLE_PROP_SEED, so a failure replays exactly.
+// against the reference evaluator (hadoop/reference.h). 200 jobs run one
+// after another; a fleet of 24 runs four at a time in one process, where each
+// job's metrics stream must also hold its own recovery events and no other
+// job's. Every job derives from SCISHUFFLE_PROP_SEED, so a failure replays
+// exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hadoop/reference.h"
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "obs/sampler.h"
+#include "obs/stat.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
 
@@ -91,6 +99,21 @@ const ReduceFn kSumReduce = [](const Bytes& key, std::vector<Bytes>& values,
   emit(key, encodeI64(sum));
 };
 
+const std::vector<std::string> kCodecs = {"null", "gzipish", "bzip2ish", "transform+gzipish"};
+
+/// A job over `codec` that heals every fault randomPlan() can inject.
+JobConfig recoverableConfig(const std::string& codec, u64 retrySeed) {
+  JobConfig config;
+  config.intermediate_codec = codec;
+  config.max_task_attempts = 3;
+  config.shuffle_retry.enabled = true;
+  config.shuffle_retry.max_attempts = 4;
+  config.shuffle_retry.base_backoff_us = 10;
+  config.shuffle_retry.max_backoff_us = 500;
+  config.shuffle_retry.seed = retrySeed;
+  return config;
+}
+
 /// Random plan over the shuffle's injection sites. Trigger counts stay
 /// below the retry budget so every job is recoverable by construction.
 FaultPlan randomPlan(std::mt19937_64& rng) {
@@ -130,7 +153,6 @@ FaultPlan randomPlan(std::mt19937_64& rng) {
 TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
   const u64 seed = scishuffle::testing::propertySeed();
   std::mt19937_64 rng(seed);
-  const std::vector<std::string> codecs = {"null", "gzipish", "bzip2ish", "transform+gzipish"};
 
   // A handful of workloads, each with one reference evaluation reused
   // across the soak (the reference is codec-independent).
@@ -145,17 +167,10 @@ TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
 
   for (int job = 0; job < 200; ++job) {
     const auto w = static_cast<std::size_t>(rng() % kWorkloads);
-    const std::string codec = codecs[rng() % codecs.size()];
+    const std::string codec = kCodecs[rng() % kCodecs.size()];
     const bool faulted = rng() % 2 == 0;
 
-    JobConfig config;
-    config.intermediate_codec = codec;
-    config.max_task_attempts = 3;
-    config.shuffle_retry.enabled = true;
-    config.shuffle_retry.max_attempts = 4;
-    config.shuffle_retry.base_backoff_us = 10;
-    config.shuffle_retry.max_backoff_us = 500;
-    config.shuffle_retry.seed = rng();
+    JobConfig config = recoverableConfig(codec, rng());
 
     // Half the jobs soak the codec matrix without injection.
     std::optional<scishuffle::testing::FaultInjector> faults;
@@ -171,6 +186,90 @@ TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
         << ", seed " << seed << ") diverged from the reference evaluation;"
         << " replay with SCISHUFFLE_PROP_SEED=" << seed;
   }
+}
+
+TEST(StressShuffleTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
+  const u64 seed = scishuffle::testing::propertySeed();
+  std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);  // a different draw from the serial soak
+
+  constexpr int kWorkloads = 6;
+  std::vector<Workload> workloads;
+  std::vector<std::vector<std::vector<KeyValue>>> references;
+  for (int i = 0; i < kWorkloads; ++i) {
+    workloads.push_back(makeWorkload(rng));
+    references.push_back(referenceOutputs(shapedConfig(workloads.back(), JobConfig{}),
+                                          wordCountTasks(workloads.back()), kSumReduce));
+  }
+
+  // Every job is drawn up front, so the draw does not depend on the schedule.
+  struct FleetJob {
+    std::size_t workload = 0;
+    JobConfig config;
+    std::unique_ptr<scishuffle::testing::FaultInjector> faults;  // outlives the job
+    JobResult result;
+    std::string error;
+  };
+  constexpr int kJobs = 24;
+  const scishuffle::testing::TempDir metrics("stress_fleet_metrics");
+  std::vector<FleetJob> jobs(kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    FleetJob& job = jobs[static_cast<std::size_t>(j)];
+    job.workload = static_cast<std::size_t>(rng() % kWorkloads);
+    JobConfig config = recoverableConfig(kCodecs[rng() % kCodecs.size()], rng());
+    config.metrics_path = metrics.file("job_" + std::to_string(j) + ".jsonl");
+    if (rng() % 2 == 0) {
+      job.faults = std::make_unique<scishuffle::testing::FaultInjector>(randomPlan(rng));
+      config.fault_injector = job.faults.get();
+    }
+    job.config = shapedConfig(workloads[job.workload], config);
+  }
+
+  std::atomic<int> next{0};
+  std::vector<std::thread> runners;
+  for (int t = 0; t < 4; ++t) {
+    runners.emplace_back([&] {
+      for (int j = next++; j < kJobs; j = next++) {
+        FleetJob& job = jobs[static_cast<std::size_t>(j)];
+        try {
+          job.result = runJob(job.config, wordCountTasks(workloads[job.workload]), kSumReduce);
+        } catch (const std::exception& e) {
+          job.error = e.what();
+        }
+      }
+    });
+  }
+  for (std::thread& runner : runners) runner.join();
+
+  const auto countOf = [](const obs::MetricsSummary& s, const char* name) -> u64 {
+    const auto it = s.event_counts.find(name);
+    return it != s.event_counts.end() ? it->second : 0;
+  };
+  const char* const recoveryEvents[] = {
+      obs::event::kShuffleFetchRetry, obs::event::kShufflePublishRetry,
+      obs::event::kShuffleCorruptionDetected, obs::event::kShuffleSegmentRefetch,
+      obs::event::kTaskRetry};
+  u64 faultedEvents = 0;
+  for (int j = 0; j < kJobs; ++j) {
+    const FleetJob& job = jobs[static_cast<std::size_t>(j)];
+    SCOPED_TRACE("job " + std::to_string(j) + " (codec " + job.config.intermediate_codec +
+                 (job.faults ? ", faulted" : ", clean") + ", workload " +
+                 std::to_string(job.workload) + "); replay with SCISHUFFLE_PROP_SEED=" +
+                 std::to_string(seed));
+    ASSERT_EQ(job.error, "");
+    ASSERT_EQ(job.result.outputs, references[job.workload])
+        << "diverged from the reference evaluation";
+    const obs::MetricsSummary stream = obs::summarizeMetricsFile(job.config.metrics_path);
+    EXPECT_EQ(countOf(stream, obs::event::kShuffleFetchRetry),
+              job.result.counters.get(counter::kShuffleFetchRetries));
+    for (const char* name : recoveryEvents) {
+      if (job.faults) {
+        faultedEvents += countOf(stream, name);
+      } else {
+        EXPECT_EQ(countOf(stream, name), 0u) << "a clean job's stream holds " << name;
+      }
+    }
+  }
+  EXPECT_GT(faultedEvents, 0u) << "no faulted job's stream holds a recovery event";
 }
 
 }  // namespace

@@ -35,13 +35,6 @@ std::string joinLines(const std::vector<std::string>& lines) {
   return os.str();
 }
 
-std::string readAll(const fs::path& root, const std::string& relPath,
-                    std::vector<Diagnostic>& diags) {
-  std::vector<std::string> lines;
-  if (!readLines(root, relPath, lines, diags)) return {};
-  return joinLines(lines);
-}
-
 /// Every .h/.cc under root/src, with repo-relative paths, sorted for
 /// deterministic diagnostics.
 std::vector<SourceFile> loadSources(const fs::path& root, std::vector<Diagnostic>& diags) {
@@ -93,12 +86,13 @@ struct TableName {
 };
 
 /// Backticked names in cell `cell` (0-based) of every row of the markdown
-/// table whose header line starts with `header`. This is the docs -> code
-/// direction of the doc-table checks: a name listed here must still exist in
-/// code, so a deletion cannot leave its row behind.
+/// table whose header line starts with `header`; `nameRe` (one capture
+/// group) picks another name shape. This is the docs -> code direction of the
+/// doc-table checks: a name listed here must still exist in code, so a
+/// deletion cannot leave its row behind.
 std::vector<TableName> tableCellNames(const std::vector<std::string>& docLines,
-                                      const std::string& header, std::size_t cell) {
-  static const std::regex nameRe(R"(`([\w.]+)`)");
+                                      const std::string& header, std::size_t cell,
+                                      const std::regex& nameRe = std::regex(R"(`([\w.]+)`)")) {
   std::vector<TableName> out;
   bool inTable = false;
   for (std::size_t i = 0; i < docLines.size(); ++i) {
@@ -143,8 +137,10 @@ std::vector<Diagnostic> checkCounters(const fs::path& root) {
   const std::string countersHeader = "src/hadoop/counters.h";
   std::vector<std::string> lines;
   if (!readLines(root, countersHeader, lines, diags)) return diags;
-  const std::string docs = readAll(root, "docs/OBSERVABILITY.md", diags);
-  if (docs.empty()) return diags;
+  const std::string docPath = "docs/OBSERVABILITY.md";
+  std::vector<std::string> docLines;
+  if (!readLines(root, docPath, docLines, diags)) return diags;
+  const std::string docs = joinLines(docLines);
 
   const std::vector<NamedConstant> counters = parseStringConstants(lines);
   if (counters.empty()) {
@@ -187,6 +183,16 @@ std::vector<Diagnostic> checkCounters(const fs::path& root) {
                        "counter " + c.ident + " (\"" + c.value +
                            "\") is never referenced outside counters.h (dead counter; wire it "
                            "up or remove it)"});
+    }
+  }
+
+  // The reverse direction: every counter the doc's counter table lists must
+  // be the value of a constant in counters.h.
+  for (const TableName& row : tableCellNames(docLines, "| counter |", 0)) {
+    if (!byValue.count(row.name)) {
+      diags.push_back({docPath, row.line,
+                       "counter table row `" + row.name + "` names no constant in " +
+                           countersHeader + " (remove the row together with its counter)"});
     }
   }
   return diags;
@@ -383,9 +389,12 @@ std::vector<Diagnostic> checkFaultSites(const fs::path& root) {
   const std::string header = "src/testing/fault_injector.h";
   std::vector<std::string> lines;
   if (!readLines(root, header, lines, diags)) return diags;
-  const std::string docs = readAll(root, "docs/FAULTS.md", diags);
-  if (docs.empty()) return diags;
+  const std::string docPath = "docs/FAULTS.md";
+  std::vector<std::string> docLines;
+  if (!readLines(root, docPath, docLines, diags)) return diags;
+  const std::string docs = joinLines(docLines);
 
+  std::map<std::string, bool> declared;  // site values of both headers
   const auto checkHeader = [&](const std::string& relPath,
                                const std::vector<std::string>& headerLines) {
     const std::vector<NamedConstant> sites = parseStringConstants(headerLines);
@@ -396,6 +405,7 @@ std::vector<Diagnostic> checkFaultSites(const fs::path& root) {
       return;
     }
     for (const auto& s : sites) {
+      declared[s.value] = true;
       if (docs.find(s.value) == std::string::npos) {
         diags.push_back({relPath, s.line,
                          "injection site " + s.ident + " (\"" + s.value +
@@ -412,6 +422,18 @@ std::vector<Diagnostic> checkFaultSites(const fs::path& root) {
   if (fs::exists(root / netHeader)) {
     std::vector<std::string> netLines;
     if (readLines(root, netHeader, netLines, diags)) checkHeader(netHeader, netLines);
+  }
+
+  // The reverse direction: every quoted site in the first cell of the doc's
+  // site table must be declared by one of the two headers.
+  static const std::regex quotedRe(R"re("([\w.]+)")re");
+  for (const TableName& row : tableCellNames(docLines, "| site constant |", 0, quotedRe)) {
+    if (!declared.count(row.name)) {
+      diags.push_back({docPath, row.line,
+                       "site table row \"" + row.name + "\" names no site constant in " +
+                           header + " or " + netHeader +
+                           " (remove the row together with its site)"});
+    }
   }
   return diags;
 }

@@ -8,7 +8,8 @@
 //   * counters   — every counter constant in src/hadoop/counters.h maps to
 //                  exactly one report name, is referenced by the runtime
 //                  (dead counters rot silently), and is documented in
-//                  docs/OBSERVABILITY.md.
+//                  docs/OBSERVABILITY.md, and every name that doc's counter
+//                  table lists is such a constant.
 //   * formats    — the SBF1 magic/version constants in
 //                  src/compress/block_format.h match the grammar lines in
 //                  docs/FORMATS.md and the header's own file comment, and
@@ -21,7 +22,8 @@
 //   * sites      — every fault-injection site constant in
 //                  src/testing/fault_injector.h and in the transport header
 //                  src/net/socket.h (when present) is documented in
-//                  docs/FAULTS.md.
+//                  docs/FAULTS.md, and every site that doc's site table
+//                  lists is declared by one of the two headers.
 //   * kernels    — every SCISHUFFLE_SIMD_KERNEL(kernel, scalarRef)
 //                  registration names a scalar reference defined in the same
 //                  file and a kernel documented in docs/PERFORMANCE.md, and
