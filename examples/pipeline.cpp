@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
 
   hadoop::JobConfig stage2Cluster;
   stage2Cluster.num_reducers = 2;
-  stage2Cluster.router = scikey::aggregateRangeRouter(space2->indexCount(), 4, nullptr);
+  stage2Cluster.router = scikey::aggregateRangeRouter(
+      scikey::CurveCuts(*space2, stage2Cluster.num_reducers), 4, nullptr);
   stage2Cluster.grouper = std::make_shared<scikey::AggregateGrouper>(4, true);
   const auto stage2Reduce = scikey::cellwiseAggregateReduce(4, 4, scikey::cellMeanI32);
 

@@ -58,5 +58,5 @@ int main() {
             << aggResult.counters.get(hadoop::counter::kKeySplitsOverlap) << "\n";
   std::cout << "  reduce groups:                         "
             << aggResult.counters.get(hadoop::counter::kReduceInputGroups) << "\n";
-  return 0;
+  return simpleCells == aggCells ? 0 : 1;
 }

@@ -93,11 +93,19 @@ std::string jobReport(const JobResult& result) {
     mapBytes.push_back(std::accumulate(t.segment_bytes.begin(), t.segment_bytes.end(), u64{0}));
   }
   std::vector<u64> reduceBytes;
-  for (const auto& t : result.reduce_tasks) reduceBytes.push_back(t.shuffled_bytes);
+  std::vector<u64> reduceRecords;
+  std::vector<u64> reduceCpu;
+  for (const auto& t : result.reduce_tasks) {
+    reduceBytes.push_back(t.shuffled_bytes);
+    reduceRecords.push_back(t.input_records);
+    reduceCpu.push_back(t.cpu_us / 1000);
+  }
   os << "skew:\n";
   printSkew(os, "map cpu", skewOf(std::move(mapCpu)), " ms");
   printSkew(os, "map output", skewOf(std::move(mapBytes)), " B");
   printSkew(os, "reduce input", skewOf(std::move(reduceBytes)), " B");
+  printSkew(os, "reduce records", skewOf(std::move(reduceRecords)), "");
+  printSkew(os, "reduce cpu", skewOf(std::move(reduceCpu)), " ms");
 
   // Per-stage histograms (JobConfig::collect_histograms).
   if (!result.telemetry.histograms.empty()) {
@@ -142,6 +150,7 @@ std::string jobReportJson(const JobResult& result) {
   for (const auto& t : result.reduce_tasks) {
     w.beginObject();
     w.kv("cpu_us", t.cpu_us);
+    w.kv("input_records", t.input_records);
     w.kv("shuffled_bytes", t.shuffled_bytes);
     w.kv("merge_materialized_bytes", t.merge_materialized_bytes);
     w.kv("merge_resident_peak_bytes", t.merge_resident_peak_bytes);

@@ -252,7 +252,8 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
       if (!exec.output.empty()) {
         taskCounters.add(counter::kReduceOutputRecords, exec.output.size());
       }
-      span.arg("input_records", taskCounters.get(counter::kReduceInputRecords));
+      exec.stats.input_records = taskCounters.get(counter::kReduceInputRecords);
+      span.arg("input_records", exec.stats.input_records);
       span.arg("output_records", exec.output.size());
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);
@@ -325,16 +326,12 @@ void fetchAndReduce(const JobConfig& config, const Codec* codec, ThreadPool* cod
       shuffled += fetched->segment.size();
       segments[fetched->map_index] = std::move(fetched->segment);
     }
-    ReduceTaskStats& stats = result.reduce_tasks[static_cast<std::size_t>(reducer)];
     result.counters.add(counter::kReduceShuffleBytes, shuffled);
-    stats.shuffled_bytes = shuffled;
 
     ReduceTaskExecution exec = executeReduceTask(config, codec, codecPool, reduce, segments,
                                                  reducer, &result.counters);
-    stats.cpu_us = exec.stats.cpu_us;
-    stats.merge_materialized_bytes = exec.stats.merge_materialized_bytes;
-    stats.merge_resident_peak_bytes = exec.stats.merge_resident_peak_bytes;
-    stats.output_bytes = exec.stats.output_bytes;
+    exec.stats.shuffled_bytes = shuffled;  // the one field the transport accounts for
+    result.reduce_tasks[static_cast<std::size_t>(reducer)] = exec.stats;
     {
       MutexLock lock(outputsMutex);
       result.outputs[static_cast<std::size_t>(reducer)] = std::move(exec.output);

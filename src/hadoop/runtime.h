@@ -62,6 +62,7 @@ struct ReduceTaskStats {
   /// Streaming-merge decoded-bytes high-water mark: bounded by
   /// O(segments x block size) instead of total shuffled bytes.
   u64 merge_resident_peak_bytes = 0;
+  u64 input_records = 0;  // the task's REDUCE_INPUT_RECORDS
 };
 
 struct JobResult {
@@ -96,9 +97,9 @@ MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
                                 ThreadPool* codecPool, const MapTask& task,
                                 std::size_t taskIndex);
 
-/// One reduce task's result. stats carries cpu/merge/output byte fields;
-/// shuffled_bytes stays 0 — the transport that delivered the segments
-/// accounts for it.
+/// One reduce task's result. stats carries the cpu, input-record, merge and
+/// output-byte fields; shuffled_bytes stays 0 — the transport that delivered
+/// the segments accounts for it.
 struct ReduceTaskExecution {
   std::vector<KeyValue> output;
   ReduceTaskStats stats;

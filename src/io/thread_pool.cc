@@ -4,7 +4,7 @@
 
 namespace scishuffle {
 
-ThreadPool::ThreadPool(int slots) : slots_(slots) {
+ThreadPool::ThreadPool(int slots) {
   check(slots >= 1, "need at least one slot");
   workers_.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) workers_.emplace_back([this] { workerLoop(); });

@@ -44,8 +44,6 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait();
 
-  int slots() const { return slots_; }
-
   /// Tasks submitted but not yet picked up by a worker. Gauge accessor for
   /// the telemetry sampler (`threadpool.queue_depth`); safe from any thread.
   std::size_t queueDepth() const;
@@ -63,7 +61,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_ GUARDED_BY(mutex_);
   int inFlight_ GUARDED_BY(mutex_) = 0;
   bool stopping_ GUARDED_BY(mutex_) = false;
-  int slots_ = 0;  // const after construction
 };
 
 }  // namespace scishuffle

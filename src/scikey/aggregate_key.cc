@@ -1,5 +1,7 @@
 #include "scikey/aggregate_key.h"
 
+#include <array>
+
 #include "hadoop/counters.h"
 #include "scikey/simple_key.h"
 
@@ -27,6 +29,10 @@ u64 readBigEndian64(ByteSpan data, std::size_t offset) {
   u64 v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | data[offset + static_cast<std::size_t>(i)];
   return v;
+}
+
+void checkPartitions(const CurveCuts& cuts, int numPartitions) {
+  check(numPartitions == cuts.partitions(), "router built for another reducer count");
 }
 
 }  // namespace
@@ -68,39 +74,43 @@ std::pair<hadoop::KeyValue, hadoop::KeyValue> splitAggregateRecord(const Aggrega
   return {std::move(left), std::move(right)};
 }
 
-int rangePartition(sfc::CurveIndex index, sfc::CurveIndex indexCount, int numPartitions) {
-  check(index < indexCount, "index outside space");
-  return static_cast<int>((index * static_cast<sfc::CurveIndex>(numPartitions)) / indexCount);
-}
-
-hadoop::RouteFn aggregateRangeRouter(sfc::CurveIndex indexCount, std::size_t valueSize,
+hadoop::RouteFn aggregateRangeRouter(CurveCuts cuts, std::size_t valueSize,
                                      hadoop::Counters* counters) {
-  return [indexCount, valueSize, counters](hadoop::KeyValue&& record, int numPartitions) {
+  return [cuts = std::move(cuts), valueSize, counters](hadoop::KeyValue&& record,
+                                                       int numPartitions) {
+    checkPartitions(cuts, numPartitions);
     std::vector<std::pair<int, hadoop::KeyValue>> out;
     AggregateKey key = deserializeAggregateKey(record.key);
     Bytes blob = std::move(record.value);
 
     // Peel partition-sized prefixes off the front until the key no longer
-    // straddles a boundary.
+    // straddles a cut.
     for (;;) {
-      const int firstPart = rangePartition(key.start, indexCount, numPartitions);
-      const int lastPart = rangePartition(key.end() - 1, indexCount, numPartitions);
-      if (firstPart == lastPart) {
+      const int firstPart = cuts.partitionOf(key.start);
+      if (firstPart == cuts.partitionOf(key.end() - 1)) {
         out.emplace_back(firstPart,
                          hadoop::KeyValue{serializeAggregateKey(key), std::move(blob)});
         break;
       }
-      // First index belonging to partition firstPart+1 (ceil division).
-      const sfc::CurveIndex boundary =
-          (indexCount * static_cast<sfc::CurveIndex>(firstPart + 1) +
-           static_cast<sfc::CurveIndex>(numPartitions) - 1) /
-          static_cast<sfc::CurveIndex>(numPartitions);
-      auto [left, right] = splitAggregateRecord(key, blob, boundary, valueSize);
+      auto [left, right] = splitAggregateRecord(key, blob, cuts.start(firstPart + 1), valueSize);
       if (counters != nullptr) counters->add(hadoop::counter::kKeySplitsRouting, 1);
       out.emplace_back(firstPart, std::move(left));
       key = deserializeAggregateKey(right.key);
       blob = std::move(right.value);
     }
+    return out;
+  };
+}
+
+hadoop::RouteFn simpleRangeRouter(std::shared_ptr<const CurveSpace> space, CurveCuts cuts) {
+  return [space = std::move(space), cuts = std::move(cuts)](hadoop::KeyValue&& record,
+                                                            int numPartitions) {
+    checkPartitions(cuts, numPartitions);
+    std::array<i64, sfc::Curve::kMaxDims> coords;
+    const std::span<i64> cell(coords.data(), static_cast<std::size_t>(space->domain().rank()));
+    readSimpleKeyCoords(record.key, 4, cell);  // after the 4-byte variable index
+    std::vector<std::pair<int, hadoop::KeyValue>> out;
+    out.emplace_back(cuts.partitionOf(space->encode(cell)), std::move(record));
     return out;
   };
 }

@@ -9,9 +9,11 @@
 //   [4B var][16B start index][8B count]
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "hadoop/types.h"
+#include "scikey/curve_space.h"
 #include "sfc/curve.h"
 
 namespace scishuffle::scikey {
@@ -39,15 +41,18 @@ std::pair<hadoop::KeyValue, hadoop::KeyValue> splitAggregateRecord(const Aggrega
                                                                    sfc::CurveIndex at,
                                                                    std::size_t valueSize);
 
-/// Router for aggregate-key jobs: partitions the curve index space
-/// [0, indexCount) into numPartitions contiguous chunks and splits any
-/// aggregate record straddling a chunk boundary (§IV-B case 1). Increments
-/// KEY_SPLITS_ROUTING on the supplied counters for every cut.
-hadoop::RouteFn aggregateRangeRouter(sfc::CurveIndex indexCount, std::size_t valueSize,
+/// Router for aggregate-key jobs: sends each record to the partition of
+/// `cuts` that holds its curve range, and splits any record straddling a
+/// cut (§IV-B case 1). Equal-cell cuts give every reducer the same share of
+/// the domain's cells. Increments KEY_SPLITS_ROUTING on the supplied counters
+/// for every split. Throws if the job's reducer count is not cuts.partitions().
+hadoop::RouteFn aggregateRangeRouter(CurveCuts cuts, std::size_t valueSize,
                                      hadoop::Counters* counters);
 
-/// Range partition of a single index (used by the simple-key comparison jobs
-/// so both configurations route cells identically).
-int rangePartition(sfc::CurveIndex index, sfc::CurveIndex indexCount, int numPartitions);
+/// Router for simple-key (kIndex) jobs over `space`: sends each key to the
+/// partition of `cuts` holding its cell's curve index, reading the
+/// coordinates in place. Given the same cuts, it sends every cell where
+/// aggregateRangeRouter sends it, so both configurations shuffle alike.
+hadoop::RouteFn simpleRangeRouter(std::shared_ptr<const CurveSpace> space, CurveCuts cuts);
 
 }  // namespace scishuffle::scikey

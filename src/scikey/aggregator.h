@@ -15,6 +15,7 @@
 // subsets of the intermediate data due to memory limitations").
 #pragma once
 
+#include <exception>
 #include <functional>
 
 #include "hadoop/counters.h"
@@ -40,7 +41,12 @@ class Aggregator {
   Aggregator(const CurveSpace& space, AggregatorConfig config, hadoop::EmitFn emit,
              hadoop::Counters* counters = nullptr);
 
-  ~Aggregator() { flush(); }
+  /// Flushes what is left, unless an exception is unwinding the map task: a
+  /// flush that threw leaves its entries buffered, and flushing them again
+  /// here would throw out of the destructor and terminate the process.
+  ~Aggregator() {
+    if (std::uncaught_exceptions() == 0) flush();
+  }
 
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;

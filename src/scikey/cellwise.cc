@@ -38,13 +38,16 @@ i32 decodeBigEndianI32(ByteSpan v) {
 }
 
 void encodeBigEndianI32(Bytes& out, i32 v) {
-  const u32 raw = static_cast<u32>(v);
-  out.push_back(static_cast<u8>(raw >> 24));
-  out.push_back(static_cast<u8>(raw >> 16));
-  out.push_back(static_cast<u8>(raw >> 8));
-  out.push_back(static_cast<u8>(raw));
+  const std::array<u8, 4> bytes = cellValueBytes(v);
+  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 }  // namespace
+
+std::array<u8, 4> cellValueBytes(i32 v) {
+  const u32 raw = static_cast<u32>(v);
+  return {static_cast<u8>(raw >> 24), static_cast<u8>(raw >> 16), static_cast<u8>(raw >> 8),
+          static_cast<u8>(raw)};
+}
 
 void cellMedianI32(const std::vector<ByteSpan>& cellValues, Bytes& out) {
   std::vector<i32> v;
@@ -90,10 +93,8 @@ i32 applyCellOp(CellOp op, std::vector<i32>& values) {
 }
 
 Bytes encodeCellValue(i32 v) {
-  Bytes out;
-  out.reserve(4);  // one allocation, not three growth steps
-  encodeBigEndianI32(out, v);
-  return out;
+  const std::array<u8, 4> bytes = cellValueBytes(v);
+  return Bytes(bytes.begin(), bytes.end());  // one allocation
 }
 
 i32 decodeCellValue(ByteSpan v) {

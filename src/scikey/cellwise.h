@@ -5,6 +5,7 @@
 // keeps the aggregate key, so outputs stay in the compact representation.
 #pragma once
 
+#include <array>
 #include <functional>
 
 #include "hadoop/types.h"
@@ -23,6 +24,9 @@ i32 applyCellOp(CellOp op, std::vector<i32>& values);
 /// Big-endian i32 value encoding shared by the grid queries.
 Bytes encodeCellValue(i32 v);
 i32 decodeCellValue(ByteSpan v);
+
+/// The same four bytes on the stack, for callers that only lend them.
+std::array<u8, 4> cellValueBytes(i32 v);
 
 /// cellValues: one entry per layer that contained this cell (all layers in a
 /// group cover the identical range, so every cell has exactly group-size

@@ -1,5 +1,6 @@
 #include "scikey/curve_space.h"
 
+#include <algorithm>
 #include <array>
 
 namespace scishuffle::scikey {
@@ -17,11 +18,13 @@ CurveSpace::CurveSpace(sfc::CurveKind kind, const grid::Box& domain) : domain_(d
 
 // Lattice coordinates live on the stack: Curve's constructor caps dims at
 // kMaxDims, and these run once per cell on the aggregation and routing paths.
-sfc::CurveIndex CurveSpace::encode(const grid::Coord& c) const {
-  check(domain_.contains(c), "coordinate outside curve domain");
+sfc::CurveIndex CurveSpace::encode(std::span<const i64> c) const {
+  check(static_cast<int>(c.size()) == domain_.rank(), "coordinate rank mismatch");
   std::array<u32, sfc::Curve::kMaxDims> lattice{};
   for (std::size_t d = 0; d < c.size(); ++d) {
-    lattice[d] = static_cast<u32>(c[d] - domain_.corner()[d]);
+    const i64 offset = c[d] - domain_.corner()[d];
+    check(offset >= 0 && offset < domain_.size()[d], "coordinate outside curve domain");
+    lattice[d] = static_cast<u32>(offset);
   }
   return curve_->encode(std::span<const u32>(lattice.data(), c.size()));
 }
@@ -35,6 +38,43 @@ grid::Coord CurveSpace::decode(sfc::CurveIndex index) const {
     c[d] = static_cast<i64>(lattice[d]) + domain_.corner()[d];
   }
   return c;
+}
+
+CurveCuts::CurveCuts(const CurveSpace& space, int partitions) {
+  check(partitions >= 1, "need at least one partition");
+  std::vector<sfc::CurveIndex> indices;
+  indices.reserve(static_cast<std::size_t>(space.domain().volume()));
+  space.domain().forEachCell([&](const grid::Coord& c) { indices.push_back(space.encode(c)); });
+  if (indices.empty()) {
+    cuts_.assign(static_cast<std::size_t>(partitions - 1), 0);
+    return;
+  }
+  // Successive selections on shrinking suffixes: each leaves every smaller
+  // index in front of the rank it places, so the next one searches only
+  // what lies behind.
+  cuts_.reserve(static_cast<std::size_t>(partitions - 1));
+  auto from = indices.begin();
+  for (int p = 1; p < partitions; ++p) {
+    const auto rank = indices.begin() + static_cast<std::ptrdiff_t>(
+                                            indices.size() * static_cast<std::size_t>(p) /
+                                            static_cast<std::size_t>(partitions));
+    std::nth_element(from, rank, indices.end());
+    cuts_.push_back(*rank);
+    from = rank;
+  }
+}
+
+CurveCuts::CurveCuts(std::vector<sfc::CurveIndex> cuts) : cuts_(std::move(cuts)) {
+  check(std::is_sorted(cuts_.begin(), cuts_.end()), "curve cuts must not decrease");
+}
+
+int CurveCuts::partitionOf(sfc::CurveIndex index) const {
+  return static_cast<int>(std::upper_bound(cuts_.begin(), cuts_.end(), index) - cuts_.begin());
+}
+
+sfc::CurveIndex CurveCuts::start(int p) const {
+  check(p >= 0 && p < partitions(), "partition out of range");
+  return p == 0 ? 0 : cuts_[static_cast<std::size_t>(p - 1)];
 }
 
 }  // namespace scishuffle::scikey

@@ -20,6 +20,21 @@ i32 readSortableI32(ByteSpan data, std::size_t offset) {
   return static_cast<i32>(biased ^ 0x80000000u);
 }
 
+void appendSimpleKeyCoords(Bytes& out, std::span<const i64> coords) {
+  for (const i64 c : coords) {
+    check(c >= INT32_MIN && c <= INT32_MAX, "coordinate exceeds i32 key field");
+    appendSortableI32(out, static_cast<i32>(c));
+  }
+}
+
+void readSimpleKeyCoords(ByteSpan data, std::size_t offset, std::span<i64> coords) {
+  for (i64& c : coords) {
+    c = readSortableI32(data, offset);
+    offset += 4;
+  }
+  checkFormat(offset == data.size(), "trailing bytes in simple key");
+}
+
 Bytes serializeSimpleKey(const SimpleKey& key, VariableTag tag) {
   Bytes out;
   out.reserve(simpleKeySize(key, tag));
@@ -29,10 +44,7 @@ Bytes serializeSimpleKey(const SimpleKey& key, VariableTag tag) {
     MemorySink sink(out);
     writeText(sink, key.varName);
   }
-  for (const i64 c : key.coords) {
-    check(c >= INT32_MIN && c <= INT32_MAX, "coordinate exceeds i32 key field");
-    appendSortableI32(out, static_cast<i32>(c));
-  }
+  appendSimpleKeyCoords(out, key.coords);
   return out;
 }
 
@@ -48,11 +60,7 @@ SimpleKey deserializeSimpleKey(ByteSpan data, VariableTag tag, int rank) {
     pos = source.position();
   }
   key.coords.resize(static_cast<std::size_t>(rank));
-  for (int d = 0; d < rank; ++d) {
-    key.coords[static_cast<std::size_t>(d)] = readSortableI32(data, pos);
-    pos += 4;
-  }
-  checkFormat(pos == data.size(), "trailing bytes in simple key");
+  readSimpleKeyCoords(data, pos, key.coords);
   return key;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "grid/shape.h"
@@ -35,5 +36,15 @@ std::size_t simpleKeySize(const SimpleKey& key, VariableTag tag);
 /// Encodes/decodes one sortable-big-endian i32 (shared with aggregate keys).
 void appendSortableI32(Bytes& out, i32 v);
 i32 readSortableI32(ByteSpan data, std::size_t offset);
+
+/// A simple key's coordinate part: one sortable i32 per dimension, each
+/// checked to fit. serializeSimpleKey appends through it, and so do map
+/// closures that hold a coordinate but no SimpleKey.
+void appendSimpleKeyCoords(Bytes& out, std::span<const i64> coords);
+
+/// Reads `coords.size()` coordinates starting at `offset`, which must end
+/// the key (FormatError otherwise). deserializeSimpleKey reads through it, and
+/// the simple-key router reads a key's coordinates in place with it.
+void readSimpleKeyCoords(ByteSpan data, std::size_t offset, std::span<i64> coords);
 
 }  // namespace scishuffle::scikey

@@ -65,8 +65,6 @@ PreparedJob buildSimpleSlabJob(const grid::Variable& input, const SlabQueryConfi
   PreparedJob prepared;
   prepared.routing_counters = std::make_shared<hadoop::Counters>();
   prepared.space = std::make_shared<CurveSpace>(config.curve, projectedDomain(input, kept));
-  const auto space = prepared.space;
-  const int outRank = static_cast<int>(kept.size());
 
   for (const grid::Box& split :
        planInputSplits(inputDomainOf(input), config.num_mappers, config.split_strategy)) {
@@ -78,13 +76,7 @@ PreparedJob buildSimpleSlabJob(const grid::Variable& input, const SlabQueryConfi
     }});
   }
 
-  base.router = [space, outRank](hadoop::KeyValue&& record, int numPartitions) {
-    const SimpleKey key = deserializeSimpleKey(record.key, VariableTag::kIndex, outRank);
-    const int p = rangePartition(space->encode(key.coords), space->indexCount(), numPartitions);
-    std::vector<std::pair<int, hadoop::KeyValue>> out;
-    out.emplace_back(p, std::move(record));
-    return out;
-  };
+  base.router = simpleRangeRouter(prepared.space, CurveCuts(*prepared.space, base.num_reducers));
 
   const CellOp op = config.op;
   prepared.reduce = [op](const Bytes& key, std::vector<Bytes>& values,
@@ -121,13 +113,14 @@ PreparedJob buildAggregateSlabJob(const grid::Variable& input, const SlabQueryCo
         [&input, split, kept, aggConfig, space, routingCounters](const hadoop::EmitFn& emit) {
           Aggregator aggregator(*space, aggConfig, emit, routingCounters.get());
           split.forEachCell([&](const grid::Coord& c) {
-            aggregator.add(0, project(c, kept), encodeCellValue(input.int32At(c)));
+            aggregator.add(0, project(c, kept), cellValueBytes(input.int32At(c)));
           });
           aggregator.flush();
         }});
   }
 
-  base.router = aggregateRangeRouter(space->indexCount(), kValueSize, routingCounters.get());
+  base.router =
+      aggregateRangeRouter(CurveCuts(*space, base.num_reducers), kValueSize, routingCounters.get());
   base.grouper = std::make_shared<AggregateGrouper>(kValueSize);
   prepared.reduce = cellwiseAggregateReduce(kValueSize, kValueSize, cellFnFor(config.op));
   if (config.use_combiner) {

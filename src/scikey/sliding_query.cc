@@ -31,21 +31,19 @@ grid::Box outputDomainOf(const grid::Variable& input, int radius) {
 }
 
 /// Invokes f(targetCoord, inputValue) for every (window target, input cell)
-/// pair of a split — the map function shared by both configurations.
+/// pair of a split — the map function shared by both configurations. The
+/// target is one buffer rewritten per call: f copies what it keeps.
 template <typename F>
 void forEachWindowEmission(const grid::Variable& input, const grid::Box& split, int radius,
                            F&& f) {
-  const int rank = split.rank();
-  const grid::Box window(grid::Coord(static_cast<std::size_t>(rank), -radius),
-                         std::vector<i64>(static_cast<std::size_t>(rank), 2 * radius + 1));
+  const auto rank = static_cast<std::size_t>(split.rank());
+  const grid::Box window(grid::Coord(rank, -radius), std::vector<i64>(rank, 2 * radius + 1));
+  grid::Coord target(rank);
   split.forEachCell([&](const grid::Coord& c) {
     const i32 v = input.int32At(c);
     window.forEachCell([&](const grid::Coord& offset) {
-      grid::Coord target(c);
-      for (int d = 0; d < rank; ++d) {
-        target[static_cast<std::size_t>(d)] += offset[static_cast<std::size_t>(d)];
-      }
-      f(target, v);
+      for (std::size_t d = 0; d < rank; ++d) target[d] = c[d] + offset[d];
+      f(static_cast<const grid::Coord&>(target), v);
     });
   });
 }
@@ -58,31 +56,28 @@ PreparedJob buildSimpleSlidingJob(const grid::Variable& input, const SlidingQuer
   prepared.routing_counters = std::make_shared<hadoop::Counters>();
   prepared.space = std::make_shared<CurveSpace>(config.curve,
                                                 outputDomainOf(input, config.window_radius));
-  const auto space = prepared.space;
-  const int rank = input.shape().rank();
+  const std::size_t keySize = 4 + 4 * static_cast<std::size_t>(input.shape().rank());
 
   for (const grid::Box& split :
        planInputSplits(inputDomainOf(input), config.num_mappers, config.split_strategy)) {
-    prepared.map_tasks.push_back(hadoop::MapTask{[&input, split, config](
+    prepared.map_tasks.push_back(hadoop::MapTask{[&input, split, config, keySize](
                                                      const hadoop::EmitFn& emit) {
       forEachWindowEmission(input, split, config.window_radius,
                             [&](const grid::Coord& target, i32 v) {
-                              emit(serializeSimpleKey(SimpleKey{0, "", target},
-                                                      VariableTag::kIndex),
-                                   encodeCellValue(v));
+                              // serializeSimpleKey's bytes, without a SimpleKey copy.
+                              Bytes key;
+                              key.reserve(keySize);
+                              appendSortableI32(key, 0);
+                              appendSimpleKeyCoords(key, target);
+                              emit(std::move(key), encodeCellValue(v));
                             });
     }});
   }
 
-  // Route each simple key by its cell's curve index so data lands on the same
-  // reducers as the aggregate configuration (apples-to-apples shuffle).
-  base.router = [space, rank](hadoop::KeyValue&& record, int numPartitions) {
-    const SimpleKey key = deserializeSimpleKey(record.key, VariableTag::kIndex, rank);
-    const int p = rangePartition(space->encode(key.coords), space->indexCount(), numPartitions);
-    std::vector<std::pair<int, hadoop::KeyValue>> out;
-    out.emplace_back(p, std::move(record));
-    return out;
-  };
+  // Route each simple key by its cell's curve index, cut as the aggregate
+  // configuration cuts it, so data lands on the same reducers
+  // (apples-to-apples shuffle).
+  base.router = simpleRangeRouter(prepared.space, CurveCuts(*prepared.space, base.num_reducers));
 
   const CellOp op = config.op;
   prepared.reduce = [op](const Bytes& key, std::vector<Bytes>& values,
@@ -123,13 +118,14 @@ PreparedJob buildAggregateSlidingJob(const grid::Variable& input,
           Aggregator aggregator(*space, aggConfig, emit, routingCounters.get());
           forEachWindowEmission(input, split, config.window_radius,
                                 [&](const grid::Coord& target, i32 v) {
-                                  aggregator.add(0, target, encodeCellValue(v));
+                                  aggregator.add(0, target, cellValueBytes(v));
                                 });
           aggregator.flush();
         }});
   }
 
-  base.router = aggregateRangeRouter(space->indexCount(), kValueSize, routingCounters.get());
+  base.router =
+      aggregateRangeRouter(CurveCuts(*space, base.num_reducers), kValueSize, routingCounters.get());
   base.grouper = std::make_shared<AggregateGrouper>(kValueSize, config.reaggregate_output);
   prepared.reduce = cellwiseAggregateReduce(kValueSize, kValueSize, cellFnFor(config.op));
   if (config.use_combiner) {
@@ -188,14 +184,15 @@ PreparedJob buildAggregateMultiVariableSlidingJob(const grid::Dataset& dataset,
             Aggregator aggregator(*space, aggConfig, emit, routingCounters.get());
             forEachWindowEmission(input, split, config.window_radius,
                                   [&](const grid::Coord& target, i32 v) {
-                                    aggregator.add(varIndex, target, encodeCellValue(v));
+                                    aggregator.add(varIndex, target, cellValueBytes(v));
                                   });
             aggregator.flush();
           }});
     }
   }
 
-  base.router = aggregateRangeRouter(space->indexCount(), kValueSize, routingCounters.get());
+  base.router =
+      aggregateRangeRouter(CurveCuts(*space, base.num_reducers), kValueSize, routingCounters.get());
   base.grouper = std::make_shared<AggregateGrouper>(kValueSize, config.reaggregate_output);
   prepared.reduce = cellwiseAggregateReduce(kValueSize, kValueSize, cellFnFor(config.op));
   prepared.job = std::move(base);

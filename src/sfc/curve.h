@@ -16,7 +16,10 @@
 
 namespace scishuffle::sfc {
 
-/// Curve indices may need dims*bits bits; 128 covers 4 dims x 32 bits.
+/// Curve indices need dims*bits bits, at most 128 (4 dims x 32 bits, or
+/// 8 x 16). A 128-bit lattice holds 2^128 indices, one more than a CurveIndex
+/// can count, so a curve offers no index count: callers that range over
+/// indices cut the cells they use (scikey::CurveCuts).
 using CurveIndex = unsigned __int128;
 
 /// Serialization helpers for CurveIndex (big-endian 16 bytes).
@@ -40,11 +43,6 @@ class Curve {
 
   int dims() const { return dims_; }
   int bitsPerDim() const { return bits_; }
-
-  /// One past the largest valid index.
-  CurveIndex indexCount() const {
-    return CurveIndex{1} << (static_cast<unsigned>(dims_) * static_cast<unsigned>(bits_));
-  }
 
  protected:
   int dims_;

@@ -1,9 +1,11 @@
 // Randomized property sweep (seeded via SCISHUFFLE_PROP_SEED, see
 // tests/proptest.h): codec round-trip laws over adversarial byte streams,
-// single-bit-flip fuzzing of the SBF1 container, and split-then-merge
-// identity for aggregate keys over random Z-order range sets.
+// single-bit-flip fuzzing of the SBF1 container, split-then-merge identity
+// for aggregate keys over random Z-order range sets and random cuts, and
+// equal-cell balance of curve cuts over random boxes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "compress/codec.h"
 #include "proptest.h"
 #include "scikey/aggregate_key.h"
+#include "scikey/curve_space.h"
 #include "sfc/zorder.h"
 #include "testing_support.h"
 #include "transform/transform_codec.h"
@@ -118,7 +121,7 @@ RangeSet randomZOrderRanges(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> dims(1, 3);
   const sfc::ZOrderCurve curve(dims(rng), bits(rng));
   RangeSet set;
-  set.index_count = curve.indexCount();
+  set.index_count = sfc::CurveIndex{1} << (curve.dims() * curve.bitsPerDim());  // <= 15 bits
   set.value_size = 1 + rng() % 6;
 
   std::uniform_int_distribution<int> howMany(1, 8);
@@ -167,13 +170,22 @@ TEST(KeySplitPropertyTest, SplitThenConcatenateIsIdentity) {
   }
 }
 
+/// P - 1 non-decreasing cuts anywhere in [0, latticeSize], repeats allowed
+/// (empty partitions), for P in 1..7.
+scikey::CurveCuts randomCuts(std::mt19937_64& rng, sfc::CurveIndex latticeSize) {
+  std::vector<sfc::CurveIndex> cuts(rng() % 7);
+  for (auto& cut : cuts) cut = rng() % (static_cast<u64>(latticeSize) + 1);
+  std::sort(cuts.begin(), cuts.end());
+  return scikey::CurveCuts(std::move(cuts));
+}
+
 TEST(KeySplitPropertyTest, RouterSplitThenMergeIsIdentity) {
   std::mt19937_64 rng(propertySeed() ^ 0x2077);
   for (int iter = 0; iter < 150; ++iter) {
     const RangeSet set = randomZOrderRanges(rng);
-    std::uniform_int_distribution<int> parts(1, 7);
-    const int numPartitions = parts(rng);
-    const auto router = scikey::aggregateRangeRouter(set.index_count, set.value_size, nullptr);
+    const scikey::CurveCuts cuts = randomCuts(rng, set.index_count);
+    const int numPartitions = cuts.partitions();
+    const auto router = scikey::aggregateRangeRouter(cuts, set.value_size, nullptr);
 
     for (const auto& [key, blob] : set.records) {
       auto routed = router(hadoop::KeyValue{scikey::serializeAggregateKey(key), blob},
@@ -190,11 +202,11 @@ TEST(KeySplitPropertyTest, RouterSplitThenMergeIsIdentity) {
         EXPECT_EQ(piece.var, key.var);
         EXPECT_TRUE(piece.start == cursor) << "gap or overlap at piece boundary";
         EXPECT_GE(piece.count, 1u);
-        EXPECT_GT(partition, prevPartition - 1);  // non-decreasing partitions
+        EXPECT_GT(partition, prevPartition);  // one piece per partition, in order
         prevPartition = partition;
-        EXPECT_EQ(scikey::rangePartition(piece.start, set.index_count, numPartitions), partition);
-        EXPECT_EQ(scikey::rangePartition(piece.end() - 1, set.index_count, numPartitions),
-                  partition)
+        EXPECT_TRUE(cuts.start(partition) <= piece.start);
+        EXPECT_EQ(cuts.partitionOf(piece.start), partition);
+        EXPECT_EQ(cuts.partitionOf(piece.end() - 1), partition)
             << "piece straddles a partition boundary";
         EXPECT_EQ(kv.value.size(), static_cast<std::size_t>(piece.count) * set.value_size);
         merged.insert(merged.end(), kv.value.begin(), kv.value.end());
@@ -210,13 +222,55 @@ TEST(KeySplitPropertyTest, RouterIsANoOpForSinglePartition) {
   std::mt19937_64 rng(propertySeed() ^ 0x1);
   for (int iter = 0; iter < 50; ++iter) {
     const RangeSet set = randomZOrderRanges(rng);
-    const auto router = scikey::aggregateRangeRouter(set.index_count, set.value_size, nullptr);
+    const auto router = scikey::aggregateRangeRouter(scikey::CurveCuts({}), set.value_size, nullptr);
     for (const auto& [key, blob] : set.records) {
       auto routed = router(hadoop::KeyValue{scikey::serializeAggregateKey(key), blob}, 1);
       ASSERT_EQ(routed.size(), 1u);
       EXPECT_EQ(routed[0].first, 0);
       EXPECT_EQ(scikey::deserializeAggregateKey(routed[0].second.key), key);
       EXPECT_EQ(routed[0].second.value, blob);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Equal-cell curve cuts over random boxes.
+
+TEST(CurveCutsPropertyTest, PartitionsHoldEqualCellSharesOnEveryCurve) {
+  std::mt19937_64 rng(propertySeed() ^ 0xc075);
+  for (const sfc::CurveKind kind : {sfc::CurveKind::kZOrder, sfc::CurveKind::kHilbert,
+                                    sfc::CurveKind::kGray, sfc::CurveKind::kRowMajor}) {
+    for (int iter = 0; iter < 40; ++iter) {
+      const auto rank = static_cast<std::size_t>(1 + rng() % 3);
+      grid::Coord corner(rank);
+      std::vector<i64> size(rank);
+      for (std::size_t d = 0; d < rank; ++d) {
+        corner[d] = -static_cast<i64>(rng() % 40);
+        size[d] = 1 + static_cast<i64>(rng() % 13);
+      }
+      const grid::Box domain(corner, size);
+      const scikey::CurveSpace space(kind, domain);
+      const int partitions = 1 + static_cast<int>(rng() % 7);
+      const scikey::CurveCuts cuts(space, partitions);
+      ASSERT_EQ(cuts.partitions(), partitions);
+
+      std::vector<sfc::CurveIndex> indices;
+      domain.forEachCell([&](const grid::Coord& c) { indices.push_back(space.encode(c)); });
+      std::sort(indices.begin(), indices.end());
+      std::vector<i64> cells(static_cast<std::size_t>(partitions));
+      int previous = 0;
+      for (const sfc::CurveIndex index : indices) {
+        const int p = cuts.partitionOf(index);
+        EXPECT_GE(p, previous) << "partitionOf decreased along the curve";
+        previous = p;
+        ++cells[static_cast<std::size_t>(p)];
+      }
+      const auto [fewest, most] = std::minmax_element(cells.begin(), cells.end());
+      const i64 volume = domain.volume();
+      EXPECT_EQ(*fewest, volume / partitions)
+          << sfc::curveKindName(kind) << " " << domain.toString() << " / " << partitions;
+      EXPECT_EQ(*most, (volume + partitions - 1) / partitions)
+          << sfc::curveKindName(kind) << " " << domain.toString() << " / " << partitions;
     }
   }
 }

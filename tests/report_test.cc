@@ -47,7 +47,8 @@ TEST(ReportTest, MentionsEveryPhaseAndCounter) {
   const auto result = runTinyJob(false);
   const std::string report = jobReport(result);
   for (const char* needle : {"job report", "phases:", "map:", "shuffle:", "reduce:", "skew:",
-                             "map cpu", "map output", "reduce input", "30 records"}) {
+                             "map cpu", "map output", "reduce input", "reduce records",
+                             "reduce cpu", "30 records"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle << "\n" << report;
   }
   // No combiner ran, so the combine line must be absent.
@@ -87,8 +88,14 @@ TEST(ReportTest, PerTaskStatsArePopulated) {
   }
   ASSERT_EQ(result.reduce_tasks.size(), 2u);
   u64 shuffled = 0;
-  for (const auto& t : result.reduce_tasks) shuffled += t.shuffled_bytes;
+  u64 records = 0;
+  for (const auto& t : result.reduce_tasks) {
+    shuffled += t.shuffled_bytes;
+    records += t.input_records;
+  }
   EXPECT_EQ(shuffled, result.counters.get(counter::kReduceShuffleBytes));
+  EXPECT_EQ(records, 30u);
+  EXPECT_EQ(records, result.counters.get(counter::kReduceInputRecords));
 }
 
 TEST(ReportJsonTest, ParsesAndCountersMatchSnapshot) {
@@ -111,6 +118,11 @@ TEST(ReportJsonTest, ParsesAndCountersMatchSnapshot) {
     EXPECT_EQ(t.at("segment_bytes").array.size(), 2u);
   }
   ASSERT_EQ(doc.at("reduce_tasks").array.size(), 2u);
+  u64 reduceRecords = 0;
+  for (const JsonValue& t : doc.at("reduce_tasks").array) {
+    reduceRecords += t.at("input_records").asU64();
+  }
+  EXPECT_EQ(reduceRecords, result.counters.get(counter::kReduceInputRecords));
   EXPECT_TRUE(doc.at("telemetry").has("counters"));
 }
 

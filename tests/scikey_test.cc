@@ -110,8 +110,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AggregateRouterTest, SplitsAtPartitionBoundaries) {
   hadoop::Counters counters;
-  // Index space of 100, 4 partitions => boundaries at 25, 50, 75.
-  const auto router = aggregateRangeRouter(100, 4, &counters);
+  // 4 partitions with boundaries at 25, 50, 75.
+  const auto router = aggregateRangeRouter(CurveCuts({25, 50, 75}), 4, &counters);
 
   // A range [20, 60) must split into [20,25) [25,50) [50,60).
   Bytes blob(40 * 4, 9);
@@ -134,6 +134,94 @@ TEST(AggregateRouterTest, SplitsAtPartitionBoundaries) {
   routed = router(hadoop::KeyValue{serializeAggregateKey({0, 30, 10}), Bytes(40, 1)}, 4);
   ASSERT_EQ(routed.size(), 1u);
   EXPECT_EQ(routed[0].first, 1);
+}
+
+TEST(CurveCutsTest, HandPlacedCutsBoundPartitions) {
+  const CurveCuts cuts({10, 10, 30});  // partition 1 is empty
+  EXPECT_EQ(cuts.partitions(), 4);
+  EXPECT_TRUE(cuts.start(0) == 0);
+  EXPECT_TRUE(cuts.start(1) == 10);
+  EXPECT_TRUE(cuts.start(3) == 30);
+  EXPECT_EQ(cuts.partitionOf(0), 0);
+  EXPECT_EQ(cuts.partitionOf(9), 0);
+  EXPECT_EQ(cuts.partitionOf(10), 2);
+  EXPECT_EQ(cuts.partitionOf(29), 2);
+  EXPECT_EQ(cuts.partitionOf(30), 3);
+  EXPECT_THROW(cuts.start(4), std::logic_error);
+  EXPECT_THROW(CurveCuts({5, 3}), std::logic_error);
+  EXPECT_EQ(CurveCuts({}).partitions(), 1);
+
+  const CurveSpace space(sfc::CurveKind::kZOrder, grid::Box({0}, {5}));
+  EXPECT_THROW(CurveCuts(space, 0), std::logic_error);
+}
+
+TEST(RangeRouterTest, RejectsAnotherReducerCount) {
+  const auto space =
+      std::make_shared<const CurveSpace>(sfc::CurveKind::kZOrder, grid::Box({0, 0}, {10, 10}));
+  const CurveCuts cuts(*space, 4);
+  const auto simple = simpleRangeRouter(space, cuts);
+  const auto aggregate = aggregateRangeRouter(cuts, 4, nullptr);
+  const Bytes simpleKey = serializeSimpleKey(SimpleKey{0, "", {3, 7}}, VariableTag::kIndex);
+  const Bytes aggregateKey = serializeAggregateKey({0, space->encode(grid::Coord{3, 7}), 1});
+
+  EXPECT_THROW(simple(hadoop::KeyValue{simpleKey, Bytes(4)}, 3), std::logic_error);
+  EXPECT_THROW(aggregate(hadoop::KeyValue{aggregateKey, Bytes(4)}, 3), std::logic_error);
+  EXPECT_EQ(simple(hadoop::KeyValue{simpleKey, Bytes(4)}, 4).at(0).first,
+            aggregate(hadoop::KeyValue{aggregateKey, Bytes(4)}, 4).at(0).first);
+}
+
+TEST(RangeRouterTest, SimpleRouterChecksKeyLengthAndDomain) {
+  const auto space =
+      std::make_shared<const CurveSpace>(sfc::CurveKind::kZOrder, grid::Box({0, 0}, {10, 10}));
+  const auto router = simpleRangeRouter(space, CurveCuts(*space, 2));
+  Bytes key = serializeSimpleKey(SimpleKey{0, "", {3, 7}}, VariableTag::kIndex);
+  key.push_back(0);
+  EXPECT_THROW(router(hadoop::KeyValue{key, Bytes(4)}, 2), FormatError);
+  key.resize(6);
+  EXPECT_THROW(router(hadoop::KeyValue{key, Bytes(4)}, 2), FormatError);
+  EXPECT_THROW(router(hadoop::KeyValue{serializeSimpleKey(SimpleKey{0, "", {3, 10}},
+                                                          VariableTag::kIndex),
+                                       Bytes(4)},
+                      2),
+               std::logic_error);
+}
+
+TEST(CurveCutsTest, BalancesAFull128BitLattice) {
+  // 32,769 cells along the first axis need 16 bits in each of 8 dimensions,
+  // so curve indices use all 128 bits and the lattice's 2^128 indices do not
+  // fit a CurveIndex. The cuts count cells, not indices, so they still
+  // balance, and both routers place every cell.
+  std::vector<i64> size(8, 1);
+  size[0] = 32769;
+  const grid::Box domain(grid::Coord(8, 0), size);
+  for (const sfc::CurveKind kind : {sfc::CurveKind::kZOrder, sfc::CurveKind::kHilbert,
+                                    sfc::CurveKind::kGray, sfc::CurveKind::kRowMajor}) {
+    const auto space = std::make_shared<const CurveSpace>(kind, domain);
+    ASSERT_EQ(space->curve().dims() * space->curve().bitsPerDim(), 128);
+    const CurveCuts cuts(*space, 4);
+    const auto simple = simpleRangeRouter(space, cuts);
+    const auto aggregate = aggregateRangeRouter(cuts, 4, nullptr);
+    std::vector<u64> cells(4);
+    u64 disagreements = 0;
+    domain.forEachCell([&](const grid::Coord& c) {
+      const sfc::CurveIndex index = space->encode(c);
+      const int p = cuts.partitionOf(index);
+      ++cells[static_cast<std::size_t>(p)];
+      const auto bySimple = simple(
+          hadoop::KeyValue{serializeSimpleKey(SimpleKey{0, "", c}, VariableTag::kIndex), Bytes(4)},
+          4);
+      const auto byAggregate =
+          aggregate(hadoop::KeyValue{serializeAggregateKey({0, index, 1}), Bytes(4)}, 4);
+      if (bySimple.size() != 1 || bySimple[0].first != p || byAggregate.size() != 1 ||
+          byAggregate[0].first != p) {
+        ++disagreements;
+      }
+    });
+    EXPECT_EQ(disagreements, 0u) << sfc::curveKindName(kind);
+    for (const u64 n : cells) {
+      EXPECT_TRUE(n == 8192 || n == 8193) << sfc::curveKindName(kind) << ": " << n;
+    }
+  }
 }
 
 TEST(AggregatorTest, CoalescesContiguousRuns) {

@@ -8,6 +8,7 @@
 
 #include "grid/dataset.h"
 #include "hadoop/runtime.h"
+#include "scikey/simple_key.h"
 #include "scikey/sliding_query.h"
 
 namespace scishuffle::scikey {
@@ -102,6 +103,85 @@ TEST(SimpleVsAggregate, IdenticalResultsAndSmallerShuffle) {
   // Splitting actually happened in this configuration.
   EXPECT_GT(agg.routing_counters->get(hadoop::counter::kKeySplitsRouting), 0u);
   EXPECT_GT(aggResult.counters.get(hadoop::counter::kKeySplitsOverlap), 0u);
+}
+
+TEST(SimpleVsAggregate, RoutersSendEveryCellToTheSameReducer) {
+  const grid::Variable input = makeInput(23, 17, 5);
+  for (const sfc::CurveKind curve : {sfc::CurveKind::kZOrder, sfc::CurveKind::kHilbert,
+                                     sfc::CurveKind::kGray, sfc::CurveKind::kRowMajor}) {
+    SlidingQueryConfig config;
+    config.curve = curve;
+    hadoop::JobConfig base;
+    base.num_reducers = 5;
+    const PreparedJob simple = buildSimpleSlidingJob(input, config, base);
+    const PreparedJob agg = buildAggregateSlidingJob(input, config, base);
+
+    u64 cells = 0;
+    u64 disagreements = 0;
+    agg.space->domain().forEachCell([&](const grid::Coord& c) {
+      ++cells;
+      const auto bySimple = simple.job.router(
+          hadoop::KeyValue{serializeSimpleKey(SimpleKey{0, "", c}, VariableTag::kIndex),
+                           encodeCellValue(1)},
+          5);
+      const auto byAggregate = agg.job.router(
+          hadoop::KeyValue{serializeAggregateKey({0, agg.space->encode(c), 1}),
+                           encodeCellValue(1)},
+          5);
+      if (bySimple.size() != 1 || byAggregate.size() != 1 ||
+          bySimple[0].first != byAggregate[0].first) {
+        ++disagreements;
+      }
+    });
+    EXPECT_EQ(cells, 25u * 19u);
+    EXPECT_EQ(disagreements, 0u) << sfc::curveKindName(curve);
+  }
+}
+
+TEST(SlidingQuery, ReducersGetEqualCellShares) {
+  // The 40x40 median's output domain is 42x42 = 1,764 cells, which fill
+  // less than half of the 64x64 Z-order lattice around them. Each of four
+  // reducers must still own a quarter of the cells, in both configurations
+  // (cells, not records or bytes: border cells receive fewer records).
+  const grid::Variable input = makeInput(40, 40, 9);
+  SlidingQueryConfig config;
+  hadoop::JobConfig base;
+  base.num_reducers = 4;
+
+  PreparedJob simple = buildSimpleSlidingJob(input, config, base);
+  const auto simpleResult = hadoop::runJob(simple.job, simple.map_tasks, simple.reduce);
+  PreparedJob agg = buildAggregateSlidingJob(input, config, base);
+  const auto aggResult = hadoop::runJob(agg.job, agg.map_tasks, agg.reduce);
+
+  ASSERT_EQ(simpleResult.outputs.size(), 4u);
+  ASSERT_EQ(aggResult.outputs.size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const u64 simpleCells = simpleResult.outputs[r].size();
+    u64 aggCells = 0;
+    for (const auto& kv : aggResult.outputs[r]) aggCells += deserializeAggregateKey(kv.key).count;
+    EXPECT_TRUE(simpleCells >= 440 && simpleCells <= 442)
+        << "simple reducer " << r << ": " << simpleCells << " cells";
+    EXPECT_TRUE(aggCells >= 440 && aggCells <= 442)
+        << "aggregate reducer " << r << ": " << aggCells << " cells";
+  }
+}
+
+TEST(SlidingQuery, AnotherReducerCountFailsTheJob) {
+  // Each router is cut for the reducer count its job was built with. Run
+  // with another count, the job must fail with the router's check rather
+  // than misroute, and an aggregate map task must fail, not abort the
+  // process while its Aggregator unwinds.
+  const grid::Variable input = makeInput(12, 10, 4);
+  SlidingQueryConfig config;
+  hadoop::JobConfig base;
+  base.num_reducers = 4;
+  for (const bool aggregate : {false, true}) {
+    PreparedJob job = aggregate ? buildAggregateSlidingJob(input, config, base)
+                                : buildSimpleSlidingJob(input, config, base);
+    job.job.num_reducers = 3;
+    EXPECT_THROW(hadoop::runJob(job.job, job.map_tasks, job.reduce), std::logic_error)
+        << (aggregate ? "aggregate" : "simple");
+  }
 }
 
 TEST(SlidingQuery, OtherCellOpsAndRadii) {
