@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   stage2Cluster.router = scikey::aggregateRangeRouter(
       scikey::CurveCuts(*space2, stage2Cluster.num_reducers), 4, nullptr);
   stage2Cluster.grouper = std::make_shared<scikey::AggregateGrouper>(4, true);
-  const auto stage2Reduce = scikey::cellwiseAggregateReduce(4, 4, scikey::cellMeanI32);
+  const auto stage2Reduce = scikey::cellwiseAggregateReduce(scikey::CellOp::kMean);
 
   const auto profile = hadoop::runJob(stage2Cluster, stage2Tasks, stage2Reduce);
   std::cout << "stage 2 (column mean):    " << hadoop::jobSummaryLine(profile) << "\n";

@@ -45,6 +45,7 @@
 #include <iostream>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -186,7 +187,7 @@ int cmdQuery(const std::vector<std::string>& args) {
   const scikey::PreparedJob prepared = aggregate
                                            ? buildAggregateSlidingJob(input, query, job)
                                            : buildSimpleSlidingJob(input, query, job);
-  const auto result = hadoop::runJob(prepared.job, prepared.map_tasks, prepared.reduce);
+  const auto result = scikey::runPreparedJob(prepared);
 
   if (jsonReport) {
     std::cout << hadoop::jobReportJson(result);
@@ -266,7 +267,7 @@ int cmdSlab(const std::vector<std::string>& args) {
 
   resolveSamplerInterval(job, sampleIntervalMs);
   const auto prepared = buildAggregateSlabJob(input, query, job);
-  const auto result = hadoop::runJob(prepared.job, prepared.map_tasks, prepared.reduce);
+  const auto result = scikey::runPreparedJob(prepared);
   if (jsonReport) {
     std::cout << hadoop::jobReportJson(result);
   } else {
@@ -495,10 +496,34 @@ int cmdSelftest() {
   if (rc == 0) rc = cmdSlab({nc, "pressure", "sum", "1", "--combiner", "--report"});
   if (rc == 0) {
     // Observability round trip: a traced run must leave a Chrome trace that
-    // holds the job's spans, and a JSON report on stdout.
+    // holds the job's spans, and a JSON report on stdout whose counters
+    // include the router's key splits and the aggregators' flushes.
     const auto trace = (dir / "trace.json").string();
-    rc = cmdQuery({nc, "pressure", "median", "--aggregate", "--mappers", "4", "--reducers", "3",
-                   "--trace", trace, "--json-report"});
+    std::ostringstream report;
+    std::streambuf* const stdoutBuf = std::cout.rdbuf(report.rdbuf());
+    try {
+      rc = cmdQuery({nc, "pressure", "median", "--aggregate", "--mappers", "4", "--reducers",
+                     "3", "--trace", trace, "--json-report"});
+    } catch (...) {
+      std::cout.rdbuf(stdoutBuf);
+      throw;
+    }
+    std::cout.rdbuf(stdoutBuf);
+    std::cout << report.str();
+    if (rc == 0) {
+      const obs::JsonValue doc = obs::parseJson(report.str());
+      for (const obs::JsonValue* counters :
+           {&doc.at("counters"), &doc.at("telemetry").at("counters")}) {
+        const auto get = [&](const char* name) {
+          const obs::JsonValue* v = counters->find(name);
+          return v != nullptr ? v->asU64() : 0;
+        };
+        check(get(hadoop::counter::kKeySplitsRouting) > 0,
+              "query report is missing the router's key splits");
+        check(get(hadoop::counter::kAggregateFlushes) >= 4,
+              "query report is missing the aggregators' flushes");
+      }
+    }
     if (rc == 0) {
       FileSource t(trace);
       const Bytes text = t.readAll();

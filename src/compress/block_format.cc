@@ -1,7 +1,8 @@
 // Concurrency note: this file's parallelism is structured as fan-out over
 // futures — sealed blocks and decode-ahead frames are owned by exactly one
 // pool task, results are joined through std::future, and the shared mutable
-// state is the relaxed `cpuUs_` accounting atomic. There is no mutex to
+// state is the relaxed `cpuUs_` accounting atomic (the per-thread codec CPU
+// tally is thread_local, so no thread reads another's). There is no mutex to
 // annotate here; the thread-safety story is ownership transfer, checked
 // dynamically by the TSan CI job (docs/STATIC_ANALYSIS.md §coverage).
 #include "compress/block_format.h"
@@ -25,7 +26,19 @@ namespace {
                     std::to_string(offset) + ": " + what);
 }
 
+thread_local u64 t_codecCpuUs = 0;
+
+/// Adds the thread CPU spent since `startUs` to a stream's total and to the
+/// calling thread's tally.
+void countCodecCpu(std::atomic<u64>& total, u64 startUs) {
+  const u64 spent = threadCpuUs() - startUs;
+  total.fetch_add(spent, std::memory_order_relaxed);
+  t_codecCpuUs += spent;
+}
+
 }  // namespace
+
+u64 codecCpuUsOnThisThread() { return t_codecCpuUs; }
 
 // ---------------------------------------------------------------- writer
 
@@ -40,9 +53,9 @@ BlockCompressedWriter::Sealed BlockCompressedWriter::compressBlock(Bytes raw) co
   s.rawLen = raw.size();
   s.crc = crc32(raw);
   obs::ScopedSpan span("block_compress", "codec");
-  const u64 start = steadyNowUs();
+  const u64 start = threadCpuUs();
   s.compressed = codec_ != nullptr ? codec_->compress(raw) : std::move(raw);
-  cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
+  countCodecCpu(cpuUs_, start);
   span.arg("raw_bytes", s.rawLen);
   span.arg("compressed_bytes", s.compressed.size());
   return s;
@@ -187,7 +200,7 @@ Bytes BlockCompressedReader::decodeFrame(const Frame& frame) const {
     payload = mutated;
   }
   Bytes raw;
-  const u64 start = steadyNowUs();
+  const u64 start = threadCpuUs();
   if (codec_ != nullptr) {
     try {
       raw = codec_->decompress(payload);
@@ -201,7 +214,7 @@ Bytes BlockCompressedReader::decodeFrame(const Frame& frame) const {
   } else {
     raw.assign(payload.begin(), payload.end());
   }
-  cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
+  countCodecCpu(cpuUs_, start);
   if (raw.size() != frame.rawLen) frameError(frame.index, frame.offset, "raw length mismatch");
   if (crc32(raw) != frame.crc) frameError(frame.index, frame.offset, "crc mismatch");
   return raw;

@@ -62,9 +62,9 @@ class BlockCompressedWriter {
   u64 rawBytes() const { return rawBytes_; }
   u64 blocksWritten() const { return blocks_; }
 
-  /// Summed per-block CPU spent inside the codec (equals the serial cost even
-  /// when blocks compress in parallel — the cluster cost model needs CPU
-  /// work, not wall time).
+  /// Summed per-block thread CPU spent inside the codec, on whichever thread
+  /// compressed each block (the serial cost even when blocks compress in
+  /// parallel — the cluster cost model needs CPU work, not wall time).
   u64 compressCpuUs() const { return cpuUs_.load(std::memory_order_relaxed); }
 
  private:
@@ -105,6 +105,7 @@ class BlockCompressedReader {
 
   bool done() const { return done_; }
   std::size_t blocksRead() const { return blocks_; }
+  /// Summed per-block thread CPU spent decoding, on whichever thread decoded.
   u64 decompressCpuUs() const { return cpuUs_.load(std::memory_order_relaxed); }
 
   /// Frame header of one block (parsed, not yet decoded).
@@ -179,5 +180,11 @@ Bytes blockCompress(ByteSpan raw, const Codec* codec,
                     std::size_t blockBytes = kBlockFrameDefaultBlockBytes,
                     ThreadPool* pool = nullptr, u64* cpuUs = nullptr);
 Bytes blockDecompressAll(ByteSpan stream, const Codec* codec, u64* cpuUs = nullptr);
+
+/// Codec CPU the calling thread has spent in blocks it (de)compressed itself,
+/// under any writer or reader, in microseconds. A task subtracts what this
+/// grows by from its own thread CPU, so each codec microsecond is counted
+/// once, under the codec counters, wherever its block ran.
+u64 codecCpuUsOnThisThread();
 
 }  // namespace scishuffle

@@ -47,22 +47,6 @@ bool Box::containsBox(const Box& other) const {
   return true;
 }
 
-bool Box::intersects(const Box& other) const { return intersection(other).has_value(); }
-
-std::optional<Box> Box::intersection(const Box& other) const {
-  check(rank() == other.rank(), "box rank mismatch");
-  Coord lowC(corner_.size());
-  Coord highC(corner_.size());
-  for (int d = 0; d < rank(); ++d) {
-    const i64 lo = std::max(low(d), other.low(d));
-    const i64 hi = std::min(high(d), other.high(d));
-    if (lo >= hi) return std::nullopt;
-    lowC[static_cast<std::size_t>(d)] = lo;
-    highC[static_cast<std::size_t>(d)] = hi;
-  }
-  return Box::fromExtents(lowC, highC);
-}
-
 std::pair<Box, Box> Box::splitAt(int axis, i64 pos) const {
   const i64 clamped = std::clamp(pos, low(axis), high(axis));
   Coord lowCorner = corner_;
@@ -76,122 +60,10 @@ std::pair<Box, Box> Box::splitAt(int axis, i64 pos) const {
           Box(std::move(highCorner), std::move(highSize))};
 }
 
-std::vector<Box> Box::cutBy(const Box& cutter) const {
-  check(rank() == cutter.rank(), "box rank mismatch");
-  if (empty()) return {};
-  if (!intersects(cutter)) return {*this};
-
-  // Per-axis segment boundaries: this box's extent cut at the cutter's faces.
-  std::vector<std::vector<i64>> boundaries(static_cast<std::size_t>(rank()));
-  for (int d = 0; d < rank(); ++d) {
-    auto& b = boundaries[static_cast<std::size_t>(d)];
-    b.push_back(low(d));
-    if (cutter.low(d) > low(d) && cutter.low(d) < high(d)) b.push_back(cutter.low(d));
-    if (cutter.high(d) > low(d) && cutter.high(d) < high(d)) b.push_back(cutter.high(d));
-    b.push_back(high(d));
-  }
-
-  // Cartesian product of segments.
-  std::vector<Box> fragments;
-  std::vector<std::size_t> pick(static_cast<std::size_t>(rank()), 0);
-  for (;;) {
-    Coord lowC(static_cast<std::size_t>(rank()));
-    Coord highC(static_cast<std::size_t>(rank()));
-    for (int d = 0; d < rank(); ++d) {
-      const auto& b = boundaries[static_cast<std::size_t>(d)];
-      lowC[static_cast<std::size_t>(d)] = b[pick[static_cast<std::size_t>(d)]];
-      highC[static_cast<std::size_t>(d)] = b[pick[static_cast<std::size_t>(d)] + 1];
-    }
-    fragments.push_back(Box::fromExtents(lowC, highC));
-    int d = rank() - 1;
-    for (; d >= 0; --d) {
-      auto& p = pick[static_cast<std::size_t>(d)];
-      if (++p + 1 < boundaries[static_cast<std::size_t>(d)].size()) break;
-      p = 0;
-    }
-    if (d < 0) break;
-  }
-  return fragments;
-}
-
-Box Box::expandToAlignment(i64 alignment) const {
-  check(alignment >= 1, "alignment must be positive");
-  Coord lowC(corner_.size());
-  Coord highC(corner_.size());
-  auto floorDiv = [](i64 a, i64 b) { return a >= 0 ? a / b : -((-a + b - 1) / b); };
-  for (int d = 0; d < rank(); ++d) {
-    lowC[static_cast<std::size_t>(d)] = floorDiv(low(d), alignment) * alignment;
-    highC[static_cast<std::size_t>(d)] = floorDiv(high(d) + alignment - 1, alignment) * alignment;
-    if (highC[static_cast<std::size_t>(d)] == lowC[static_cast<std::size_t>(d)]) {
-      highC[static_cast<std::size_t>(d)] += alignment;  // keep empty boxes representable
-    }
-  }
-  return Box::fromExtents(lowC, highC);
-}
-
 std::string Box::toString() const {
   std::ostringstream os;
   os << coordToString(corner_) << "+" << coordToString(size_);
   return os.str();
-}
-
-std::vector<std::pair<Box, std::size_t>> decomposeOverlaps(const std::vector<Box>& boxes) {
-  if (boxes.empty()) return {};
-  const int rank = boxes.front().rank();
-
-  // Fragment every box on the *global* grid of face planes. Cutting only at
-  // planes of intersecting boxes is not enough: a plane can cross the region
-  // two boxes share without its owner touching one of them, which would
-  // misalign their fragments (overlapping but unequal — exactly what Fig. 7
-  // forbids).
-  std::vector<std::vector<i64>> planes(static_cast<std::size_t>(rank));
-  for (const Box& b : boxes) {
-    check(b.rank() == rank, "mixed box ranks");
-    for (int d = 0; d < rank; ++d) {
-      planes[static_cast<std::size_t>(d)].push_back(b.low(d));
-      planes[static_cast<std::size_t>(d)].push_back(b.high(d));
-    }
-  }
-  for (auto& p : planes) {
-    std::sort(p.begin(), p.end());
-    p.erase(std::unique(p.begin(), p.end()), p.end());
-  }
-
-  std::vector<std::pair<Box, std::size_t>> out;
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    const Box& box = boxes[i];
-    if (box.empty()) continue;
-    // Per-axis segment boundaries: the box's extent cut at every plane.
-    std::vector<std::vector<i64>> bounds(static_cast<std::size_t>(rank));
-    for (int d = 0; d < rank; ++d) {
-      auto& b = bounds[static_cast<std::size_t>(d)];
-      b.push_back(box.low(d));
-      for (const i64 p : planes[static_cast<std::size_t>(d)]) {
-        if (p > box.low(d) && p < box.high(d)) b.push_back(p);
-      }
-      b.push_back(box.high(d));
-    }
-    // Cartesian product of segments.
-    std::vector<std::size_t> pick(static_cast<std::size_t>(rank), 0);
-    for (;;) {
-      Coord lowC(static_cast<std::size_t>(rank));
-      Coord highC(static_cast<std::size_t>(rank));
-      for (int d = 0; d < rank; ++d) {
-        const auto& b = bounds[static_cast<std::size_t>(d)];
-        lowC[static_cast<std::size_t>(d)] = b[pick[static_cast<std::size_t>(d)]];
-        highC[static_cast<std::size_t>(d)] = b[pick[static_cast<std::size_t>(d)] + 1];
-      }
-      out.emplace_back(Box::fromExtents(lowC, highC), i);
-      int d = rank - 1;
-      for (; d >= 0; --d) {
-        auto& p = pick[static_cast<std::size_t>(d)];
-        if (++p + 1 < bounds[static_cast<std::size_t>(d)].size()) break;
-        p = 0;
-      }
-      if (d < 0) break;
-    }
-  }
-  return out;
 }
 
 }  // namespace scishuffle::grid

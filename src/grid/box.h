@@ -1,10 +1,10 @@
-// Axis-aligned N-dimensional boxes in (corner, size) form — the aggregate-key
-// geometry of §IV. Key splitting (routing splits and Fig. 7 overlap splits)
-// is box algebra: intersection, fragmentation along cut planes, and
-// disjoint-cover decomposition.
+// Axis-aligned N-dimensional boxes in (corner, size) form: query domains,
+// mapper input splits and sliding windows, walked cell by cell. Keys are not
+// split as boxes: aggregate keys are curve ranges (§IV), and the router and
+// the reduce-side grouper split them on the curve (scikey/aggregate_key.h,
+// scikey/aggregate_grouper.h).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,23 +36,10 @@ class Box {
 
   bool contains(const Coord& c) const;
   bool containsBox(const Box& other) const;
-  bool intersects(const Box& other) const;
-
-  /// Intersection; nullopt when disjoint (empty boxes count as disjoint).
-  std::optional<Box> intersection(const Box& other) const;
 
   /// Splits into (cells with coordinate[axis] < pos, the rest). Either part
   /// may be empty if pos is outside the box.
   std::pair<Box, Box> splitAt(int axis, i64 pos) const;
-
-  /// Fragments this box along every face plane of `cutter` (Fig. 7): returns
-  /// disjoint boxes covering exactly this box, each either fully inside or
-  /// fully outside `cutter`. Returns {*this} when disjoint from cutter.
-  std::vector<Box> cutBy(const Box& cutter) const;
-
-  /// Smallest aligned box containing this one: each face moved outward to a
-  /// multiple of `alignment` (§IV-C key expansion).
-  Box expandToAlignment(i64 alignment) const;
 
   /// Row-major walk over all cells; f(coord) per cell.
   template <typename F>
@@ -78,12 +65,5 @@ class Box {
   Coord corner_;
   std::vector<i64> size_;
 };
-
-/// Decomposes a set of (possibly overlapping) boxes into disjoint fragments
-/// whose union equals the union of the inputs, splitting only at input box
-/// boundaries. Equal input boxes produce one shared fragment. Returns
-/// (fragment, index of the input box that contributed it) pairs; a fragment
-/// covered by k inputs appears k times with different input indices.
-std::vector<std::pair<Box, std::size_t>> decomposeOverlaps(const std::vector<Box>& boxes);
 
 }  // namespace scishuffle::grid

@@ -39,6 +39,29 @@ struct PoolGauges {
   obs::GaugeRegistration active;
 };
 
+/// A task's CPU, each microsecond counted once. The task thread's CPU is
+/// split into sorting (SORT_CPU_US), the codec blocks it ran itself (the
+/// CODEC_*_CPU_US counters, which also hold the blocks pool threads ran for
+/// it) and the rest, which finish() adds under the task's own counter.
+class TaskCpu {
+ public:
+  TaskCpu() : threadStart_(threadCpuUs()), codecStart_(codecCpuUsOnThisThread()) {}
+
+  /// Adds the rest under `taskCounter` and returns the task's whole CPU.
+  u64 finish(Counters& counters, const char* taskCounter) const {
+    const u64 threadUs = threadCpuUs() - threadStart_;
+    const u64 sort = counters.get(counter::kSortCpuUs);
+    const u64 own = sort + (codecCpuUsOnThisThread() - codecStart_);
+    counters.add(taskCounter, threadUs - std::min(threadUs, own));
+    return counters.get(taskCounter) + sort + counters.get(counter::kCodecCompressCpuUs) +
+           counters.get(counter::kCodecDecompressCpuUs);
+  }
+
+ private:
+  u64 threadStart_;
+  u64 codecStart_;
+};
+
 /// Full decode scan of a block-framed segment; false on any frame/CRC error.
 bool segmentIntact(const Bytes& segment, const Codec* codec) {
   try {
@@ -196,18 +219,15 @@ MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
       MapTaskExecution exec;
       Counters& taskCounters = exec.counters;
       MapOutputBuffer buffer(config, codec, taskCounters, codecPool);
-      const u64 taskStart = steadyNowUs();
+      const TaskCpu cpu;
       const EmitFn emit = [&](Bytes key, Bytes value) {
         auto routed =
             config.router(KeyValue{std::move(key), std::move(value)}, config.num_reducers);
         for (const auto& [partition, kv] : routed) buffer.collect(partition, kv.key, kv.value);
       };
       task.run(emit);
-      taskCounters.add(counter::kMapCpuUs, steadyNowUs() - taskStart);
       exec.output = buffer.finish();
-      exec.stats.cpu_us = taskCounters.get(counter::kMapCpuUs) +
-                          taskCounters.get(counter::kSortCpuUs) +
-                          taskCounters.get(counter::kCodecCompressCpuUs);
+      exec.stats.cpu_us = cpu.finish(taskCounters, counter::kMapCpuUs);
       exec.stats.segment_bytes.reserve(exec.output.segments.size());
       u64 materialized = 0;
       for (const Bytes& segment : exec.output.segments) {
@@ -242,21 +262,19 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
       span.arg("attempt", static_cast<u64>(attempt));
       ReduceTaskExecution exec;
       Counters& taskCounters = exec.counters;
+      const TaskCpu cpu;
       MergedSegmentStream stream(segments, codec, config, taskCounters, codecPool);
       const EmitFn emit = [&](Bytes key, Bytes value) {
         exec.output.push_back(KeyValue{std::move(key), std::move(value)});
       };
-      const u64 taskStart = steadyNowUs();
       config.grouper->run(stream, reduce, emit, taskCounters);
-      taskCounters.add(counter::kReduceCpuUs, steadyNowUs() - taskStart);
+      exec.stats.cpu_us = cpu.finish(taskCounters, counter::kReduceCpuUs);
       if (!exec.output.empty()) {
         taskCounters.add(counter::kReduceOutputRecords, exec.output.size());
       }
       exec.stats.input_records = taskCounters.get(counter::kReduceInputRecords);
       span.arg("input_records", exec.stats.input_records);
       span.arg("output_records", exec.output.size());
-      exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
-                          taskCounters.get(counter::kCodecDecompressCpuUs);
       exec.stats.merge_materialized_bytes =
           taskCounters.get(counter::kReduceMergeMaterializedBytes);
       exec.stats.merge_resident_peak_bytes =

@@ -50,12 +50,12 @@ struct PhaseTimings {
 /// CPU the task burned locally and how many materialized bytes it produced
 /// for each reducer.
 struct MapTaskStats {
-  u64 cpu_us = 0;  // map function + sort + codec
+  u64 cpu_us = 0;  // the task thread's CPU + its codec blocks' CPU on pool threads
   std::vector<u64> segment_bytes;
 };
 
 struct ReduceTaskStats {
-  u64 cpu_us = 0;  // decompress + group/split + reduce
+  u64 cpu_us = 0;  // as MapTaskStats::cpu_us: merge, group/split, reduce, codec
   u64 shuffled_bytes = 0;
   u64 merge_materialized_bytes = 0;
   u64 output_bytes = 0;

@@ -76,9 +76,9 @@ ByteSpan MapOutputBuffer::sortAndCombine(ByteSpan arena, std::vector<IndexEntry>
   };
   obs::ScopedSpan span("sort", "spill");
   span.arg("records", index.size());
-  const u64 sortStart = steadyNowUs();
+  const u64 sortStart = threadCpuUs();
   sortByKey(arena, index);
-  sortCpuUs_ += steadyNowUs() - sortStart;
+  sortCpuUs_ += threadCpuUs() - sortStart;
   if (!config_->combiner) return arena;
 
   // ReduceFn takes owned values, so only a job with a combiner copies them.

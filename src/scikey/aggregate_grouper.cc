@@ -68,7 +68,7 @@ void AggregateGrouper::run(hadoop::KVStream& sorted, const hadoop::ReduceFn& red
                            const hadoop::EmitFn& emit, hadoop::Counters& counters) {
   // Optional reduce-side re-aggregation: groups are reduced in key order, so
   // contiguous outputs can be merged on the fly.
-  ReaggregatingEmitter reaggregator(emit, outValueSize_);
+  ReaggregatingEmitter reaggregator(emit, valueSize_);
   const hadoop::EmitFn mergedEmit = [&](Bytes key, Bytes value) {
     reaggregator.emit(std::move(key), std::move(value));
   };

@@ -19,17 +19,14 @@ namespace scishuffle::scikey {
 
 class AggregateGrouper final : public hadoop::ReduceGrouper {
  public:
-  /// valueSize: per-cell width of input blobs. When reaggregateOutput is
-  /// set, contiguous aggregate records *emitted by the reduce function* are
-  /// merged back together before reaching the output — the paper's §IV-B
-  /// suggestion of aggregating "in other places to offset the increase in
-  /// key count caused by key splitting". outValueSize is the per-cell width
-  /// of the reduce function's output blobs (defaults to valueSize).
-  explicit AggregateGrouper(std::size_t valueSize, bool reaggregateOutput = false,
-                            std::size_t outValueSize = 0)
-      : valueSize_(valueSize),
-        reaggregateOutput_(reaggregateOutput),
-        outValueSize_(outValueSize == 0 ? valueSize : outValueSize) {}
+  /// valueSize: per-cell width of input blobs and of the reduce function's
+  /// output blobs. When reaggregateOutput is set, contiguous aggregate
+  /// records *emitted by the reduce function* are merged back together
+  /// before reaching the output — the paper's §IV-B suggestion of
+  /// aggregating "in other places to offset the increase in key count
+  /// caused by key splitting".
+  explicit AggregateGrouper(std::size_t valueSize, bool reaggregateOutput = false)
+      : valueSize_(valueSize), reaggregateOutput_(reaggregateOutput) {}
 
   void run(hadoop::KVStream& sorted, const hadoop::ReduceFn& reduce, const hadoop::EmitFn& emit,
            hadoop::Counters& counters) override;
@@ -37,7 +34,6 @@ class AggregateGrouper final : public hadoop::ReduceGrouper {
  private:
   std::size_t valueSize_;
   bool reaggregateOutput_;
-  std::size_t outValueSize_;
 };
 
 }  // namespace scishuffle::scikey

@@ -1,12 +1,12 @@
-// Adapter turning a per-cell reduction into a ReduceFn over aggregate-key
-// groups. After overlap splitting, a reduce group is (range, one packed blob
-// per layer); the per-cell function sees the column of values for each cell
-// and appends that cell's output to the result blob. The emitted record
-// keeps the aggregate key, so outputs stay in the compact representation.
+// Cell values and the per-cell reductions of the grid queries. A cell's
+// value travels as a 4-byte big-endian i32; a reduce applies one CellOp to
+// every value a cell received. Over aggregate-key groups the reduce walks
+// the group cell by cell: after overlap splitting a group is (range, one
+// packed blob per layer), each cell's column holds one value per layer, and
+// the emitted record keeps the aggregate key, so outputs stay compact.
 #pragma once
 
 #include <array>
-#include <functional>
 
 #include "hadoop/types.h"
 #include "scikey/aggregate_key.h"
@@ -18,7 +18,11 @@ namespace scishuffle::scikey {
 /// is algebraic and may run in combiners; kMedian is holistic and may not.
 enum class CellOp { kMedian, kMean, kSum };
 
-/// Applies op to a group of decoded values (may reorder `values`).
+/// Width of one serialized cell value.
+inline constexpr std::size_t kCellValueSize = 4;
+
+/// Applies op to a group of decoded values (may reorder `values`): the lower
+/// median for even counts, the mean rounded toward zero, the wrapping sum.
 i32 applyCellOp(CellOp op, std::vector<i32>& values);
 
 /// Big-endian i32 value encoding shared by the grid queries.
@@ -26,26 +30,10 @@ Bytes encodeCellValue(i32 v);
 i32 decodeCellValue(ByteSpan v);
 
 /// The same four bytes on the stack, for callers that only lend them.
-std::array<u8, 4> cellValueBytes(i32 v);
+std::array<u8, kCellValueSize> cellValueBytes(i32 v);
 
-/// cellValues: one entry per layer that contained this cell (all layers in a
-/// group cover the identical range, so every cell has exactly group-size
-/// values). Appends exactly outValueSize bytes to out.
-using CellReduceFn = std::function<void(const std::vector<ByteSpan>& cellValues, Bytes& out)>;
-
-hadoop::ReduceFn cellwiseAggregateReduce(std::size_t valueSize, std::size_t outValueSize,
-                                         CellReduceFn cellFn);
-
-/// Per-cell median of big-endian i32 values (lower median for even counts).
-void cellMedianI32(const std::vector<ByteSpan>& cellValues, Bytes& out);
-
-/// Per-cell arithmetic mean of big-endian i32 values, rounded toward zero.
-void cellMeanI32(const std::vector<ByteSpan>& cellValues, Bytes& out);
-
-/// Per-cell sum of big-endian i32 values (wrapping).
-void cellSumI32(const std::vector<ByteSpan>& cellValues, Bytes& out);
-
-/// The per-cell function implementing a CellOp.
-CellReduceFn cellFnFor(CellOp op);
+/// ReduceFn over aggregate-key groups: applies op to each cell's column of
+/// values and emits one blob of results under the group's key.
+hadoop::ReduceFn cellwiseAggregateReduce(CellOp op);
 
 }  // namespace scishuffle::scikey

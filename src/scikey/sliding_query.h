@@ -9,14 +9,9 @@
 #pragma once
 
 #include <map>
-#include <memory>
 
-#include "grid/dataset.h"
-#include "hadoop/runtime.h"
-#include "scikey/aggregator.h"
-#include "scikey/cellwise.h"
-#include "scikey/curve_space.h"
 #include "scikey/input_planner.h"
+#include "scikey/query_assembly.h"
 
 namespace scishuffle::scikey {
 
@@ -48,17 +43,6 @@ struct SlidingQueryConfig {
   /// sum is algebraic and combines safely; median is holistic and cannot —
   /// requesting a combiner with kMedian is a configuration error.
   bool use_combiner = false;
-};
-
-/// A ready-to-run job: tasks + reduce + engine config wired together.
-/// `routing_counters` collects the router-side key-split counts (the router
-/// runs inside the engine, before task counters exist).
-struct PreparedJob {
-  std::vector<hadoop::MapTask> map_tasks;
-  hadoop::ReduceFn reduce;
-  hadoop::JobConfig job;
-  std::shared_ptr<hadoop::Counters> routing_counters;
-  std::shared_ptr<CurveSpace> space;
 };
 
 /// Simple-key configuration. `base` supplies cluster-ish knobs (reducers,

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <map>
-#include <random>
+#include <cmath>
 
 #include "grid/box.h"
 #include "grid/dataset.h"
@@ -42,23 +41,6 @@ TEST(BoxTest, BasicGeometry) {
   EXPECT_FALSE(b.contains({0, 8}));
 }
 
-TEST(BoxTest, IntersectionMatchesThePaperExample) {
-  // §IV-C: mapper for (0,0)-(9,9) produces (-1,-1)-(10,10); the neighbor for
-  // (0,10)-(9,19) produces (-1,9)-(10,20); they overlap in (-1,9)-(10,10).
-  const Box a = Box::fromExtents({-1, -1}, {11, 11});
-  const Box b = Box::fromExtents({-1, 9}, {11, 21});
-  const auto overlap = a.intersection(b);
-  ASSERT_TRUE(overlap.has_value());
-  EXPECT_EQ(*overlap, Box::fromExtents({-1, 9}, {11, 11}));
-}
-
-TEST(BoxTest, DisjointIntersection) {
-  const Box a({0, 0}, {2, 2});
-  const Box b({5, 5}, {1, 1});
-  EXPECT_FALSE(a.intersects(b));
-  EXPECT_FALSE(a.intersection(b).has_value());
-}
-
 TEST(BoxTest, SplitAtPartitionsVolume) {
   const Box b({0, 0}, {10, 10});
   const auto [lo, hi] = b.splitAt(0, 4);
@@ -69,95 +51,6 @@ TEST(BoxTest, SplitAtPartitionsVolume) {
   const auto [lo2, hi2] = b.splitAt(1, 99);
   EXPECT_EQ(lo2.volume(), 100);
   EXPECT_TRUE(hi2.empty());
-}
-
-TEST(BoxTest, CutByProducesDisjointCover) {
-  const Box b({0, 0, 0}, {6, 6, 6});
-  const Box cutter({2, -1, 3}, {2, 4, 10});
-  const auto pieces = b.cutBy(cutter);
-  i64 total = 0;
-  for (const Box& p : pieces) {
-    total += p.volume();
-    // Each piece is entirely inside or entirely outside the cutter.
-    const auto inter = p.intersection(cutter);
-    if (inter.has_value()) EXPECT_EQ(inter->volume(), p.volume());
-  }
-  EXPECT_EQ(total, b.volume());
-}
-
-TEST(BoxTest, CutByDisjointCutterIsIdentity) {
-  const Box b({0, 0}, {3, 3});
-  const auto pieces = b.cutBy(Box({10, 10}, {2, 2}));
-  ASSERT_EQ(pieces.size(), 1u);
-  EXPECT_EQ(pieces[0], b);
-}
-
-TEST(BoxTest, DecomposeOverlapsIsExactCover) {
-  // Count per-cell coverage before and after: must match everywhere.
-  const std::vector<Box> boxes = {Box({0, 0}, {4, 4}), Box({2, 2}, {4, 4}), Box({3, 0}, {2, 6}),
-                                  Box({0, 0}, {4, 4})};  // includes an exact duplicate
-  const auto fragments = decomposeOverlaps(boxes);
-
-  std::map<Coord, int> expected;
-  for (const Box& b : boxes) b.forEachCell([&](const Coord& c) { ++expected[c]; });
-  std::map<Coord, int> actual;
-  for (const auto& [frag, src] : fragments) {
-    EXPECT_LT(src, boxes.size());
-    frag.forEachCell([&](const Coord& c) { ++actual[c]; });
-  }
-  EXPECT_EQ(actual, expected);
-
-  // Fragments from different sources are equal or disjoint (Fig. 7 property).
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    for (std::size_t j = i + 1; j < fragments.size(); ++j) {
-      const auto& a = fragments[i].first;
-      const auto& b = fragments[j].first;
-      if (a.intersects(b)) EXPECT_EQ(a, b);
-    }
-  }
-}
-
-class DecomposeProperty : public ::testing::TestWithParam<u32> {};
-
-TEST_P(DecomposeProperty, RandomBoxesDecomposeExactly) {
-  std::mt19937 rng(GetParam());
-  std::uniform_int_distribution<i64> lo(-5, 10);
-  std::uniform_int_distribution<i64> len(1, 6);
-  std::vector<Box> boxes;
-  const int n = 2 + static_cast<int>(GetParam() % 5);
-  for (int i = 0; i < n; ++i) {
-    const Coord corner{lo(rng), lo(rng)};
-    boxes.emplace_back(corner, std::vector<i64>{len(rng), len(rng)});
-  }
-  const auto fragments = decomposeOverlaps(boxes);
-
-  std::map<Coord, int> expected;
-  for (const Box& b : boxes) b.forEachCell([&](const Coord& c) { ++expected[c]; });
-  std::map<Coord, int> actual;
-  for (const auto& [frag, src] : fragments) {
-    frag.forEachCell([&](const Coord& c) { ++actual[c]; });
-  }
-  EXPECT_EQ(actual, expected) << "seed " << GetParam();
-
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    for (std::size_t j = i + 1; j < fragments.size(); ++j) {
-      if (fragments[i].first.intersects(fragments[j].first)) {
-        EXPECT_EQ(fragments[i].first, fragments[j].first);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DecomposeProperty, ::testing::Range(0u, 16u));
-
-TEST(BoxTest, ExpandToAlignment) {
-  const Box b({-3, 5}, {4, 4});  // spans [-3,1) x [5,9)
-  const Box e = b.expandToAlignment(4);
-  EXPECT_EQ(e, Box::fromExtents({-4, 4}, {4, 12}));
-  EXPECT_TRUE(e.containsBox(b));
-  // Already-aligned boxes are unchanged.
-  const Box aligned({-4, 4}, {8, 8});
-  EXPECT_EQ(aligned.expandToAlignment(4), aligned);
 }
 
 TEST(BoxTest, ForEachCellIsRowMajor) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "hadoop/report.h"
 #include "hadoop/runtime.h"
@@ -221,6 +224,47 @@ TEST(ReportTest, AggregationCountersAppearInReport) {
 TEST(ReportTest, AggregationLineAbsentWhenCountersZero) {
   const auto result = runTinyJob(false);
   EXPECT_EQ(jobReport(result).find("aggregation:"), std::string::npos);
+}
+
+u64 processCpuUs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<u64>(ts.tv_sec) * 1'000'000 + static_cast<u64>(ts.tv_nsec) / 1000;
+}
+
+TEST(ReportTest, TaskCpuIsThreadCpuNotWallClock) {
+  // Map and reduce functions that sleep 200 ms burn next to no CPU. Each
+  // task must report CPU, not its wall clock, and count each microsecond
+  // once, so the tasks together stay within what the whole process used.
+  JobConfig config;
+  config.num_reducers = 2;
+  config.map_slots = 2;
+  config.reduce_slots = 2;
+  std::vector<MapTask> tasks;
+  for (int m = 0; m < 2; ++m) {
+    tasks.push_back(MapTask{[m](const EmitFn& emit) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      for (int i = 0; i < 100; ++i) emit(Bytes{static_cast<u8>(i % 2)}, Bytes{static_cast<u8>(m)});
+    }});
+  }
+  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    emit(key, Bytes{static_cast<u8>(values.size())});
+  };
+  const u64 before = processCpuUs();
+  const JobResult result = runJob(config, tasks, reduce);
+  const u64 processCpu = processCpuUs() - before;
+
+  u64 summed = 0;
+  for (const auto& t : result.map_tasks) {
+    EXPECT_LT(t.cpu_us, 50'000u);
+    summed += t.cpu_us;
+  }
+  for (const auto& t : result.reduce_tasks) {
+    EXPECT_LT(t.cpu_us, 50'000u);
+    summed += t.cpu_us;
+  }
+  EXPECT_LE(summed, processCpu);
 }
 
 TEST(CountersTest, SetOverwritesAccumulatedValue) {

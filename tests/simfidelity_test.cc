@@ -43,8 +43,9 @@ TEST(SimFidelityTest, SimulatorTracksMeasuredDistributedPhases) {
   cfg.worker_command = {SCISHUFFLE_WORKER_BIN};
   cfg.work_dir = dir.path;
   // Big enough that per-task CPU dominates the fork/hello/assign overheads
-  // the simulator does not model.
-  const std::vector<std::string> args = {"6", "20000"};
+  // the simulator does not model: tasks report thread CPU, about 90 ms each
+  // here, against some 50 ms of those overheads per run.
+  const std::vector<std::string> args = {"6", "200000"};
   const service::DistributedResult dist = service::runDistributedJob("wordcount", args, cfg);
   ASSERT_EQ(dist.worker_deaths, 0);
   ASSERT_GT(dist.job.timings.map_phase_us, 0u);
