@@ -1,8 +1,9 @@
 // Concurrency note: this file's parallelism is structured as fan-out over
 // futures — sealed blocks and decode-ahead frames are owned by exactly one
-// pool task, results are joined through std::future, and the shared mutable
-// state is the relaxed `cpuUs_` accounting atomic (the per-thread codec CPU
-// tally is thread_local, so no thread reads another's). There is no mutex to
+// pool task (run by a worker or by a thread waiting in ThreadPool::await),
+// results are joined through std::future, and the shared mutable state is
+// the relaxed `cpuUs_` accounting atomic (the per-thread codec CPU tally is
+// thread_local, so no thread reads another's). There is no mutex to
 // annotate here; the thread-safety story is ownership transfer, checked
 // dynamically by the TSan CI job (docs/STATIC_ANALYSIS.md §coverage).
 #include "compress/block_format.h"
@@ -112,7 +113,7 @@ Bytes BlockCompressedWriter::close() {
     writeU32(sink, s.crc);
     sink.write(s.compressed);
   };
-  for (auto& f : inFlight_) emit(awaitFuture(f));  // in seal order: deterministic bytes
+  for (auto& f : inFlight_) emit(pool_->await(f));  // in seal order: deterministic bytes
   inFlight_.clear();
   for (Sealed& s : sealed_) emit(std::move(s));
   sealed_.clear();
@@ -230,13 +231,13 @@ std::optional<Bytes> BlockCompressedReader::nextBlock() {
 
 BlockDecodeSource::BlockDecodeSource(ByteSpan stream, const Codec* codec, ThreadPool* prefetchPool,
                                      testing::FaultInjector* faults)
-    : reader_(stream, codec, faults), pool_(prefetchPool) {}
+    : reader_(stream, codec, faults), pool_(prefetchPool), aheadLimit_(codec != nullptr ? 2 : 1) {}
 
 BlockDecodeSource::~BlockDecodeSource() {
   // A decode-ahead task captures `this`; never let it outlive us.
-  if (ahead_.has_value()) {
+  for (Ahead& ahead : ahead_) {
     try {
-      awaitFuture(*ahead_);
+      awaitFuture(ahead.block);
     } catch (...) {
       // A decode error surfaces on the consuming path; teardown ignores it.
     }
@@ -244,19 +245,24 @@ BlockDecodeSource::~BlockDecodeSource() {
 }
 
 void BlockDecodeSource::scheduleAhead() {
-  auto frame = reader_.nextFrame();
-  if (!frame) return;
-  aheadRawLen_ = frame->rawLen;
-  ahead_ = pool_->submitTask([this, f = *frame] { return reader_.decodeFrame(f); });
-  residentPeak_ = std::max(residentPeak_, static_cast<u64>(current_.size()) + aheadRawLen_);
+  u64 resident = current_.size();
+  for (const Ahead& ahead : ahead_) resident += ahead.rawLen;
+  while (ahead_.size() < aheadLimit_) {
+    auto frame = reader_.nextFrame();
+    if (!frame) break;
+    ahead_.push_back({pool_->submitTask([this, f = *frame] { return reader_.decodeFrame(f); }),
+                      frame->rawLen});
+    resident += frame->rawLen;
+  }
+  residentPeak_ = std::max(residentPeak_, resident);
 }
 
 bool BlockDecodeSource::advance() {
   if (exhausted_) return false;
-  if (ahead_.has_value()) {
-    current_ = awaitFuture(*ahead_);  // rethrows decode errors from the pool
-    ahead_.reset();
-    aheadRawLen_ = 0;
+  if (!ahead_.empty()) {
+    Ahead next = std::move(ahead_.front());
+    ahead_.pop_front();
+    current_ = pool_->await(next.block);  // rethrows decode errors from the pool
   } else {
     auto block = reader_.nextBlock();
     if (!block) {

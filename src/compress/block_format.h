@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <future>
 #include <optional>
 #include <vector>
@@ -38,7 +39,9 @@ inline constexpr std::size_t kBlockFrameDefaultBlockBytes = 256u << 10;
 /// Streams raw bytes into a block-framed container. A block is sealed every
 /// `blockBytes` of input; with a pool, sealed blocks compress concurrently
 /// and close() assembles them in order, so output bytes are identical to the
-/// serial path. `codec == nullptr` stores blocks uncompressed (still framed).
+/// serial path. close() waits through ThreadPool::await, so the closing
+/// thread compresses queued blocks too. `codec == nullptr` stores blocks
+/// uncompressed (still framed).
 class BlockCompressedWriter {
  public:
   explicit BlockCompressedWriter(const Codec* codec,
@@ -122,7 +125,9 @@ class BlockCompressedReader {
   std::optional<Frame> nextFrame();
 
   /// Decompresses and CRC-checks a frame returned by nextFrame(). Safe to
-  /// call from another thread as long as calls don't overlap for one reader.
+  /// call from several threads at once, also for one reader: it reads only
+  /// the frame and immutable members, adds its CPU to an atomic, and the
+  /// codecs and the fault injector are safe to call concurrently.
   Bytes decodeFrame(const Frame& frame) const;
 
  private:
@@ -136,8 +141,11 @@ class BlockCompressedReader {
 };
 
 /// ByteSource over a block-framed stream that holds only the current decoded
-/// block (plus one decode-ahead block when a pool is given). This is what
-/// bounds reduce-side merge memory to O(segments x block size).
+/// block plus, when a pool is given, the blocks decoding ahead: two with a
+/// codec, one with `codec == nullptr`, whose decode is only a copy and a CRC.
+/// This is what bounds reduce-side merge memory to O(segments x block size).
+/// The reader waits through ThreadPool::await, so it decodes queued blocks
+/// itself instead of idling behind the pool's backlog.
 class BlockDecodeSource final : public ByteSource {
  public:
   explicit BlockDecodeSource(ByteSpan stream, const Codec* codec,
@@ -147,8 +155,8 @@ class BlockDecodeSource final : public ByteSource {
 
   u64 decompressCpuUs() const { return reader_.decompressCpuUs(); }
 
-  /// High-water mark of decoded bytes held at once (current block plus any
-  /// decode-ahead block in flight).
+  /// High-water mark of decoded bytes held at once (current block plus the
+  /// decode-ahead blocks in flight).
   u64 residentPeakBytes() const { return residentPeak_; }
 
   /// The rest of the current decoded block; loads the next block first when
@@ -160,15 +168,20 @@ class BlockDecodeSource final : public ByteSource {
   void skipBuffered(std::size_t n) override { pos_ += n; }
 
  private:
+  struct Ahead {
+    std::future<Bytes> block;
+    u64 rawLen = 0;
+  };
+
   bool advance();          // loads the next block into current_
-  void scheduleAhead();    // kicks off async decode of the following block
+  void scheduleAhead();    // tops the decode-ahead blocks up to aheadLimit_
 
   BlockCompressedReader reader_;
   ThreadPool* pool_;
+  std::size_t aheadLimit_;
   Bytes current_;
   std::size_t pos_ = 0;
-  std::optional<std::future<Bytes>> ahead_;
-  u64 aheadRawLen_ = 0;
+  std::deque<Ahead> ahead_;  // in stream order
   u64 residentPeak_ = 0;
   bool exhausted_ = false;
 };

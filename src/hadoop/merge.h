@@ -5,8 +5,9 @@
 // codec so their byte and CPU costs are accounted.
 //
 // Segments are block-framed containers read through BlockDecodeSources that
-// hold only the current block per segment (plus a one-block decode-ahead
-// filled by the codec pool): peak decoded-bytes residency is
+// hold only the current block per segment plus its decode-ahead blocks (two
+// with a codec, one with the null codec) filled by the codec pool and by the
+// reducer itself while it waits: peak decoded-bytes residency is
 // O(num_segments x block size), not O(total shuffled bytes), reported via
 // REDUCE_MERGE_RESIDENT_PEAK_BYTES. Records are never copied here: each head
 // lends its record in place in its decoded block, and the stream passes that

@@ -49,7 +49,7 @@ std::size_t ThreadPool::queueDepth() const {
 
 int ThreadPool::activeWorkers() const {
   // inFlight_ counts submitted-but-unfinished tasks; subtracting the queued
-  // ones leaves the tasks a worker is executing right now.
+  // ones leaves the tasks executing right now, on a worker or in await().
   MutexLock lock(mutex_);
   return inFlight_ - static_cast<int>(queue_.size());
 }
@@ -64,13 +64,32 @@ void ThreadPool::workerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    task();
-    {
-      MutexLock lock(mutex_);
-      --inFlight_;
-    }
-    idle_.notify_all();
+    run(task);
   }
+}
+
+bool ThreadPool::runQueuedTask() {
+  std::function<void()> task;
+  {
+    MutexLock lock(mutex_);
+    if (queue_.empty()) return false;
+    task = std::move(queue_.front());
+    queue_.pop();
+  }
+  // As on a worker, which carries no sinks: a task submitted from a thread
+  // without them must not write to the helping thread's job.
+  ScopedJobSinks none(nullptr);
+  run(task);
+  return true;
+}
+
+void ThreadPool::run(std::function<void()>& task) {
+  task();
+  {
+    MutexLock lock(mutex_);
+    --inFlight_;
+  }
+  idle_.notify_all();
 }
 
 }  // namespace scishuffle

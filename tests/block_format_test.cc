@@ -1,7 +1,8 @@
 // Block-framed codec container: round-trips across every registered codec
-// and block size, corruption detection, parallel/serial byte identity, the
-// streaming merge's memory bound, and a thread-pool stress run of the
-// pipelined shuffle against the reference evaluator.
+// and block size, corruption detection, parallel/serial byte identity, codec
+// work run by the thread waiting for it, the streaming merge's memory bound,
+// and a thread-pool stress run of the pipelined shuffle against the
+// reference evaluator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +16,7 @@
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "testing_support.h"
 #include "transform/transform_codec.h"
 
 namespace scishuffle {
@@ -116,8 +118,41 @@ TEST(BlockFormatTest, DecodeAheadSourceMatchesAndStaysBounded) {
   ThreadPool pool(3);
   BlockDecodeSource source(stream, codec.get(), &pool);
   EXPECT_EQ(source.readAll(), data);
-  // Current block plus one decode-ahead block.
-  EXPECT_LE(source.residentPeakBytes(), 2 * kBlock);
+  // The peak is summed from frame lengths when blocks are scheduled, so the
+  // bound is exact, and reached: the current block plus two decode-ahead
+  // blocks with a codec...
+  EXPECT_EQ(source.residentPeakBytes(), 3 * kBlock);
+  // ...and plus one without, where decoding is a copy and a CRC.
+  const Bytes plain = blockCompress(data, nullptr, kBlock);
+  BlockDecodeSource plainSource(plain, nullptr, &pool);
+  EXPECT_EQ(plainSource.readAll(), data);
+  EXPECT_EQ(plainSource.residentPeakBytes(), 2 * kBlock);
+}
+
+// The pool's only worker is parked on a gate for 2 s. Codec work that waits
+// for a worker finishes only after the gate opens; work run by the waiting
+// thread itself finishes before.
+TEST(BlockFormatTest, WaitingWriterCompressesQueuedBlocksItself) {
+  const auto codec = CodecRegistry::instance().create("gzipish");
+  const Bytes data = patternedData(200'000, 13);
+  constexpr std::size_t kBlock = 8 << 10;
+  ThreadPool pool(1);
+  testing::ParkedWorker parked(pool);
+  const Bytes stream = blockCompress(data, codec.get(), kBlock, &pool);
+  EXPECT_FALSE(parked.waitedForGate()) << "waited for the gate";
+  EXPECT_EQ(stream, blockCompress(data, codec.get(), kBlock));
+}
+
+TEST(BlockFormatTest, WaitingReaderDecodesQueuedBlocksItself) {
+  const auto codec = CodecRegistry::instance().create("gzipish");
+  const Bytes data = patternedData(200'000, 13);
+  constexpr std::size_t kBlock = 8 << 10;
+  const Bytes stream = blockCompress(data, codec.get(), kBlock);
+  ThreadPool pool(1);
+  testing::ParkedWorker parked(pool);
+  BlockDecodeSource source(stream, codec.get(), &pool);
+  EXPECT_EQ(source.readAll(), data);
+  EXPECT_FALSE(parked.waitedForGate()) << "waited for the gate";
 }
 
 TEST(BlockFormatTest, WindowRunsToTheBlockEndAndKeepsConsumedExact) {
@@ -305,15 +340,20 @@ TEST(PipelinedShuffleTest, StreamingMergeMemoryIsBoundedBySegmentsTimesBlock) {
   const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
     emit(key, values.front());
   };
-  const JobResult result = runJob(config, tasks, reduce);
-
-  const u64 shuffled = result.counters.get(hadoop::counter::kReduceShuffleBytes);
-  const u64 peak = result.reduce_tasks[0].merge_resident_peak_bytes;
-  EXPECT_GT(peak, 0u);
-  // O(segments x block): current block + one decode-ahead block per segment.
-  EXPECT_LE(peak, static_cast<u64>(kMaps) * 2 * kBlock);
-  // ...and genuinely smaller than whole-segment materialization.
-  EXPECT_LT(peak, shuffled / 2);
+  // O(segments x block): per segment, the current block plus two
+  // decode-ahead blocks with a codec and one without. Every segment spans
+  // more blocks than that, so the exact bound is reached.
+  for (const auto& [codecName, blocksPerSegment] :
+       {std::pair{"null", 2}, std::pair{"gzipish", 3}}) {
+    SCOPED_TRACE(codecName);
+    config.intermediate_codec = codecName;
+    const JobResult result = runJob(config, tasks, reduce);
+    const u64 shuffled = result.counters.get(hadoop::counter::kReduceShuffleBytes);
+    const u64 peak = result.reduce_tasks[0].merge_resident_peak_bytes;
+    EXPECT_EQ(peak, static_cast<u64>(kMaps) * blocksPerSegment * kBlock);
+    // ...and genuinely smaller than whole-segment materialization.
+    EXPECT_LT(peak, shuffled / 2);
+  }
 }
 
 TEST(PipelinedShuffleTest, ReportsShuffleOverlapUnderTheMapPhase) {

@@ -6,9 +6,9 @@
 // The harness tests come first — a seeded racy struct proves the explorer
 // finds schedule-dependent assertion failures and that a printed seed
 // replays the exact failing interleaving. Then the real subsystems: the
-// shuffle server's publish/fetch/teardown and abort under bounded-exhaustive
-// DFS, and 500 PCT schedules of the telemetry sampler's stop() racing a
-// gauge registration.
+// shuffle server's publish/fetch/teardown and abort and a thread pool's
+// await() under bounded-exhaustive DFS, and 500 PCT schedules of the
+// telemetry sampler's stop() racing a gauge registration.
 #include <gtest/gtest.h>
 
 #ifndef SCISHUFFLE_MODEL_CHECK
@@ -19,6 +19,7 @@ TEST(ModelCheckTest, RequiresModelCheckBuild) {
 
 #else  // SCISHUFFLE_MODEL_CHECK
 
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <set>
@@ -29,6 +30,7 @@ TEST(ModelCheckTest, RequiresModelCheckBuild) {
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
 #include "io/thread.h"
+#include "io/thread_pool.h"
 #include "obs/sampler.h"
 #include "testing/schedule.h"
 
@@ -260,6 +262,32 @@ TEST(ModelCheckShuffleTest, AbortWakesBlockedFetcher) {
   opts.max_schedules = 2000;
   const ExploreResult result = explore(body, opts);
   EXPECT_FALSE(result.failed) << result.failure;
+}
+
+TEST(ModelCheckThreadPoolTest, AwaitRunsEachTaskOnceExhaustive) {
+  // A one-worker pool and two tasks: the main thread awaits the second
+  // through await(), running queued tasks itself, while the worker may take
+  // the first (or both, or neither). Every schedule must run each task
+  // exactly once, hand back both results, and tear the pool down.
+  auto body = [] {
+    std::atomic<int> runs[2] = {0, 0};
+    {
+      ThreadPool pool(1);
+      auto first = pool.submitTask([&runs] { return ++runs[0] * 10 + 1; });
+      auto second = pool.submitTask([&runs] { return ++runs[1] * 10 + 2; });
+      if (pool.await(second) != 12) throw std::logic_error("await returned a wrong result");
+      if (awaitFuture(first) != 11) throw std::logic_error("first task returned a wrong result");
+    }
+    if (runs[0] != 1 || runs[1] != 1) throw std::logic_error("a task ran other than once");
+  };
+  ExploreOptions opts;
+  opts.exhaustive = true;
+  opts.max_schedules = 100000;  // the whole space is 47,554 schedules
+  const ExploreResult result = explore(body, opts);
+  EXPECT_FALSE(result.failed) << result.failure;
+  EXPECT_TRUE(result.exhausted) << "space not exhausted in " << result.schedules_run
+                                << " schedules";
+  EXPECT_GT(result.schedules_run, 1);
 }
 
 /// Parks the calling thread in a timed wait. Under model check a timed wait

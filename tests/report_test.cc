@@ -267,6 +267,47 @@ TEST(ReportTest, TaskCpuIsThreadCpuNotWallClock) {
   EXPECT_LE(summed, processCpu);
 }
 
+TEST(ReportTest, CodecCpuOnWaitingThreadsIsCountedOnce) {
+  // One codec thread beside three map slots and two reduce slots, so most
+  // blocks compress on map threads closing their segments and decode on
+  // waiting reducers. That CPU must land under the codec counters and leave
+  // the map and reduce counters, each microsecond counted once.
+  JobConfig config;
+  config.num_reducers = 2;
+  config.map_slots = 3;
+  config.reduce_slots = 2;
+  config.codec_threads = 1;
+  config.intermediate_codec = "gzipish";
+  config.shuffle_block_bytes = 4 << 10;
+  const Bytes payload = testing::runnyBytes(64 << 10, 5);
+  std::vector<MapTask> tasks;
+  for (int m = 0; m < 3; ++m) {
+    tasks.push_back(MapTask{[m, &payload](const EmitFn& emit) {
+      for (u32 i = 0; i < 20'000; ++i) {
+        const u32 key = i * 3 + static_cast<u32>(m);
+        const auto at = payload.begin() + (key * 61) % (payload.size() - 64);
+        emit(Bytes{static_cast<u8>(key >> 16), static_cast<u8>(key >> 8), static_cast<u8>(key)},
+             Bytes(at, at + 64));
+      }
+    }});
+  }
+  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    emit(key, values.front());
+  };
+  const u64 before = processCpuUs();
+  const JobResult result = runJob(config, tasks, reduce);
+  const u64 processCpu = processCpuUs() - before;
+
+  u64 summed = 0;
+  for (const char* name : {counter::kMapCpuUs, counter::kSortCpuUs, counter::kCodecCompressCpuUs,
+                           counter::kCodecDecompressCpuUs, counter::kReduceCpuUs}) {
+    summed += result.counters.get(name);
+  }
+  EXPECT_LE(summed, processCpu);
+  EXPECT_GT(result.counters.get(counter::kCodecCompressCpuUs),
+            result.counters.get(counter::kMapCpuUs));
+}
+
 TEST(CountersTest, SetOverwritesAccumulatedValue) {
   Counters counters;
   counters.add("X", 10);

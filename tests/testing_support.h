@@ -1,15 +1,18 @@
-// Shared helpers for scishuffle tests: a temporary directory, the property
-// seed, and deterministic data generators that mimic the byte patterns the
-// paper cares about. Tests read the JSON artifacts the program emits (trace
-// files, jobReportJson, metrics lines) with the program's own strict reader,
-// obs::parseJson (src/obs/json.h).
+// Shared helpers for scishuffle tests: a temporary directory, a parked pool
+// worker, the property seed, and deterministic data generators that mimic
+// the byte patterns the paper cares about. Tests read the JSON artifacts the
+// program emits (trace files, jobReportJson, metrics lines) with the
+// program's own strict reader, obs::parseJson (src/obs/json.h).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "io/common.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "io/thread_pool.h"
 
 namespace scishuffle::testing {
 
@@ -44,6 +48,49 @@ class TempDir {
 
  private:
   std::filesystem::path path_;
+};
+
+/// Parks the only worker of a one-thread ThreadPool on a gate. The gate
+/// opens when the ParkedWorker is destroyed or, failing that, after 2 s, so
+/// work that waits for the worker is late rather than hung. The constructor
+/// returns once the worker is parked.
+class ParkedWorker {
+ public:
+  explicit ParkedWorker(ThreadPool& pool) : pool_(pool) {
+    pool.submit([this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      parked_ = true;
+      cv_.notify_all();
+      waited_ = !cv_.wait_for(lock, std::chrono::seconds(2), [this] { return open_; });
+    });
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  ~ParkedWorker() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+    pool_.wait();
+  }
+  ParkedWorker(const ParkedWorker&) = delete;
+  ParkedWorker& operator=(const ParkedWorker&) = delete;
+
+  /// True once the 2 s have passed with the gate shut: anything that needed
+  /// the worker before then waited for the gate.
+  bool waitedForGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return waited_;
+  }
+
+ private:
+  ThreadPool& pool_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool open_ = false;
+  bool waited_ = false;
 };
 
 inline constexpr u64 kDefaultPropertySeed = 20260806;

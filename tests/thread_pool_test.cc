@@ -4,8 +4,10 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "io/thread_pool.h"
+#include "testing_support.h"
 
 namespace scishuffle {
 namespace {
@@ -80,6 +82,53 @@ TEST(ThreadPoolTest, SubmitTaskReturnsResultsAndExceptions) {
   auto bad = pool.submitTask([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_EQ(ok.get(), 42);
   EXPECT_THROW(bad.get(), std::runtime_error);
+}
+
+TEST(ThreadPoolTest, AwaitReturnsTheTaskValue) {
+  ThreadPool pool(2);
+  auto answer = pool.submitTask([] { return 41 + 1; });
+  EXPECT_EQ(pool.await(answer), 42);
+}
+
+TEST(ThreadPoolTest, AwaitRethrowsTheTaskException) {
+  ThreadPool pool(2);
+  auto bad = pool.submitTask([]() -> int { throw std::runtime_error("boom"); });
+  EXPECT_THROW(pool.await(bad), std::runtime_error);
+}
+
+TEST(ThreadPoolTest, AwaitRunsQueuedTasksOnTheCallingThread) {
+  // The only worker is parked, so every queued task, the awaited one and
+  // the older ones ahead of it, runs on the awaiting thread.
+  ThreadPool pool(1);
+  testing::ParkedWorker parked(pool);
+  std::vector<std::future<std::thread::id>> ran;
+  for (int i = 0; i < 3; ++i) {
+    ran.push_back(pool.submitTask([] { return std::this_thread::get_id(); }));
+  }
+  EXPECT_EQ(pool.await(ran.back()), std::this_thread::get_id());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(ran[static_cast<std::size_t>(i)].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(ran[static_cast<std::size_t>(i)].get(), std::this_thread::get_id());
+  }
+  EXPECT_FALSE(parked.waitedForGate());
+}
+
+TEST(ThreadPoolTest, AwaitLeavesThePoolIdle) {
+  // Tasks run inside await() retire from the same bookkeeping a worker's
+  // do: wait() returns and both gauges read zero afterwards.
+  ThreadPool pool(1);
+  {
+    testing::ParkedWorker parked(pool);
+    std::vector<std::future<int>> results;
+    for (int i = 0; i < 5; ++i) results.push_back(pool.submitTask([i] { return i; }));
+    EXPECT_EQ(pool.await(results.back()), 4);
+    EXPECT_EQ(pool.queueDepth(), 0u);
+    EXPECT_EQ(pool.activeWorkers(), 1);  // the parked gate task
+  }
+  pool.wait();
+  EXPECT_EQ(pool.queueDepth(), 0u);
+  EXPECT_EQ(pool.activeWorkers(), 0);
 }
 
 }  // namespace
