@@ -2,17 +2,18 @@
 // block from a local replica vs across the network, under the event-driven
 // cluster simulator. SciHadoop's partitioning exists precisely to keep map
 // input reads local; this quantifies what that buys on our simulated 5-node
-// cluster for an input-heavy job.
+// cluster for an input-heavy job. Aborts unless balanced placement reads no
+// remote input under either scheduler and, in every placement, locality-aware
+// scheduling reads no more remote input than earliest-slot scheduling.
 #include <iostream>
 
 #include "bench_util/bench_util.h"
 #include "cluster/simulator.h"
-#include "dfs/mini_dfs.h"
 
 using namespace scishuffle;
 
 int main() {
-  bench::banner("X4: map input locality (MiniDfs placement + event simulator)");
+  bench::banner("X4: map input locality (HDFS replica placement + event simulator)");
 
   cluster::ClusterSpec spec;
   spec.nodes = 5;
@@ -35,30 +36,24 @@ int main() {
   bench::Table table({"placement", "scheduling", "local input", "remote input",
                       "map phase (s)", "job (s)"});
   for (const auto& scenario : scenarios) {
-    // One 64 MB block per map task; the MiniDfs provides replica placement.
-    dfs::DfsConfig dfsConfig;
-    dfsConfig.block_size = 64u << 20;
-    dfsConfig.nodes = spec.nodes;
-    dfsConfig.replication = scenario.replication;
-    dfs::MiniDfs fs(dfsConfig);
+    // One full 64 MB block per map task.
+    constexpr u64 kBlockBytes = 64u << 20;
     const int numBlocks = 32;
-    std::vector<dfs::BlockInfo> blocks;
+    std::vector<int> writers;
     for (int b = 0; b < numBlocks; ++b) {
-      const Bytes tiny(1, 0);  // placement metadata is all the simulator needs
-      const int writer = scenario.singleWriter ? 0 : b % dfsConfig.nodes;
-      fs.writeFile("/input/part-" + std::to_string(b), tiny, writer);
-      auto located = fs.locate("/input/part-" + std::to_string(b));
-      located[0].length = dfsConfig.block_size;  // model a full block
-      blocks.push_back(located[0]);
+      writers.push_back(scenario.singleWriter ? 0 : b % spec.nodes);
     }
+    const auto placement = cluster::placeReplicas(spec.nodes, scenario.replication, writers);
 
+    u64 remoteAware = 0;
+    u64 remoteEarliest = 0;
     for (const bool locality : {true, false}) {
       cluster::SimJob job;
       job.honor_locality = locality;
-      for (const auto& block : blocks) {
+      for (const auto& replicas : placement) {
         cluster::SimJob::MapTask task;
-        task.input_bytes = block.length;
-        task.preferred_nodes = block.replicas;
+        task.input_bytes = kBlockBytes;
+        task.preferred_nodes = replicas;
         task.cpu_s = 2.0;                          // light compute
         task.segment_bytes = {1u << 20, 1u << 20,  // small shuffle
                               1u << 20, 1u << 20, 1u << 20};
@@ -67,12 +62,21 @@ int main() {
       for (int r = 0; r < 5; ++r) job.reduces.push_back({1.0, 0, 1u << 20});
 
       const auto outcome = sim.run(job);
+      if (locality) {
+        remoteAware = outcome.remote_input_bytes;
+      } else {
+        remoteEarliest = outcome.remote_input_bytes;
+      }
       table.addRow({scenario.name, locality ? "locality-aware" : "earliest slot",
                     bench::humanBytes(static_cast<double>(outcome.local_input_bytes)),
                     bench::humanBytes(static_cast<double>(outcome.remote_input_bytes)),
                     bench::fixed(outcome.map_phase_done_s, 1),
                     bench::fixed(outcome.total_s, 1)});
     }
+    check(scenario.singleWriter || (remoteAware == 0 && remoteEarliest == 0),
+          "balanced placement read input across the network");
+    check(remoteAware <= remoteEarliest,
+          "locality-aware scheduling read more remote input than earliest-slot");
   }
   table.print();
   std::cout << "\nbalanced placement makes every task local under either scheduler; skewed\n"

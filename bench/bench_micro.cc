@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot primitives: the predictive
 // transform, the generic codecs, curve encoding, suffix-array construction,
 // Huffman, and varint framing. These are the per-byte costs behind the
-// paper's time columns (Fig. 3/4) and the cost model's CPU inputs.
+// paper's time columns (Fig. 3/4) and the cluster simulator's CPU inputs.
 #include <benchmark/benchmark.h>
 
 #include "bench_util/bench_util.h"

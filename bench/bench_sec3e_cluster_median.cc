@@ -3,8 +3,9 @@
 // +106% (183 -> 377 min) because the transform costs ~2.9x gzip's CPU.
 //
 // We execute the job for real at laptop scale (simple keys, 10 mappers,
-// 5 reducers) with codec "null" vs "transform+gzipish", then project byte
-// and CPU counters to the paper's dataset on the 5-node cost model.
+// 5 reducers) with codec "null" vs "transform+gzipish", then project each
+// task's bytes and CPU seconds to the paper's dataset on the 5-node event
+// simulator.
 #include <iostream>
 
 #include "cluster_median_common.h"
@@ -28,22 +29,19 @@ int main() {
   auto gb = [&](u64 bytes) { return humanBytes(static_cast<double>(bytes) * scale); };
 
   Table table({"configuration", "intermediate (projected)", "reduction", "runtime (projected)",
-               "vs plain", "event-sim runtime"});
+               "vs plain"});
   table.addRow({"plain (no codec)", gb(plain.materialized), "-",
-                fixed(plain.projected.total() / 60.0, 1) + " min", "-",
-                fixed(plain.simulated.total_s / 60.0, 1) + " min"});
+                fixed(plain.simulated.total_s / 60.0, 1) + " min", "-"});
   table.addRow({"gzipish codec", gb(gz.materialized),
                 percentChange(static_cast<double>(plain.materialized),
                               static_cast<double>(gz.materialized)),
-                fixed(gz.projected.total() / 60.0, 1) + " min",
-                percentChange(plain.projected.total(), gz.projected.total()),
-                fixed(gz.simulated.total_s / 60.0, 1) + " min"});
+                fixed(gz.simulated.total_s / 60.0, 1) + " min",
+                percentChange(plain.simulated.total_s, gz.simulated.total_s)});
   table.addRow({"transform+gzipish codec", gb(transformed.materialized),
                 percentChange(static_cast<double>(plain.materialized),
                               static_cast<double>(transformed.materialized)),
-                fixed(transformed.projected.total() / 60.0, 1) + " min",
-                percentChange(plain.projected.total(), transformed.projected.total()),
-                fixed(transformed.simulated.total_s / 60.0, 1) + " min"});
+                fixed(transformed.simulated.total_s / 60.0, 1) + " min",
+                percentChange(plain.simulated.total_s, transformed.simulated.total_s)});
   table.print();
 
   const double gzCpu =
@@ -53,8 +51,8 @@ int main() {
   std::cout << "\ncompression CPU, transform+gzipish vs gzipish alone: "
             << fixed(trCpu / gzCpu, 1) << "x (paper: ~2.9x)\n";
   std::cout << "paper: intermediate -77.8% (55.5 -> 12.3 GB); runtime +106% (183 -> 377 min)\n";
-  std::cout << "\nphase breakdown (transform+gzipish): "
-            << transformed.projected.toString() << "\n";
-  std::cout << "phase breakdown (plain):              " << plain.projected.toString() << "\n";
+  std::cout << "\nsimulated timeline (transform+gzipish): " << transformed.simulated.toString()
+            << "\n";
+  std::cout << "simulated timeline (plain):              " << plain.simulated.toString() << "\n";
   return 0;
 }

@@ -1,13 +1,12 @@
 // Shared setup for the two cluster experiments (E6 §III-E codec run,
 // E8 §IV-D aggregation run): a sliding 3x3 median over a grid of integers on
 // a simulated 5-node cluster with 5 reducers and 10 map slots, projected to
-// the paper's dataset size by the cost model.
+// the paper's dataset size by the event simulator.
 #pragma once
 
 #include <iostream>
 
 #include "bench_util/bench_util.h"
-#include "cluster/cost_model.h"
 #include "cluster/simulator.h"
 #include "hadoop/runtime.h"
 #include "scikey/sliding_query.h"
@@ -35,18 +34,9 @@ inline cluster::ClusterSpec paperCluster() {
 
 struct RunOutcome {
   u64 materialized = 0;
-  cluster::PhaseBreakdown projected;     // closed-form model
-  cluster::SimOutcome simulated;         // discrete-event simulator
+  cluster::SimOutcome simulated;  // the run projected onto paperCluster()
   hadoop::Counters counters;
 };
-
-inline u64 outputBytes(const hadoop::JobResult& result) {
-  u64 total = 0;
-  for (const auto& out : result.outputs) {
-    for (const auto& kv : out) total += kv.key.size() + kv.value.size();
-  }
-  return total;
-}
 
 inline RunOutcome runConfiguration(const grid::Variable& input, bool aggregate,
                                    const std::string& codec) {
@@ -67,8 +57,6 @@ inline RunOutcome runConfiguration(const grid::Variable& input, bool aggregate,
   outcome.counters = result.counters;
   outcome.materialized = result.counters.get(hadoop::counter::kMapOutputMaterializedBytes);
   const cluster::ClusterSpec spec = paperCluster();
-  outcome.projected = cluster::CostModel(spec).estimate(result.counters, outputBytes(result),
-                                                        paperScale());
   outcome.simulated = cluster::EventSimulator(spec).run(
       cluster::simJobFromResult(result, spec, paperScale()));
   return outcome;

@@ -23,6 +23,28 @@ struct Resource {
 
 }  // namespace
 
+std::vector<std::vector<int>> placeReplicas(int nodes, int replication,
+                                            const std::vector<int>& writers) {
+  check(nodes >= 1, "need at least one node");
+  check(replication >= 1, "replication must be positive");
+  replication = std::min(replication, nodes);
+  std::vector<std::vector<int>> blocks;
+  blocks.reserve(writers.size());
+  int next = 0;  // the rotation the non-writer replicas take turns on
+  for (const int writer : writers) {
+    check(writer >= 0 && writer < nodes, "writer node out of range");
+    std::vector<int> replicas{writer};
+    while (static_cast<int>(replicas.size()) < replication) {
+      const int candidate = next++ % nodes;
+      if (std::find(replicas.begin(), replicas.end(), candidate) == replicas.end()) {
+        replicas.push_back(candidate);
+      }
+    }
+    blocks.push_back(std::move(replicas));
+  }
+  return blocks;
+}
+
 SimJob simJobFromResult(const hadoop::JobResult& result, const ClusterSpec& spec, double scale) {
   SimJob job;
   job.maps.reserve(result.map_tasks.size());

@@ -1,14 +1,19 @@
-// Discrete-event cluster simulator: a finer-grained alternative to the
-// closed-form CostModel. Tasks are scheduled FCFS onto slots pinned to
+// Discrete-event cluster simulator: the stand-in for the paper's 5-node
+// cluster (§III-E, §IV-D: 5 nodes, 5 reducers, 10 map slots). The job really
+// executes on this machine, so the CPU seconds of map, sort, codec and reduce
+// are measured and the byte counts are exact; the simulator replays them on
+// a parameterized cluster. Tasks are scheduled FCFS onto slots pinned to
 // nodes; each node's disk and NIC are serially-shared resources, so waves,
 // stragglers, and link contention emerge instead of being averaged away.
 //
 // Timeline per the paper's Fig. 1:
-//   map task   = CPU burst on a slot, then local disk write of its segments;
+//   map task   = input read (step 1: a local replica, or across the
+//                network), CPU burst on a slot, then local disk write of
+//                its segments;
 //   shuffle    = per-(mapper, reducer) transfer: source disk read, source
 //                NIC, destination NIC, destination disk write — starting
-//                when the mapper finishes (Hadoop overlaps shuffle with the
-//                map phase, which the closed-form model cannot express);
+//                when the mapper finishes, so the shuffle overlaps the rest
+//                of the map phase as in Hadoop;
 //   reduce     = starts when all of the reducer's segments have landed:
 //                extra merge passes (disk), then CPU, then output write.
 #pragma once
@@ -16,10 +21,27 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cost_model.h"
 #include "hadoop/runtime.h"
 
 namespace scishuffle::cluster {
+
+struct ClusterSpec {
+  int nodes = 5;
+  int map_slots = 10;      // total across the cluster
+  int reduce_slots = 5;    // total across the cluster
+  double disk_mb_per_s = 90.0;   // per node, sequential
+  double net_mb_per_s = 110.0;   // per node (~1 GbE)
+  /// Ratio of paper-era core speed to this machine (CPU seconds multiplier).
+  double cpu_scale = 1.0;
+};
+
+/// HDFS's replica placement for one block per entry of `writers` (the node
+/// writing that block): the first replica goes on the writer's node, the
+/// rest come from one rotation over the nodes shared across the blocks,
+/// skipping nodes that already hold the block. Replication is clamped to
+/// `nodes`. Returns each block's replica nodes, first replica first.
+std::vector<std::vector<int>> placeReplicas(int nodes, int replication,
+                                            const std::vector<int>& writers);
 
 /// Per-task workload description, scale-free (bytes + CPU seconds).
 struct SimJob {
@@ -48,7 +70,10 @@ struct SimJob {
 };
 
 /// Builds a SimJob from a real run's per-task stats, multiplying CPU seconds
-/// and byte counts by `scale` (cpu additionally by spec.cpu_scale).
+/// and byte counts by `scale` (cpu additionally by spec.cpu_scale). `scale`
+/// projects a laptop-sized run to the paper's dataset size: both are linear
+/// in input cells for these workloads (Fig. 4 establishes it for the
+/// transform).
 SimJob simJobFromResult(const hadoop::JobResult& result, const ClusterSpec& spec, double scale);
 
 struct SimOutcome {
@@ -69,8 +94,6 @@ class EventSimulator {
 
   /// Runs the job to completion; deterministic.
   SimOutcome run(const SimJob& job) const;
-
-  const ClusterSpec& spec() const { return spec_; }
 
  private:
   ClusterSpec spec_;

@@ -67,7 +67,7 @@ class BlockCompressedWriter {
 
   /// Summed per-block thread CPU spent inside the codec, on whichever thread
   /// compressed each block (the serial cost even when blocks compress in
-  /// parallel — the cluster cost model needs CPU work, not wall time).
+  /// parallel — the cluster simulator needs CPU work, not wall time).
   u64 compressCpuUs() const { return cpuUs_.load(std::memory_order_relaxed); }
 
  private:

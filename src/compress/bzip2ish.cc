@@ -173,11 +173,19 @@ Bytes Bzip2ishCodec::decompress(ByteSpan data) const {
   Bytes out;
   // Untrusted header: cap the reserve hint (see DeflateCodec::decompress).
   out.reserve(static_cast<std::size_t>(std::min<u64>(originalSize, 1u << 20)));
+  BitSpanReader br(data.subspan(16));
+  // Each block starts on a byte boundary with three big-endian u32 words.
+  auto readWord = [&br] {
+    u8 b[4];
+    br.readAligned(MutableByteSpan(b, 4));
+    return (static_cast<u32>(b[0]) << 24) | (static_cast<u32>(b[1]) << 16) |
+           (static_cast<u32>(b[2]) << 8) | b[3];
+  };
   while (out.size() < originalSize) {
-    const u32 blockLen = readU32(source);
-    const u32 rle1Len = readU32(source);
-    const u32 primaryIndex = readU32(source);
-    BitReader br(source);
+    br.alignToByte();
+    const u32 blockLen = readWord();
+    const u32 rle1Len = readWord();
+    const u32 primaryIndex = readWord();
     const int numTables = static_cast<int>(br.readBits(3));
     checkFormat(numTables >= 1 && numTables <= kMaxTables, "bad table count");
     std::vector<huffman::Decoder> decoders;

@@ -220,8 +220,29 @@ std::vector<CodeLenOp> runLengthEncode(const std::vector<u8>& lengths) {
   return ops;
 }
 
-template <typename Reader>
-std::vector<u8> readCompressedLengthsImpl(Reader& in, std::size_t count) {
+}  // namespace
+
+void writeCompressedLengths(BitWriter& out, const std::vector<u8>& lengths) {
+  const auto ops = runLengthEncode(lengths);
+  std::vector<u64> clFreq(kNumCodeLenSymbols, 0);
+  for (const auto& op : ops) ++clFreq[op.symbol];
+  const auto clLengths = codeLengths(clFreq, kMaxCodeLenBits);
+  const Encoder clEnc(clLengths);
+
+  std::size_t hclen = kNumCodeLenSymbols;
+  while (hclen > 4 && clLengths[kCodeLenOrder[hclen - 1]] == 0) --hclen;
+  out.writeBits(static_cast<u32>(hclen - 4), 4);
+  for (std::size_t i = 0; i < hclen; ++i) out.writeBits(clLengths[kCodeLenOrder[i]], 3);
+
+  for (const auto& op : ops) {
+    clEnc.encode(out, op.symbol);
+    if (op.symbol == 16) out.writeBits(op.extra, 2);
+    if (op.symbol == 17) out.writeBits(op.extra, 3);
+    if (op.symbol == 18) out.writeBits(op.extra, 7);
+  }
+}
+
+std::vector<u8> readCompressedLengths(BitSpanReader& in, std::size_t count) {
   const std::size_t hclen = in.readBits(4) + 4;
   checkFormat(hclen <= kNumCodeLenSymbols, "bad code-length count");
   std::vector<u8> clLengths(kNumCodeLenSymbols, 0);
@@ -250,36 +271,6 @@ std::vector<u8> readCompressedLengthsImpl(Reader& in, std::size_t count) {
   }
   checkFormat(lengths.size() == count, "code length overflow");
   return lengths;
-}
-
-}  // namespace
-
-void writeCompressedLengths(BitWriter& out, const std::vector<u8>& lengths) {
-  const auto ops = runLengthEncode(lengths);
-  std::vector<u64> clFreq(kNumCodeLenSymbols, 0);
-  for (const auto& op : ops) ++clFreq[op.symbol];
-  const auto clLengths = codeLengths(clFreq, kMaxCodeLenBits);
-  const Encoder clEnc(clLengths);
-
-  std::size_t hclen = kNumCodeLenSymbols;
-  while (hclen > 4 && clLengths[kCodeLenOrder[hclen - 1]] == 0) --hclen;
-  out.writeBits(static_cast<u32>(hclen - 4), 4);
-  for (std::size_t i = 0; i < hclen; ++i) out.writeBits(clLengths[kCodeLenOrder[i]], 3);
-
-  for (const auto& op : ops) {
-    clEnc.encode(out, op.symbol);
-    if (op.symbol == 16) out.writeBits(op.extra, 2);
-    if (op.symbol == 17) out.writeBits(op.extra, 3);
-    if (op.symbol == 18) out.writeBits(op.extra, 7);
-  }
-}
-
-std::vector<u8> readCompressedLengths(BitReader& in, std::size_t count) {
-  return readCompressedLengthsImpl(in, count);
-}
-
-std::vector<u8> readCompressedLengths(BitSpanReader& in, std::size_t count) {
-  return readCompressedLengthsImpl(in, count);
 }
 
 }  // namespace scishuffle::huffman

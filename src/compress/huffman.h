@@ -55,13 +55,11 @@ class Encoder {
 void writeCompressedLengths(BitWriter& out, const std::vector<u8>& lengths);
 
 /// Inverse of writeCompressedLengths; `count` is the expected vector size.
-std::vector<u8> readCompressedLengths(BitReader& in, std::size_t count);
 std::vector<u8> readCompressedLengths(BitSpanReader& in, std::size_t count);
 
 /// Canonical decoder: a root lookup table resolves codes of up to kRootBits
-/// bits in one probe (BitSpanReader fast path); longer or invalid codes fall
-/// back to the per-length first-code/first-index walk, which is also the
-/// whole story for streaming BitReader input.
+/// bits in one probe; longer or invalid codes fall back to the per-length
+/// first-code/first-index walk.
 class Decoder {
  public:
   static constexpr int kRootBits = 10;
@@ -69,8 +67,6 @@ class Decoder {
   explicit Decoder(const std::vector<u8>& lengths);
 
   /// Reads one symbol from the bit stream; throws FormatError on invalid code.
-  u32 decode(BitReader& in) const { return decodeSlow(in); }
-
   u32 decode(BitSpanReader& in) const {
     if (in.bitsBuffered() < maxLen_) in.refill();
     const u16 entry = table_[in.peek(kRootBits)];
@@ -87,11 +83,9 @@ class Decoder {
   }
 
  private:
-  /// MSB-first canonical walk, one bit at a time; works over any reader with
-  /// readBit(). This is the reference implementation the table path must
-  /// agree with.
-  template <typename Reader>
-  u32 decodeSlow(Reader& in) const {
+  /// MSB-first canonical walk, one bit at a time. This is the reference
+  /// implementation the table path must agree with.
+  u32 decodeSlow(BitSpanReader& in) const {
     u32 code = 0;
     for (int l = 1; l <= maxLen_; ++l) {
       code = (code << 1) | in.readBit();

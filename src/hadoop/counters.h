@@ -52,7 +52,7 @@ inline constexpr const char* kAggregateFlushes = "AGGREGATE_FLUSHES";
 // before their output was safely fetched.
 inline constexpr const char* kWorkerDeathsDetected = "WORKER_DEATHS_DETECTED";
 inline constexpr const char* kMapTasksReexecuted = "MAP_TASKS_REEXECUTED";
-// CPU accounting for the cluster cost model (microseconds).
+// Task CPU accounting: thread CPU microseconds, each counted once.
 inline constexpr const char* kMapCpuUs = "MAP_CPU_US";
 inline constexpr const char* kCodecCompressCpuUs = "CODEC_COMPRESS_CPU_US";
 inline constexpr const char* kCodecDecompressCpuUs = "CODEC_DECOMPRESS_CPU_US";

@@ -138,8 +138,8 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
 
   ThreadPool codecPool(codecPoolThreads(config.codec_threads));
   PoolGauges codecPoolGauges(codecPool);
-  // Retry needs pristine copies to re-fetch; without it, keep today's pure
-  // move semantics (no segment copies on the happy path).
+  // Retry needs pristine copies to re-fetch; without it, segments are only
+  // moved (no copies on the happy path).
   ShuffleServer server(mapTasks.size(), config.num_reducers, config.fault_injector,
                        /*retainSegments=*/config.shuffle_retry.enabled);
   obs::GaugeRegistration shuffleSegments = obs::processGauges().add(
@@ -169,23 +169,19 @@ JobResult runPipelined(const JobConfig& config, const std::vector<MapTask>& mapT
         auto output = runMapTaskWithRetries(config, codec, &codecPool, mapTasks[m], m,
                                             result.map_tasks[m], result.counters, errors);
         if (!output.has_value()) return;
-        if (config.shuffle_retry.enabled || config.fault_injector != nullptr) {
-          // Copy per attempt so a publish that throws mid-way can be retried
-          // with intact segments; errors land in the slot (pool tasks must
-          // not throw) and abort the shuffle after the map phase.
-          try {
-            retryWithPolicy(
-                config.shuffle_retry, testing::site::kShufflePublish,
-                [&] { server.publish(m, output->segments); },
-                [&](int attempt, const std::string&) {
-                  obs::emitEvent(obs::event::kShufflePublishRetry,
-                                 testing::site::kShufflePublish, static_cast<u64>(attempt));
-                });
-          } catch (...) {
-            errors.record();
-          }
-        } else {
-          server.publish(m, std::move(output->segments));
+        // A publish that throws leaves the segments in place for the next
+        // attempt; errors land in the slot (pool tasks must not throw) and
+        // abort the shuffle after the map phase.
+        try {
+          retryWithPolicy(
+              config.shuffle_retry, testing::site::kShufflePublish,
+              [&] { server.publish(m, std::move(output->segments)); },
+              [&](int attempt, const std::string&) {
+                obs::emitEvent(obs::event::kShufflePublishRetry, testing::site::kShufflePublish,
+                               static_cast<u64>(attempt));
+              });
+        } catch (...) {
+          errors.record();
         }
       });
     }

@@ -31,8 +31,9 @@ struct MapTask {
 };
 
 /// Wall-clock phase durations measured during the run (microseconds).
-/// These are *local machine* timings; the cluster cost model combines them
-/// with byte counters to project the paper's 5-node setup.
+/// These are *local machine* timings. The cluster simulator projects from
+/// per-task CPU and bytes instead; `ctest -L simfidelity` compares its
+/// phases against these.
 ///
 /// Reducers fetch while maps still run, so shuffle_us is the
 /// first-publish..last-fetch window, shuffle_overlap_us is the part of that

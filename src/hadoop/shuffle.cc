@@ -23,9 +23,10 @@ ShuffleServer::~ShuffleServer() {
   drainLocked();
 }
 
-void ShuffleServer::publish(std::size_t mapIndex, std::vector<Bytes> segments) {
+void ShuffleServer::publish(std::size_t mapIndex, std::vector<Bytes>&& segments) {
   // Inject before any state changes: a thrown IoError here leaves the server
-  // exactly as if the publish never happened, so the caller can retry it.
+  // and the caller's segments exactly as if the publish never happened, so
+  // the caller can retry it.
   if (faults_ != nullptr) faults_->hit(testing::site::kShufflePublish);
   obs::ScopedSpan span("segment_publish", "shuffle");
   if (span.enabled()) {

@@ -39,8 +39,10 @@ class ShuffleServer {
 
   /// Publishes map task `mapIndex`'s materialized output, one segment per
   /// reducer. Thread-safe; each map publishes exactly once (a retried map
-  /// attempt publishes only after it succeeds).
-  void publish(std::size_t mapIndex, std::vector<Bytes> segments);
+  /// attempt publishes only after it succeeds). Moves out of `segments` only
+  /// after the shuffle.publish fault and the checks have passed, so a publish
+  /// that throws leaves the caller's segments intact to publish again.
+  void publish(std::size_t mapIndex, std::vector<Bytes>&& segments);
 
   struct Fetched {
     std::size_t map_index = 0;

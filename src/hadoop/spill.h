@@ -12,7 +12,7 @@
 //
 // Segments are block-framed codec containers, and per-block compression fans
 // out across the shared codec pool; CODEC_COMPRESS_CPU_US sums per-block CPU
-// so the cluster cost model stays honest.
+// so the codec's CPU is counted whichever thread ran it.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,5 @@
 #include "io/bitio.h"
 
-#include <algorithm>
-
 namespace scishuffle {
 
 void BitWriter::spillAccBytes() {
@@ -38,31 +36,6 @@ void BitWriter::alignToByte() {
     accBits_ = 0;
   }
   flushBuf();
-}
-
-u32 BitReader::readBits(int count) {
-  check(count >= 0 && count <= 32, "bit count out of range");
-  u32 out = 0;
-  int got = 0;
-  while (got < count) {
-    if (accBits_ == 0) {
-      const int b = source_->readByte();
-      checkFormat(b >= 0, "EOF in bit stream");
-      acc_ = static_cast<u32>(b);
-      accBits_ = 8;
-    }
-    const int take = std::min(count - got, accBits_);
-    out |= (acc_ & ((1u << take) - 1u)) << got;
-    acc_ >>= take;
-    accBits_ -= take;
-    got += take;
-  }
-  return out;
-}
-
-void BitReader::alignToByte() {
-  acc_ = 0;
-  accBits_ = 0;
 }
 
 }  // namespace scishuffle

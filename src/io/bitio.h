@@ -4,10 +4,9 @@
 // BitWriter batches bits in a 64-bit accumulator and spills whole bytes into
 // a staging buffer, flushing the sink in chunks instead of per byte; the bit
 // stream produced is identical to the historical byte-at-a-time writer.
-// BitReader is the streaming reader (any ByteSource); BitSpanReader is the
-// fast path over in-memory buffers with a 64-bit prefetch accumulator and
-// peek/consume so table-driven Huffman decoding can look at several codes'
-// worth of bits at once (see docs/PERFORMANCE.md).
+// BitSpanReader reads in-memory buffers through a 64-bit prefetch
+// accumulator with peek/consume, so table-driven Huffman decoding can look
+// at several codes' worth of bits at once (see docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstring>
@@ -57,30 +56,11 @@ class BitWriter {
   u8 buf_[kBufSize];
 };
 
-class BitReader {
- public:
-  explicit BitReader(ByteSource& source) : source_(&source) {}
-
-  /// Reads `count` bits LSB-first. Throws FormatError at EOF.
-  u32 readBits(int count);
-
-  /// Reads a single bit.
-  u32 readBit() { return readBits(1); }
-
-  /// Discards bits up to the next byte boundary.
-  void alignToByte();
-
- private:
-  ByteSource* source_;
-  u32 acc_ = 0;
-  int accBits_ = 0;
-};
-
-/// LSB-first bit reader over an in-memory span. Semantics match BitReader
-/// (FormatError at EOF, alignToByte drops only the partial byte), plus a
+/// LSB-first bit reader over an in-memory span: readBits() throws
+/// FormatError at EOF, alignToByte() drops only the partial byte. Its
 /// prefetching fast path: refill() tops the accumulator up to >= 56 buffered
 /// bits, peek() exposes them without consuming, consume() drops them. This
-/// is what lets the deflate decoder resolve a whole Huffman code from a
+/// is what lets the codecs' decoders resolve a whole Huffman code from a
 /// table probe instead of bit-by-bit tree walking.
 class BitSpanReader {
  public:

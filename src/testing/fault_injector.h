@@ -2,9 +2,9 @@
 //
 // A FaultPlan is a seeded list of rules, each naming an injection site (a
 // string constant below), a fault kind, and trigger controls. The runtime
-// threads a FaultInjector through MiniDFS, ShuffleServer, and the SBF1 block
-// decoder; tests then assert the recovery layer (hadoop/retry.h) survives the
-// plan and produces bit-identical output. Everything is derived from the
+// threads a FaultInjector through ShuffleServer and the SBF1 block decoder;
+// tests then assert the recovery layer (hadoop/retry.h) survives the plan
+// and produces bit-identical output. Everything is derived from the
 // plan's seed, so a failing run replays exactly.
 //
 // Two-phase API, matching what a fault can safely do at each site:
@@ -29,8 +29,6 @@ namespace scishuffle::testing {
 /// Canonical injection-site names. Sites are plain strings so tests can add
 /// ad-hoc sites without touching this header.
 namespace site {
-inline constexpr const char* kDfsRead = "dfs.read";
-inline constexpr const char* kDfsWrite = "dfs.write";
 inline constexpr const char* kShufflePublish = "shuffle.publish";
 inline constexpr const char* kShuffleFetch = "shuffle.fetch";
 inline constexpr const char* kBlockDecode = "block.decode";

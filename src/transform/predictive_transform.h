@@ -10,7 +10,7 @@
 // strictly streaming (linear time — Fig. 4).
 #pragma once
 
-#include "io/streams.h"
+#include "io/common.h"
 #include "transform/stride_model.h"
 
 namespace scishuffle::transform {
@@ -19,15 +19,9 @@ class PredictiveTransform {
  public:
   explicit PredictiveTransform(TransformConfig config = {}) : config_(std::move(config)) {}
 
-  /// Streaming forward transform; output size == input size. Returns how
-  /// many bytes the model predicted.
-  u64 forward(ByteSource& in, ByteSink& out) const;
-
-  /// Streaming inverse transform. Returns how many bytes were predicted.
-  u64 inverse(ByteSource& in, ByteSink& out) const;
-
-  /// Buffer conveniences; `predictedBytes`, when non-null, receives the
-  /// predicted-byte count.
+  /// Forward and inverse transform of a whole buffer, each from a fresh
+  /// model; output size == input size. `predictedBytes`, when non-null,
+  /// receives how many bytes the model predicted.
   Bytes forward(ByteSpan data, u64* predictedBytes = nullptr) const;
   Bytes inverse(ByteSpan data, u64* predictedBytes = nullptr) const;
 

@@ -1,6 +1,6 @@
 // Unit tests for the deterministic fault injector: trigger controls
 // (skip_calls / max_triggers / probability), the hit/mutate phase split,
-// seed determinism, and the MiniDfs wiring.
+// seed determinism, and thread safety.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,13 +8,15 @@
 #include <thread>
 #include <vector>
 
-#include "dfs/mini_dfs.h"
 #include "io/common.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
 
 namespace scishuffle::testing {
 namespace {
+
+// Sites are plain strings, so the generic cases use one of their own.
+constexpr const char* kTestSite = "test.site";
 
 FaultPlan onePlan(FaultRule rule, u64 seed = 7) {
   FaultPlan plan;
@@ -35,44 +37,44 @@ TEST(FaultInjectorTest, ThrowIoFiresOnceThenDisarms) {
 
 TEST(FaultInjectorTest, SiteMismatchNeverFires) {
   FaultInjector faults(onePlan({site::kShuffleFetch, FaultKind::kThrowIo}));
-  faults.hit(site::kDfsRead);
+  faults.hit(kTestSite);
   faults.hit(site::kShufflePublish);
   Bytes buf{1, 2, 3};
-  faults.mutate(site::kDfsRead, buf);
+  faults.mutate(kTestSite, buf);
   EXPECT_EQ(buf, (Bytes{1, 2, 3}));
   EXPECT_EQ(faults.totalTriggered(), 0u);
 }
 
 TEST(FaultInjectorTest, SkipCallsDelaysEligibility) {
-  FaultRule rule{site::kDfsRead, FaultKind::kThrowIo};
+  FaultRule rule{kTestSite, FaultKind::kThrowIo};
   rule.skip_calls = 2;
   FaultInjector faults(onePlan(rule));
-  faults.hit(site::kDfsRead);  // call 1: skipped
-  faults.hit(site::kDfsRead);  // call 2: skipped
-  EXPECT_EQ(faults.triggered(site::kDfsRead), 0u);
-  EXPECT_THROW(faults.hit(site::kDfsRead), IoError);  // call 3 fires
-  EXPECT_EQ(faults.triggered(site::kDfsRead), 1u);
+  faults.hit(kTestSite);  // call 1: skipped
+  faults.hit(kTestSite);  // call 2: skipped
+  EXPECT_EQ(faults.triggered(kTestSite), 0u);
+  EXPECT_THROW(faults.hit(kTestSite), IoError);  // call 3 fires
+  EXPECT_EQ(faults.triggered(kTestSite), 1u);
 }
 
 TEST(FaultInjectorTest, MaxTriggersBoundsFiring) {
-  FaultRule rule{site::kDfsRead, FaultKind::kThrowIo};
+  FaultRule rule{kTestSite, FaultKind::kThrowIo};
   rule.max_triggers = 3;
   FaultInjector faults(onePlan(rule));
-  for (int i = 0; i < 3; ++i) EXPECT_THROW(faults.hit(site::kDfsRead), IoError);
-  for (int i = 0; i < 10; ++i) faults.hit(site::kDfsRead);  // disarmed
-  EXPECT_EQ(faults.triggered(site::kDfsRead), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_THROW(faults.hit(kTestSite), IoError);
+  for (int i = 0; i < 10; ++i) faults.hit(kTestSite);  // disarmed
+  EXPECT_EQ(faults.triggered(kTestSite), 3u);
 }
 
 TEST(FaultInjectorTest, ZeroMaxTriggersMeansUnlimited) {
-  FaultRule rule{site::kDfsRead, FaultKind::kThrowIo};
+  FaultRule rule{kTestSite, FaultKind::kThrowIo};
   rule.max_triggers = 0;
   FaultInjector faults(onePlan(rule));
-  for (int i = 0; i < 25; ++i) EXPECT_THROW(faults.hit(site::kDfsRead), IoError);
-  EXPECT_EQ(faults.triggered(site::kDfsRead), 25u);
+  for (int i = 0; i < 25; ++i) EXPECT_THROW(faults.hit(kTestSite), IoError);
+  EXPECT_EQ(faults.triggered(kTestSite), 25u);
 }
 
 TEST(FaultInjectorTest, ProbabilityIsSeedDeterministic) {
-  FaultRule rule{site::kDfsRead, FaultKind::kThrowIo};
+  FaultRule rule{kTestSite, FaultKind::kThrowIo};
   rule.probability = 0.5;
   rule.max_triggers = 0;
 
@@ -81,7 +83,7 @@ TEST(FaultInjectorTest, ProbabilityIsSeedDeterministic) {
     std::vector<bool> fired;
     for (int i = 0; i < 64; ++i) {
       try {
-        faults.hit(site::kDfsRead);
+        faults.hit(kTestSite);
         fired.push_back(false);
       } catch (const IoError&) {
         fired.push_back(true);
@@ -182,51 +184,6 @@ TEST(FaultInjectorTest, ThreadSafeUnderConcurrentHits) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(thrown.load(), 8);
   EXPECT_EQ(faults.triggered(site::kShuffleFetch), 8u);
-}
-
-TEST(MiniDfsFaultTest, ReadFaultLeavesStoredBlocksPristine) {
-  dfs::DfsConfig config;
-  config.block_size = 64;
-  dfs::MiniDfs fs(config);
-  const Bytes data = randomBytes(300, 12);
-  fs.writeFile("/data/in", data);
-
-  FaultInjector faults(onePlan({site::kDfsRead, FaultKind::kCorruptBytes}));
-  fs.setFaultInjector(&faults);
-  const Bytes corrupted = fs.readFile("/data/in");
-  EXPECT_NE(corrupted, data);
-  EXPECT_EQ(faults.triggered(site::kDfsRead), 1u);
-
-  // The fault models a bad transfer, not disk rot: the next read (rule now
-  // disarmed) returns the original bytes.
-  EXPECT_EQ(fs.readFile("/data/in"), data);
-}
-
-TEST(MiniDfsFaultTest, WriteFaultPreventsFileCreation) {
-  dfs::MiniDfs fs(dfs::DfsConfig{});
-  FaultInjector faults(onePlan({site::kDfsWrite, FaultKind::kThrowIo}));
-  fs.setFaultInjector(&faults);
-  const Bytes data = randomBytes(100, 13);
-  EXPECT_THROW(fs.writeFile("/data/out", data), IoError);
-  EXPECT_FALSE(fs.exists("/data/out"));
-  // Retry (rule disarmed) succeeds cleanly — the failed write left no state.
-  fs.writeFile("/data/out", data);
-  EXPECT_EQ(fs.readFile("/data/out"), data);
-}
-
-TEST(MiniDfsFaultTest, BlockReadFaultIsPerCopy) {
-  dfs::DfsConfig config;
-  config.block_size = 64;
-  dfs::MiniDfs fs(config);
-  const Bytes data = randomBytes(200, 14);
-  fs.writeFile("/data/in", data);
-
-  FaultInjector faults(onePlan({site::kDfsRead, FaultKind::kTruncate}));
-  fs.setFaultInjector(&faults);
-  const Bytes bad = fs.readBlock("/data/in", 0, 0);
-  EXPECT_LT(bad.size(), 64u);
-  const Bytes good = fs.readBlock("/data/in", 0, 0);
-  EXPECT_EQ(good.size(), 64u);
 }
 
 }  // namespace

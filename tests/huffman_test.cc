@@ -82,8 +82,7 @@ TEST_P(HuffmanProperty, KraftEqualityAndDecodability) {
   for (const u32 s : symbols) enc.encode(bw, s);
   bw.finish();
 
-  MemorySource src(buf);
-  BitReader br(src);
+  BitSpanReader br(buf);
   const Decoder dec(lengths);
   for (const u32 s : symbols) EXPECT_EQ(dec.decode(br), s);
 }
@@ -140,8 +139,7 @@ TEST_P(CompressedLengthsRoundTrip, RoundTrips) {
   writeCompressedLengths(bw, lengths);
   bw.finish();
 
-  MemorySource src(buf);
-  BitReader br(src);
+  BitSpanReader br(buf);
   EXPECT_EQ(readCompressedLengths(br, lengths.size()), lengths);
 }
 

@@ -126,8 +126,7 @@ TEST(BitIoTest, RoundTripsMixedWidths) {
   bw.writeBits(0xDEAD, 16);
   bw.writeBits(0x0FFFFFFF, 28);
   bw.finish();
-  MemorySource src(buf);
-  BitReader br(src);
+  BitSpanReader br(buf);
   EXPECT_EQ(br.readBits(1), 0b1u);
   EXPECT_EQ(br.readBits(4), 0b1010u);
   EXPECT_EQ(br.readBits(16), 0xDEADu);
@@ -140,8 +139,7 @@ TEST(BitIoTest, MsbFirstCodesRoundTripBitByBit) {
   BitWriter bw(sink);
   bw.writeCodeMsbFirst(0b1011, 4);
   bw.finish();
-  MemorySource src(buf);
-  BitReader br(src);
+  BitSpanReader br(buf);
   u32 code = 0;
   for (int i = 0; i < 4; ++i) code = (code << 1) | br.readBit();
   EXPECT_EQ(code, 0b1011u);

@@ -1,6 +1,7 @@
 // ShuffleServer edge cases: zero-map jobs, publishes racing waiting
-// reducers, concurrent fetchers on one queue, retained-copy refetch, and
-// abort waking blocked fetchers.
+// reducers, concurrent fetchers on one queue, retained-copy refetch, a
+// faulted publish leaving its segments to the retry, and abort waking
+// blocked fetchers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "hadoop/runtime.h"
 #include "hadoop/shuffle.h"
+#include "testing/fault_injector.h"
 #include "testing_support.h"
 
 namespace scishuffle::hadoop {
@@ -154,6 +156,26 @@ TEST(ShuffleServerTest, EmptySegmentsFlowThrough) {
   const auto got = server.fetch(1);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->segment.empty());
+}
+
+// The retry loop in runJob publishes the same vector again after a publish
+// throws, so a faulted publish must not have moved out of it.
+TEST(ShuffleServerTest, FaultedPublishLeavesSegmentsForTheRetry) {
+  scishuffle::testing::FaultPlan plan;
+  plan.rules.push_back(
+      {scishuffle::testing::site::kShufflePublish, scishuffle::testing::FaultKind::kThrowIo});
+  scishuffle::testing::FaultInjector faults(plan);
+  ShuffleServer server(1, 2, &faults);
+  std::vector<Bytes> segments = segmentsFor(0, 2);
+  EXPECT_THROW(server.publish(0, std::move(segments)), IoError);
+  ASSERT_EQ(segments, segmentsFor(0, 2));  // NOLINT(bugprone-use-after-move)
+  server.publish(0, std::move(segments));
+  for (int r = 0; r < 2; ++r) {
+    const auto got = server.fetch(r);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->segment, segmentFor(0, r));
+    EXPECT_FALSE(server.fetch(r).has_value());
+  }
 }
 
 // Regression for the lock-discipline pass (PR 5): publish() used to read the

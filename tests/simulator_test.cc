@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
 #include "cluster/simulator.h"
 
 namespace scishuffle::cluster {
@@ -78,7 +81,7 @@ TEST(SimulatorTest, CrossNodeTrafficUsesNics) {
 
 TEST(SimulatorTest, ShuffleOverlapsMapPhase) {
   // Two map waves; the first wave's segments should be in flight while the
-  // second wave computes, so the job beats the closed-form serial estimate.
+  // second wave computes, so the job beats running the phases back to back.
   SimJob job;
   for (int i = 0; i < 8; ++i) job.maps.push_back(mapTask(2.0, {50'000'000}));
   job.reduces.push_back({0.0, 0, 0});
@@ -146,6 +149,46 @@ TEST(SimulatorTest, SimJobFromResultScales) {
 TEST(SimulatorTest, EmptyJob) {
   const auto outcome = EventSimulator(unitSpec(2, 2, 2)).run(SimJob{});
   EXPECT_EQ(outcome.total_s, 0.0);
+}
+
+TEST(PlacementTest, WriterHoldsTheFirstReplica) {
+  const std::vector<int> writers = {4, 0, 2, 2, 1, 3, 0};
+  const auto blocks = placeReplicas(5, 3, writers);
+  ASSERT_EQ(blocks.size(), writers.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    ASSERT_FALSE(blocks[b].empty());
+    EXPECT_EQ(blocks[b].front(), writers[b]) << "block " << b;
+  }
+}
+
+TEST(PlacementTest, ReplicasAreDistinctAndInRange) {
+  std::vector<int> writers;
+  for (int b = 0; b < 40; ++b) writers.push_back((b * 3) % 5);
+  for (const auto& replicas : placeReplicas(5, 3, writers)) {
+    EXPECT_EQ(replicas.size(), 3u);
+    EXPECT_EQ(std::set<int>(replicas.begin(), replicas.end()).size(), replicas.size());
+    for (const int node : replicas) {
+      EXPECT_GE(node, 0);
+      EXPECT_LT(node, 5);
+    }
+  }
+}
+
+TEST(PlacementTest, RotationCarriesAcrossBlocks) {
+  // The second block's non-writer replicas continue the first one's turn.
+  EXPECT_EQ(placeReplicas(5, 3, {4, 4}),
+            (std::vector<std::vector<int>>{{4, 0, 1}, {4, 2, 3}}));
+}
+
+TEST(PlacementTest, ReplicationClampsToNodeCount) {
+  for (const auto& replicas : placeReplicas(2, 5, {0, 1, 1})) {
+    EXPECT_EQ(replicas.size(), 2u);
+  }
+}
+
+TEST(PlacementTest, OutOfRangeWriterIsRejected) {
+  EXPECT_THROW(placeReplicas(5, 3, {5}), std::logic_error);
+  EXPECT_THROW(placeReplicas(5, 3, {-1}), std::logic_error);
 }
 
 }  // namespace

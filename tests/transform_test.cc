@@ -244,51 +244,6 @@ TEST(TransformTest, FixedStride12OnTripleStream) {
   EXPECT_EQ(transform.inverse(residuals), stream);
 }
 
-/// Source that yields data in tiny irregular chunks, exercising every
-/// buffer-boundary path in the streaming transform.
-class DribblingSource final : public ByteSource {
- public:
-  explicit DribblingSource(ByteSpan data) : data_(data) {}
-
- protected:
-  std::size_t readSome(MutableByteSpan out) override {
-    if (pos_ >= data_.size()) return 0;
-    const std::size_t chunk = 1 + (pos_ * 7919) % 7;  // 1..7 bytes
-    const std::size_t n = std::min({out.size(), chunk, data_.size() - pos_});
-    std::copy(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n), out.begin());
-    pos_ += n;
-    return n;
-  }
-
- private:
-  ByteSpan data_;
-  std::size_t pos_ = 0;
-};
-
-TEST(TransformTest, StreamingIsChunkingInvariant) {
-  // The same bytes through a dribbling source and through the one-shot span
-  // API must produce identical residuals (the model carries no per-read
-  // state), including across the internal 64 KiB chunk boundary.
-  const Bytes stream = testing::gridWalkTriples(30, 30, 30);  // 324,000 bytes
-  ASSERT_GT(stream.size(), 128u * 1024u);
-  const PredictiveTransform transform{};
-
-  const Bytes oneShot = transform.forward(stream);
-
-  DribblingSource source(stream);
-  Bytes dribbled;
-  MemorySink sink(dribbled);
-  transform.forward(source, sink);
-  EXPECT_EQ(dribbled, oneShot);
-
-  DribblingSource back(oneShot);
-  Bytes restored;
-  MemorySink restoredSink(restored);
-  transform.inverse(back, restoredSink);
-  EXPECT_EQ(restored, stream);
-}
-
 TEST(StrideHintsTest, RecordLengthArithmetic) {
   // The Fig. 2 stream: Text("windspeed1") + 2 coords + f32 value = 23 bytes.
   EXPECT_EQ(recordLengthForKeyStream(10, /*nameMode=*/true, 2, 4), 23u);
